@@ -8,7 +8,9 @@ errors.  Models and figure data are JSON; anything tabular is CSV/TSV.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
+import math
 import sys
 
 import numpy as np
@@ -32,17 +34,7 @@ def save_model(model: SvmModel, trace: TrainTrace, path) -> None:
         "format_version": MODEL_FORMAT_VERSION,
         "w": [float(v) for v in model.w],
         "b": float(model.b),
-        "config": {
-            "C": cfg.C,
-            "p": cfg.p,
-            "s": cfg.s,
-            "eta": cfg.eta,
-            "eps": cfg.eps,
-            "tol_obj": cfg.tol_obj,
-            "tol_grad": cfg.tol_grad,
-            "max_iter": cfg.max_iter,
-            "regularize_bias": cfg.regularize_bias,
-        },
+        "config": dataclasses.asdict(cfg),
         "trace": {
             "iterations": trace.iterations,
             "final_objective": float(trace.objective_history[-1]),
@@ -56,12 +48,25 @@ def save_model(model: SvmModel, trace: TrainTrace, path) -> None:
 
 
 def load_model(path) -> tuple[SvmModel, dict]:
-    """Read a model file back; returns the model and the raw document."""
+    """Read a model file back; returns the model and the raw document.
+
+    Raises ValueError naming the file if the document is not a model file.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: model file must hold a JSON object")
     if doc.get("format_version") != MODEL_FORMAT_VERSION:
         raise ValueError(f"{path}: unsupported model format_version "
                          f"{doc.get('format_version')!r}")
+    missing = [key for key in ("config", "w", "b") if key not in doc]
+    if missing:
+        raise ValueError(f"{path}: model file lacks {', '.join(missing)}")
+    if not isinstance(doc["config"], dict):
+        raise ValueError(f"{path}: config must be a JSON object")
+    unknown = sorted(set(doc["config"]) - {f.name for f in dataclasses.fields(TrainConfig)})
+    if unknown:
+        raise ValueError(f"{path}: unknown config key(s) {', '.join(unknown)}")
     cfg = TrainConfig(**doc["config"])
     model = SvmModel(w=np.array(doc["w"], dtype=np.float64), b=float(doc["b"]), meta=cfg)
     return model, doc
@@ -108,6 +113,16 @@ def _pair(text: str) -> tuple[float, float]:
         raise argparse.ArgumentTypeError(f"expected two floats, got {text!r}") from None
 
 
+def _sv_threshold(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a float, got {text!r}") from None
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"must be finite and non-negative, got {text!r}")
+    return value
+
+
 def _float_list(text: str) -> list[float]:
     try:
         values = [float(tok) for tok in text.split(",") if tok.strip()]
@@ -143,14 +158,6 @@ def _config_from_args(args, **overrides) -> TrainConfig:
     )
     kw.update(overrides)
     return TrainConfig(**kw)
-
-
-def _config_echo(cfg: TrainConfig) -> dict:
-    return {
-        "C": cfg.C, "p": cfg.p, "s": cfg.s, "eta": cfg.eta, "eps": cfg.eps,
-        "tol_obj": cfg.tol_obj, "tol_grad": cfg.tol_grad,
-        "max_iter": cfg.max_iter, "regularize_bias": cfg.regularize_bias,
-    }
 
 
 def cmd_gen_toy(args) -> int:
@@ -223,7 +230,7 @@ def cmd_cv(args) -> int:
     print(f"mean  {means['train_acc']:>9.4f}  {means['test_acc']:>8.4f}  {means['n_sv']:>6.1f}")
     if args.out_json:
         doc = {"k": args.k, "seed": args.seed, "sv_threshold": args.sv_threshold,
-               "config": _config_echo(cfg), "folds": folds, "means": means}
+               "config": dataclasses.asdict(cfg), "folds": folds, "means": means}
         with open(args.out_json, "w", encoding="utf-8") as fh:
             json.dump(doc, fh, indent=2)
             fh.write("\n")
@@ -261,7 +268,8 @@ def cmd_compare(args) -> int:
             "seed": args.seed,
             "sv_threshold": args.sv_threshold,
             "configs": [
-                {"C": C, "config_std": _config_echo(cs), "config_min": _config_echo(cm),
+                {"C": C, "config_std": dataclasses.asdict(cs),
+                 "config_min": dataclasses.asdict(cm),
                  **comparison_to_dict(report)}
                 for C, cs, cm, report in blocks
             ],
@@ -317,7 +325,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--has-header", action="store_true")
-    p.add_argument("--sv-threshold", type=float, default=DEFAULT_SV_THRESHOLD)
+    p.add_argument("--sv-threshold", type=_sv_threshold, default=DEFAULT_SV_THRESHOLD)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("cv", help="stratified k-fold cross-validation of one configuration")
@@ -325,7 +333,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--has-header", action="store_true")
     p.add_argument("--k", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--sv-threshold", type=float, default=DEFAULT_SV_THRESHOLD)
+    p.add_argument("--sv-threshold", type=_sv_threshold, default=DEFAULT_SV_THRESHOLD)
     p.add_argument("--standardize", action="store_true",
                    help="rescale features per fold using training-split statistics")
     p.add_argument("--out-json")
@@ -338,7 +346,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c-list", type=_float_list, required=True, metavar="C1,C2,...")
     p.add_argument("--k", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--sv-threshold", type=float, default=DEFAULT_SV_THRESHOLD)
+    p.add_argument("--sv-threshold", type=_sv_threshold, default=DEFAULT_SV_THRESHOLD)
     p.add_argument("--standardize", action="store_true",
                    help="rescale features per fold using training-split statistics")
     p.add_argument("--out-json")
@@ -350,7 +358,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--has-header", action="store_true")
-    p.add_argument("--sv-threshold", type=float, default=DEFAULT_SV_THRESHOLD)
+    p.add_argument("--sv-threshold", type=_sv_threshold, default=DEFAULT_SV_THRESHOLD)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_figure)
 

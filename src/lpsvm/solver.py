@@ -13,6 +13,11 @@ All floating-point paths are overflow-free: the per-sample gradient
 coefficient sigma(s z) * softplus_s(z)^(p-1) is assembled in the log domain,
 so margins anywhere in double range produce finite objective and gradient
 values, with exact zeros where the true coefficient underflows.
+
+`train` evaluates the objective and the gradient together, from one margin
+pass per iterate over the signed design matrix y_i x'_i built once per fit;
+`objective` and `gradient` are the public single-point forms of the same
+elementwise code and give bit-identical values.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AugmentedView, LabeledDataset, SvmModel, augment
+from .core import AugmentedView, LabeledDataset, SvmModel
 
 __all__ = [
     "TrainConfig",
@@ -43,6 +48,10 @@ STOP_ITERATION_CAP = "iteration-cap"
 
 # Below this, log(softplus(t)) equals t to double precision.
 _LOG_SOFTPLUS_CUT = -33.0
+
+# Overflow/NaN in the objective or gradient is the divergence signal, which
+# is reported rather than warned about; log(0) below the cut is discarded.
+_QUIET = dict(over="ignore", invalid="ignore", divide="ignore")
 
 
 class DivergenceError(RuntimeError):
@@ -114,22 +123,6 @@ def _softplus(t: np.ndarray) -> np.ndarray:
     return np.logaddexp(0.0, t)
 
 
-def _log_softplus(t: np.ndarray) -> np.ndarray:
-    # log(log(1 + e^t)), finite for every finite t: for very negative t the
-    # inner softplus underflows but equals e^t to double precision, so the
-    # log is just t.
-    t = np.asarray(t, dtype=np.float64)
-    out = t.copy()
-    head = t >= _LOG_SOFTPLUS_CUT
-    if np.any(head):
-        out[head] = np.log(np.logaddexp(0.0, t[head]))
-    return out
-
-
-def _log_sigmoid(t: np.ndarray) -> np.ndarray:
-    return -np.logaddexp(0.0, -t)
-
-
 def smoothed_plus(x, s: float):
     """Sharp softplus (1/s) log(1 + exp(s x)), elementwise.
 
@@ -161,6 +154,44 @@ def _aug_matrix(data) -> np.ndarray:
     return data.matrix if isinstance(data, AugmentedView) else np.asarray(data, dtype=np.float64)
 
 
+def _signed_design(dataset: LabeledDataset) -> np.ndarray:
+    """The (n, k+1) matrix y_i [x_i, 1]; with y = +-1 every entry is exact."""
+    yX = np.empty((dataset.n, dataset.k + 1))
+    np.multiply(dataset.X, dataset.y[:, None], out=yX[:, :-1])
+    yX[:, -1] = dataset.y
+    return yX
+
+
+# The elementwise terms below take the scaled margins t = s (1 - y w'.x') and
+# sp = softplus(t), so one margin pass serves both the value and the gradient.
+
+def _value(w_aug: np.ndarray, dw: np.ndarray, sp: np.ndarray, cfg: TrainConfig) -> float:
+    # dw = D w'; softplus_s(z) = sp / s
+    return 0.5 * float(w_aug @ dw) + cfg.C * float(np.sum((sp / cfg.s) ** cfg.p))
+
+
+def _coeff(t: np.ndarray, sp: np.ndarray, cfg: TrainConfig) -> np.ndarray:
+    # sigma(t) * n^(p-1) with n = sp / s, as exp(log sigma(t) + (p-1) log n).
+    # Below the cut sp underflows but equals e^t to double precision, so
+    # log(sp) is just t there.
+    log_n = np.where(t >= _LOG_SOFTPLUS_CUT, np.log(sp), t) - math.log(cfg.s)
+    return np.exp((cfg.p - 1.0) * log_n - np.logaddexp(0.0, -t))
+
+
+def _value_and_grad(w_aug: np.ndarray, yX: np.ndarray, d: np.ndarray,
+                    cfg: TrainConfig) -> tuple[float, np.ndarray]:
+    """J(w') and grad J(w') over the signed design matrix yX = y [X, 1].
+
+    Bit-identical to `objective` and `gradient`: y = +-1 makes every product
+    with y exact.  Non-finite results are returned as they are, for the
+    caller to report; call it under `_QUIET`.
+    """
+    t = cfg.s * (1.0 - yX @ w_aug)
+    sp = _softplus(t)
+    dw = d * w_aug
+    return _value(w_aug, dw, sp, cfg), dw - cfg.p * cfg.C * (yX.T @ _coeff(t, sp, cfg))
+
+
 def objective(w_aug: np.ndarray, data, y: np.ndarray, cfg: TrainConfig) -> float:
     """Smoothed penalized objective at the augmented weight vector.
 
@@ -170,11 +201,9 @@ def objective(w_aug: np.ndarray, data, y: np.ndarray, cfg: TrainConfig) -> float
     X_aug = _aug_matrix(data)
     w_aug = np.asarray(w_aug, dtype=np.float64)
     d = _reg_diag(w_aug.shape[0], cfg.regularize_bias)
-    # Overflow/NaN here is the divergence signal; report it, don't warn.
-    with np.errstate(over="ignore", invalid="ignore"):
-        z = 1.0 - y * (X_aug @ w_aug)
-        hinge = _softplus(cfg.s * z) / cfg.s
-        value = 0.5 * float(w_aug @ (d * w_aug)) + cfg.C * float(np.sum(hinge ** cfg.p))
+    with np.errstate(**_QUIET):
+        t = cfg.s * (1.0 - y * (X_aug @ w_aug))
+        value = _value(w_aug, d * w_aug, _softplus(t), cfg)
     if not np.isfinite(value):
         raise DivergenceError("objective is not finite")
     return value
@@ -191,10 +220,9 @@ def gradient(w_aug: np.ndarray, data, y: np.ndarray, cfg: TrainConfig) -> np.nda
     X_aug = _aug_matrix(data)
     w_aug = np.asarray(w_aug, dtype=np.float64)
     d = _reg_diag(w_aug.shape[0], cfg.regularize_bias)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(**_QUIET):
         t = cfg.s * (1.0 - y * (X_aug @ w_aug))
-        log_n = _log_softplus(t) - math.log(cfg.s)
-        coeff = np.exp(_log_sigmoid(t) + (cfg.p - 1.0) * log_n)
+        coeff = _coeff(t, _softplus(t), cfg)
         grad = d * w_aug - cfg.p * cfg.C * (X_aug.T @ (coeff * y))
     if not np.all(np.isfinite(grad)):
         raise DivergenceError("gradient is not finite")
@@ -209,48 +237,54 @@ def train(dataset: LabeledDataset, cfg: TrainConfig) -> tuple[SvmModel, TrainTra
         v <- eps * v - eta * grad J(w'),    w' <- w' + v
 
     until the relative objective change or the gradient norm drops below its
-    tolerance, or the iteration cap is reached.  Deterministic: identical
-    inputs give bit-identical results.
+    tolerance, or the iteration cap is reached.  J and grad J at each new
+    iterate come from one margin pass over the signed design matrix
+    y [X, 1].  Deterministic: identical inputs give bit-identical results.
 
-    Raises DivergenceError (naming the iteration) if an iterate goes
-    non-finite, and ValueError if the dataset has only one class.
+    Raises DivergenceError (naming the iteration, 0 for the start point) if
+    an iterate goes non-finite, and ValueError if the dataset has only one
+    class.
     """
     if not dataset.has_both_classes:
         raise ValueError("training requires samples from both classes")
-    X_aug = augment(dataset).matrix
-    y = dataset.y
-    dim = dataset.k + 1
+    yX = _signed_design(dataset)
+    d = _reg_diag(dataset.k + 1, cfg.regularize_bias)
 
-    w = np.zeros(dim)
-    v = np.zeros(dim)
-    obj_hist = [objective(w, X_aug, y, cfg)]
-    grad_hist: list[float] = []
-    converged = False
-    stop_reason = STOP_ITERATION_CAP
+    w = np.zeros(dataset.k + 1)
+    v = np.zeros(dataset.k + 1)
+    with np.errstate(**_QUIET):
+        value, g = _value_and_grad(w, yX, d, cfg)
+        if not math.isfinite(value):
+            raise DivergenceError("objective diverged at iteration 0")
+        obj_hist = [value]
+        grad_hist: list[float] = []
+        converged = False
+        stop_reason = STOP_ITERATION_CAP
 
-    for it in range(1, cfg.max_iter + 1):
-        try:
-            g = gradient(w, X_aug, y, cfg)
-        except DivergenceError as exc:
-            raise DivergenceError(f"gradient diverged at iteration {it}") from exc
-        grad_norm = float(np.linalg.norm(g))
-        v = cfg.eps * v - cfg.eta * g
-        w = w + v
-        try:
-            value = objective(w, X_aug, y, cfg)
-        except DivergenceError as exc:
-            raise DivergenceError(f"objective diverged at iteration {it}") from exc
-        prev = obj_hist[-1]
-        obj_hist.append(value)
-        grad_hist.append(grad_norm)
-        if abs(value - prev) / max(1.0, abs(prev)) < cfg.tol_obj:
-            converged = True
-            stop_reason = STOP_OBJECTIVE
-            break
-        if grad_norm < cfg.tol_grad:
-            converged = True
-            stop_reason = STOP_GRADIENT
-            break
+        for it in range(1, cfg.max_iter + 1):
+            # g is the gradient at the iterate just accepted; it only counts as
+            # diverged if a step is taken from it.  The norm is computed as
+            # np.linalg.norm does; it also overflows for a large finite g, so
+            # only an infinite norm needs the elementwise check.
+            grad_norm = math.sqrt(g.dot(g))
+            if not math.isfinite(grad_norm) and not np.isfinite(g).all():
+                raise DivergenceError(f"gradient diverged at iteration {it}")
+            v = cfg.eps * v - cfg.eta * g
+            w = w + v
+            value, g = _value_and_grad(w, yX, d, cfg)
+            if not math.isfinite(value):
+                raise DivergenceError(f"objective diverged at iteration {it}")
+            prev = obj_hist[-1]
+            obj_hist.append(value)
+            grad_hist.append(grad_norm)
+            if abs(value - prev) / max(1.0, abs(prev)) < cfg.tol_obj:
+                converged = True
+                stop_reason = STOP_OBJECTIVE
+                break
+            if grad_norm < cfg.tol_grad:
+                converged = True
+                stop_reason = STOP_GRADIENT
+                break
 
     model = SvmModel(w=w[:-1].copy(), b=float(w[-1]), meta=cfg)
     trace = TrainTrace(

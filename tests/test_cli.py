@@ -116,6 +116,41 @@ def test_load_model_rejects_unknown_version(tmp_path):
         load_model(path)
 
 
+@pytest.mark.parametrize("drop", ["config", "w", "b"])
+def test_load_model_missing_key_names_file(tmp_path, toy_csv, capsys, drop):
+    path = tmp_path / "m.json"
+    run("train", "--data", toy_csv, "--out", path, *FAST_FLAGS)
+    doc = json.loads(path.read_text())
+    del doc[drop]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=f"m.json: model file lacks {drop}"):
+        load_model(path)
+    capsys.readouterr()
+    assert run("eval", "--model", path, "--data", toy_csv) == 2
+    assert "m.json" in capsys.readouterr().err
+
+
+def test_load_model_unknown_config_key_names_file(tmp_path, toy_csv, capsys):
+    path = tmp_path / "m.json"
+    run("train", "--data", toy_csv, "--out", path, *FAST_FLAGS)
+    doc = json.loads(path.read_text())
+    doc["config"]["momentum"] = 0.5
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="m.json: unknown config key.*momentum"):
+        load_model(path)
+    capsys.readouterr()
+    assert run("figure", "--model", path, "--data", toy_csv,
+               "--out", tmp_path / "f.json") == 2
+    assert "m.json" in capsys.readouterr().err
+
+
+def test_model_config_keys_follow_train_config(tmp_path, toy_csv):
+    path = tmp_path / "m.json"
+    run("train", "--data", toy_csv, "--out", path, *FAST_FLAGS)
+    assert list(json.loads(path.read_text())["config"]) == [
+        "C", "p", "s", "eta", "eps", "tol_obj", "tol_grad", "max_iter", "regularize_bias"]
+
+
 # ------------------------------------------------------------------- eval
 
 def test_eval_prints_metrics(tmp_path, toy_csv, capsys):
@@ -267,6 +302,25 @@ def test_unknown_flag_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["train", "--no-such-flag"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", [
+    ["eval", "--model", "m.json", "--data", "x.csv"],
+    ["cv", "--data", "x.csv"],
+    ["compare", "--data", "x.csv", "--c-list", "1"],
+    ["figure", "--model", "m.json", "--data", "x.csv", "--out", "f.json"],
+])
+@pytest.mark.parametrize("threshold", ["nan", "inf", "-inf", "-1", "x"])
+def test_bad_sv_threshold_exits_2(command, threshold, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*command, f"--sv-threshold={threshold}"])
+    assert exc.value.code == 2
+    assert "--sv-threshold" in capsys.readouterr().err
+
+
+def test_train_divergence_at_start_exits_1(tmp_path, toy_csv, capsys):
+    assert run("train", "--data", toy_csv, "--C", 1e308, "--out", tmp_path / "m.json") == 1
+    assert "objective diverged at iteration 0" in capsys.readouterr().err
 
 
 def test_bad_c_list_exits_2():

@@ -288,6 +288,64 @@ def test_train_divergence_names_iteration():
         train(ds, TrainConfig(C=1.0, p=1.0, eta=1e6, max_iter=5000))
 
 
+def test_train_divergence_at_start_names_iteration_0():
+    ds = gen_toy(ToySpec(seed=7, n_per_class=10))
+    # J(0) = C * n overflows
+    with pytest.raises(DivergenceError, match="objective diverged at iteration 0$"):
+        train(ds, TrainConfig(C=1e308))
+
+
+def reference_train(dataset, cfg):
+    """The momentum loop of `train`, written against the public objective and
+    gradient: the fused kernel must reproduce it bit for bit."""
+    X_aug, y = augment(dataset).matrix, dataset.y
+    w = v = np.zeros(dataset.k + 1)
+    obj_hist, grad_hist = [objective(w, X_aug, y, cfg)], []
+    stop_reason = STOP_ITERATION_CAP
+    for _ in range(cfg.max_iter):
+        g = gradient(w, X_aug, y, cfg)
+        grad_hist.append(float(np.linalg.norm(g)))
+        v = cfg.eps * v - cfg.eta * g
+        w = w + v
+        obj_hist.append(objective(w, X_aug, y, cfg))
+        if abs(obj_hist[-1] - obj_hist[-2]) / max(1.0, abs(obj_hist[-2])) < cfg.tol_obj:
+            stop_reason = STOP_OBJECTIVE
+            break
+        if grad_hist[-1] < cfg.tol_grad:
+            stop_reason = STOP_GRADIENT
+            break
+    return w, np.array(obj_hist), np.array(grad_hist), stop_reason
+
+
+def _grid_cfg(C, p, regularize_bias):
+    return TrainConfig(C=C, p=p, s=100.0, eta=1e-2 / max(1.0, C / 2.0), eps=0.9,
+                       max_iter=1500, tol_obj=1e-10, tol_grad=1e-6,
+                       regularize_bias=regularize_bias)
+
+
+@pytest.mark.parametrize("cfg, negate, stop", [
+    (_grid_cfg(1.0, 1.0, False), False, STOP_OBJECTIVE),
+    (_grid_cfg(1.0, 1.0, True), False, STOP_OBJECTIVE),
+    (_grid_cfg(1.0, 0.5, False), False, STOP_OBJECTIVE),
+    (_grid_cfg(1.0, 0.5, True), False, STOP_ITERATION_CAP),
+    (_grid_cfg(50.0, 0.5, False), False, STOP_ITERATION_CAP),
+    (_grid_cfg(50.0, 0.5, False), True, STOP_ITERATION_CAP),
+    (_grid_cfg(50.0, 1.0, True), False, STOP_ITERATION_CAP),
+    (TrainConfig(C=1.0, p=1.0, eta=5e-3, tol_obj=1e-300, tol_grad=1e-2), False, STOP_GRADIENT),
+])
+def test_train_matches_reference_loop_bitwise(cfg, negate, stop):
+    ds = gen_toy(ToySpec(seed=0, n_per_class=20))
+    if negate:
+        ds = LabeledDataset(ds.X, -ds.y)
+    model, trace = train(ds, cfg)
+    w, obj_hist, grad_hist, stop_reason = reference_train(ds, cfg)
+    assert trace.stop_reason == stop_reason == stop
+    assert np.array_equal(model.w, w[:-1]) and model.b == w[-1]
+    assert np.array_equal(trace.objective_history, obj_hist)
+    assert np.array_equal(trace.grad_norm_history, grad_hist)
+    assert trace.iterations == len(grad_hist)
+
+
 def test_sv_count_shrinks_with_C_at_small_p():
     from lpsvm.core import slack
     ds = gen_toy(ToySpec(seed=0))
