@@ -18,7 +18,7 @@ import numpy as np
 from .core import DEFAULT_SV_THRESHOLD, LabeledDataset, SvmModel, margin_width, slack
 from .data import ToySpec, gen_toy, kfold, load_csv, save_csv, standardize
 from .metrics import REPORT_FIELDS, accuracy, comparison_to_dict, run_comparison
-from .solver import DivergenceError, TrainConfig, TrainTrace, train
+from .solver import STOP_ITERATION_CAP, DivergenceError, TrainConfig, TrainTrace, train
 
 __all__ = ["main", "save_model", "load_model", "figure_data"]
 
@@ -40,6 +40,8 @@ def save_model(model: SvmModel, trace: TrainTrace, path) -> None:
             "final_objective": float(trace.objective_history[-1]),
             "converged": trace.converged,
             "stop_reason": trace.stop_reason,
+            "final_grad_norm": trace.final_grad_norm,
+            "restarts": trace.restarts,
         },
     }
     with open(path, "w", encoding="utf-8") as fh:
@@ -139,7 +141,7 @@ def _add_config_flags(p: argparse.ArgumentParser, with_p: bool = True) -> None:
         p.add_argument("--p", type=float, default=_DEFAULTS.p,
                        help="slack exponent in (0, 1]; 1 gives the standard hinge")
     p.add_argument("--s", type=float, default=_DEFAULTS.s, help="softplus sharpness")
-    p.add_argument("--eta", type=float, default=_DEFAULTS.eta, help="learning rate")
+    p.add_argument("--eta", type=float, default=_DEFAULTS.eta, help="initial step")
     p.add_argument("--eps", type=float, default=_DEFAULTS.eps, help="momentum coefficient")
     p.add_argument("--tol-obj", type=float, default=_DEFAULTS.tol_obj,
                    help="relative objective-change tolerance")
@@ -179,12 +181,17 @@ def cmd_train(args) -> int:
         _write_trace_csv(trace, args.trace)
     print(f"trained on {dataset.n} samples: iterations={trace.iterations} "
           f"converged={trace.converged} stop_reason={trace.stop_reason} "
-          f"final_objective={trace.objective_history[-1]:.6g}")
+          f"final_objective={trace.objective_history[-1]:.6g} "
+          f"final_grad_norm={trace.final_grad_norm:.3g}")
+    if trace.stop_reason == STOP_ITERATION_CAP:
+        print(f"warning: stopped at the iteration cap ({cfg.max_iter}) before either "
+              "tolerance was met", file=sys.stderr)
     return 0
 
 
 def _write_trace_csv(trace: TrainTrace, path) -> None:
-    # One row per objective entry; the final point has no gradient evaluation.
+    # One row per objective entry; no step is taken from the final point, so its
+    # row has no gradient entry (the model file records its norm).
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("iter,objective,grad_norm\n")
         for it, value in enumerate(trace.objective_history):

@@ -14,10 +14,13 @@ coefficient sigma(s z) * softplus_s(z)^(p-1) is assembled in the log domain,
 so margins anywhere in double range produce finite objective and gradient
 values, with exact zeros where the true coefficient underflows.
 
-`train` evaluates the objective and the gradient together, from one margin
-pass per iterate over the signed design matrix y_i x'_i built once per fit;
-`objective` and `gradient` are the public single-point forms of the same
-elementwise code and give bit-identical values.
+`train` runs momentum descent with a monotone safeguard: a trial step that
+would raise the objective is rejected, the momentum restarts and the step
+halves; an accepted step grows the step by 5 %.  It evaluates the objective
+and the gradient together, from one margin pass per trial over the signed
+design matrix y_i x'_i built once per fit; `objective` and `gradient` are the
+public single-point forms of the same elementwise code and give bit-identical
+values.
 """
 
 from __future__ import annotations
@@ -46,6 +49,11 @@ STOP_OBJECTIVE = "objective-tolerance"
 STOP_GRADIENT = "gradient-tolerance"
 STOP_ITERATION_CAP = "iteration-cap"
 
+# Step factors of the safeguard: an accepted trial grows the step, a rejected
+# one (the objective would rise) shrinks it and restarts the momentum.
+_STEP_GROW = 1.05
+_STEP_SHRINK = 0.5
+
 # Below this, log(softplus(t)) equals t to double precision.
 _LOG_SOFTPLUS_CUT = -33.0
 
@@ -65,11 +73,15 @@ class TrainConfig:
     C         : weight of the slack penalty (> 0)
     p         : slack exponent in (0, 1]; p < 1 shrinks the support-vector set
     s         : softplus sharpness (> 0); the smoothing gap is log(2)/s
-    eta       : learning rate (> 0)
+    eta       : initial step (> 0); `train` halves the step on every
+                rejected trial and grows it by 5 % on every accepted one
     eps       : momentum coefficient in [0, 1)
-    tol_obj   : stop when |J_t - J_{t-1}| / max(1, |J_{t-1}|) < tol_obj
-    tol_grad  : stop when the gradient norm drops below tol_grad
-    max_iter  : iteration cap
+    tol_obj   : stop when an accepted step lowers J by a relative amount
+                (J_{t-1} - J_t) / max(1, |J_{t-1}|) below tol_obj
+    tol_grad  : stop when the gradient norm at the point stepped from
+                drops below tol_grad
+    max_iter  : iteration cap; every objective evaluation after the start
+                point, accepted or rejected, is one iteration
     regularize_bias : include the bias in the quadratic term (needed when
         comparing against the dual reference solver, which folds the bias
         into the weights); off by default
@@ -106,9 +118,13 @@ class TrainConfig:
 class TrainTrace:
     """Per-iteration history of a training run.
 
-    `objective_history` has iterations + 1 entries (the initial point is
-    included); `grad_norm_history` has one entry per performed update, the
-    gradient norm at the point the update stepped from.
+    `objective_history` has iterations + 1 entries: the objective at the
+    start point, then the objective at the current (accepted) point after
+    each iteration.  It never increases, and its last entry is the returned
+    model's objective.  `grad_norm_history` has one entry per iteration, the
+    gradient norm at the point the trial stepped from.  `final_grad_norm` is
+    the gradient norm at the returned model, its stationarity certificate;
+    `restarts` counts the rejected trials.
     """
 
     objective_history: np.ndarray
@@ -116,6 +132,8 @@ class TrainTrace:
     iterations: int
     converged: bool
     stop_reason: str
+    final_grad_norm: float
+    restarts: int
 
 
 def _softplus(t: np.ndarray) -> np.ndarray:
@@ -230,20 +248,26 @@ def gradient(w_aug: np.ndarray, data, y: np.ndarray, cfg: TrainConfig) -> np.nda
 
 
 def train(dataset: LabeledDataset, cfg: TrainConfig) -> tuple[SvmModel, TrainTrace]:
-    """Minimize the smoothed objective by gradient descent with momentum.
+    """Minimize the smoothed objective by safeguarded momentum descent.
 
-    Starts from w' = 0, v = 0 and iterates
+    Starts from w' = 0, v = 0, step = eta.  Each iteration evaluates one
+    trial point
 
-        v <- eps * v - eta * grad J(w'),    w' <- w' + v
+        v' = eps * v - step * grad J(w'),    w'' = w' + v'
 
-    until the relative objective change or the gradient norm drops below its
-    tolerance, or the iteration cap is reached.  J and grad J at each new
-    iterate come from one margin pass over the signed design matrix
-    y [X, 1].  Deterministic: identical inputs give bit-identical results.
+    and accepts it if J(w'') <= J(w'), growing the step by 5 %.  A trial
+    that would raise the objective is discarded: the velocity restarts from
+    zero and the step halves, and the current point and its gradient are
+    kept.  The objective therefore never increases.  The fit stops when an
+    accepted step lowers J by a relative amount below `tol_obj`, when the
+    gradient norm at the point stepped from is below `tol_grad`, or at the
+    iteration cap.  J and grad J at each trial come from one margin pass
+    over the signed design matrix y [X, 1].  Deterministic: identical inputs
+    give bit-identical results.
 
     Raises DivergenceError (naming the iteration, 0 for the start point) if
-    an iterate goes non-finite, and ValueError if the dataset has only one
-    class.
+    a trial objective or an accepted gradient is non-finite, and ValueError
+    if the dataset has only one class.
     """
     if not dataset.has_both_classes:
         raise ValueError("training requires samples from both classes")
@@ -252,6 +276,8 @@ def train(dataset: LabeledDataset, cfg: TrainConfig) -> tuple[SvmModel, TrainTra
 
     w = np.zeros(dataset.k + 1)
     v = np.zeros(dataset.k + 1)
+    step = cfg.eta
+    restarts = 0
     with np.errstate(**_QUIET):
         value, g = _value_and_grad(w, yX, d, cfg)
         if not math.isfinite(value):
@@ -262,29 +288,38 @@ def train(dataset: LabeledDataset, cfg: TrainConfig) -> tuple[SvmModel, TrainTra
         stop_reason = STOP_ITERATION_CAP
 
         for it in range(1, cfg.max_iter + 1):
-            # g is the gradient at the iterate just accepted; it only counts as
+            # g is the gradient at the current point; it only counts as
             # diverged if a step is taken from it.  The norm is computed as
             # np.linalg.norm does; it also overflows for a large finite g, so
             # only an infinite norm needs the elementwise check.
             grad_norm = math.sqrt(g.dot(g))
             if not math.isfinite(grad_norm) and not np.isfinite(g).all():
                 raise DivergenceError(f"gradient diverged at iteration {it}")
-            v = cfg.eps * v - cfg.eta * g
-            w = w + v
-            value, g = _value_and_grad(w, yX, d, cfg)
-            if not math.isfinite(value):
+            v_trial = cfg.eps * v - step * g
+            w_trial = w + v_trial
+            value_trial, g_trial = _value_and_grad(w_trial, yX, d, cfg)
+            if not math.isfinite(value_trial):
                 raise DivergenceError(f"objective diverged at iteration {it}")
-            prev = obj_hist[-1]
-            obj_hist.append(value)
             grad_hist.append(grad_norm)
-            if abs(value - prev) / max(1.0, abs(prev)) < cfg.tol_obj:
-                converged = True
-                stop_reason = STOP_OBJECTIVE
-                break
+            if value_trial <= value:
+                decrease = (value - value_trial) / max(1.0, abs(value))
+                w, v, value, g = w_trial, v_trial, value_trial, g_trial
+                step *= _STEP_GROW
+                obj_hist.append(value)
+                if decrease < cfg.tol_obj:
+                    converged = True
+                    stop_reason = STOP_OBJECTIVE
+                    break
+            else:
+                v = np.zeros_like(v)
+                step *= _STEP_SHRINK
+                restarts += 1
+                obj_hist.append(value)
             if grad_norm < cfg.tol_grad:
                 converged = True
                 stop_reason = STOP_GRADIENT
                 break
+        final_grad_norm = math.sqrt(g.dot(g))
 
     model = SvmModel(w=w[:-1].copy(), b=float(w[-1]), meta=cfg)
     trace = TrainTrace(
@@ -293,5 +328,7 @@ def train(dataset: LabeledDataset, cfg: TrainConfig) -> tuple[SvmModel, TrainTra
         iterations=len(grad_hist),
         converged=converged,
         stop_reason=stop_reason,
+        final_grad_norm=final_grad_norm,
+        restarts=restarts,
     )
     return model, trace

@@ -61,7 +61,7 @@ def test_train_writes_model_and_trace(tmp_path, toy_csv, capsys):
     assert set(doc["config"]) == {"C", "p", "s", "eta", "eps", "tol_obj",
                                   "tol_grad", "max_iter", "regularize_bias"}
     assert set(doc["trace"]) == {"iterations", "final_objective", "converged",
-                                 "stop_reason"}
+                                 "stop_reason", "final_grad_norm", "restarts"}
     lines = trace_path.read_text().splitlines()
     assert lines[0] == "iter,objective,grad_norm"
     assert len(lines) - 1 == doc["trace"]["iterations"] + 1
@@ -69,6 +69,26 @@ def test_train_writes_model_and_trace(tmp_path, toy_csv, capsys):
     assert objectives[-1] <= objectives[0]
     # every performed iteration logs the gradient norm it stepped from
     assert all(ln.split(",")[2] for ln in lines[1:-1])
+
+
+def test_train_model_trace_records_stationarity(tmp_path, toy_csv, capsys):
+    model_path = tmp_path / "m.json"
+    assert run("train", "--data", toy_csv, "--out", model_path) == 0
+    assert capsys.readouterr().err == ""
+    trace = json.loads(model_path.read_text())["trace"]
+    _, expected = train(load_csv(toy_csv), TrainConfig())
+    assert trace["final_grad_norm"] == expected.final_grad_norm
+    assert trace["restarts"] == expected.restarts
+    assert trace["converged"]
+
+
+def test_train_warns_at_iteration_cap(tmp_path, toy_csv, capsys):
+    model_path = tmp_path / "m.json"
+    assert run("train", "--data", toy_csv, "--max-iter", 3, "--out", model_path) == 0
+    err = capsys.readouterr().err
+    assert err.startswith("warning: stopped at the iteration cap (3)")
+    assert len(err.splitlines()) == 1
+    assert json.loads(model_path.read_text())["trace"]["stop_reason"] == "iteration-cap"
 
 
 def test_train_rejects_p_zero(tmp_path, toy_csv, capsys):
@@ -85,9 +105,9 @@ def test_train_p1_is_standard_configuration(tmp_path, toy_csv):
 
 
 def test_train_divergence_exits_1(tmp_path, toy_csv, capsys):
-    assert run("train", "--data", toy_csv, "--p", 1, "--eta", 1e6,
+    assert run("train", "--data", toy_csv, "--p", 1, "--eta", 1e300,
                "--out", tmp_path / "m.json") == 1
-    assert "iteration" in capsys.readouterr().err
+    assert "objective diverged at iteration 1" in capsys.readouterr().err
 
 
 def test_train_missing_data_exits_1(tmp_path, capsys):

@@ -4,7 +4,7 @@ import pytest
 from lpsvm.core import LabeledDataset, augment
 from lpsvm.data import ToySpec, gen_toy
 from lpsvm.oracle import dual_cd_train, fd_gradient, hinge_objective, kkt_check
-from lpsvm.solver import TrainConfig, gradient
+from lpsvm.solver import TrainConfig, gradient, objective, train
 
 
 def two_point_dataset():
@@ -185,3 +185,27 @@ def test_kkt_rejects_size_mismatch():
     sol = dual_cd_train(ds, C=1.0)
     with pytest.raises(ValueError, match="shape"):
         kkt_check(sol.model, np.zeros(5), ds, C=1.0)
+
+
+# ------------------------------------------------- p < 1 local optimality
+
+@pytest.mark.parametrize("seed", range(5))
+def test_p_half_fits_are_local_minima_for_lbfgsb(seed):
+    # J is nonconvex for p < 1, so the reference is warm-started at the
+    # momentum solution: L-BFGS-B (Liu & Nocedal 1989) over the same public
+    # objective and gradient must find no meaningful descent from there.
+    # A cold start from w = 0 may land on a different local minimum.
+    optimize = pytest.importorskip("scipy.optimize")
+    ds = gen_toy(ToySpec(seed=seed))
+    X_aug, y = augment(ds).matrix, ds.y
+    for C in (1.0, 50.0, 100.0):
+        cfg = TrainConfig(C=C, p=0.5, s=100.0, eta=1e-2 / max(1.0, C / 2.0), eps=0.9,
+                          max_iter=8000, tol_obj=1e-10, tol_grad=1e-6)
+        model, trace = train(ds, cfg)
+        value = objective(model.w_aug, X_aug, y, cfg)
+        ref = optimize.minimize(objective, model.w_aug, args=(X_aug, y, cfg), jac=gradient,
+                                method="L-BFGS-B",
+                                options={"ftol": 1e-15, "gtol": 1e-12, "maxiter": 2000})
+        assert (value - ref.fun) / abs(value) <= 1e-6, f"C={C}: L-BFGS-B lowered J to {ref.fun}"
+        scale = np.linalg.norm(gradient(np.zeros(ds.k + 1), X_aug, y, cfg))
+        assert trace.final_grad_norm / scale <= 1e-4, f"C={C}: not stationary"

@@ -284,8 +284,29 @@ def test_train_rejects_single_class():
 
 def test_train_divergence_names_iteration():
     ds = gen_toy(ToySpec(seed=7, n_per_class=10))
-    with pytest.raises(DivergenceError, match="iteration \\d+"):
-        train(ds, TrainConfig(C=1.0, p=1.0, eta=1e6, max_iter=5000))
+    # the first trial lands near 1e300, where J overflows
+    with pytest.raises(DivergenceError, match="objective diverged at iteration 1$"):
+        train(ds, TrainConfig(C=1.0, p=1.0, eta=1e300, max_iter=5000))
+
+
+def test_train_recovers_from_oversized_step():
+    ds = gen_toy(ToySpec(seed=7, n_per_class=10))
+    model, trace = train(ds, TrainConfig(C=1.0, p=1.0, eta=1e6, max_iter=5000))
+    assert trace.stop_reason != STOP_ITERATION_CAP and trace.converged
+    assert trace.restarts > 0
+    assert np.all(np.isfinite(model.w)) and math.isfinite(model.b)
+
+
+def test_train_accepts_a_trial_that_ties():
+    # identical samples with opposite labels: grad J(0) = 0, so the first
+    # trial is the start point itself; a tie counts as accepted, and an
+    # accepted step that lowers J by nothing stops on the objective tolerance
+    ds = LabeledDataset([[1.0], [1.0]], [1.0, -1.0])
+    model, trace = train(ds, TrainConfig(tol_obj=1e-300, tol_grad=1e-300))
+    assert trace.stop_reason == STOP_OBJECTIVE
+    assert trace.iterations == 1 and trace.restarts == 0 and trace.final_grad_norm == 0.0
+    assert np.array_equal(trace.objective_history, [2.0, 2.0])
+    assert np.array_equal(model.w, [0.0]) and model.b == 0.0
 
 
 def test_train_divergence_at_start_names_iteration_0():
@@ -296,25 +317,41 @@ def test_train_divergence_at_start_names_iteration_0():
 
 
 def reference_train(dataset, cfg):
-    """The momentum loop of `train`, written against the public objective and
-    gradient: the fused kernel must reproduce it bit for bit."""
+    """The safeguarded momentum loop of `train`, written against the public
+    objective and gradient: the fused kernel must reproduce it bit for bit.
+    Also returns the number of objective evaluations after the start point
+    and the number of rejected trials."""
     X_aug, y = augment(dataset).matrix, dataset.y
     w = v = np.zeros(dataset.k + 1)
-    obj_hist, grad_hist = [objective(w, X_aug, y, cfg)], []
+    step = cfg.eta
+    value, g = objective(w, X_aug, y, cfg), gradient(w, X_aug, y, cfg)
+    obj_hist, grad_hist = [value], []
+    evaluations = rejected = 0
     stop_reason = STOP_ITERATION_CAP
     for _ in range(cfg.max_iter):
-        g = gradient(w, X_aug, y, cfg)
         grad_hist.append(float(np.linalg.norm(g)))
-        v = cfg.eps * v - cfg.eta * g
-        w = w + v
-        obj_hist.append(objective(w, X_aug, y, cfg))
-        if abs(obj_hist[-1] - obj_hist[-2]) / max(1.0, abs(obj_hist[-2])) < cfg.tol_obj:
-            stop_reason = STOP_OBJECTIVE
-            break
+        v_trial = cfg.eps * v - step * g
+        w_trial = w + v_trial
+        trial = objective(w_trial, X_aug, y, cfg)
+        evaluations += 1
+        if trial <= value:
+            decrease = (value - trial) / max(1.0, abs(value))
+            w, v, value = w_trial, v_trial, trial
+            g = gradient(w, X_aug, y, cfg)
+            step *= 1.05
+            obj_hist.append(value)
+            if decrease < cfg.tol_obj:
+                stop_reason = STOP_OBJECTIVE
+                break
+        else:
+            v = np.zeros_like(w)
+            step *= 0.5
+            rejected += 1
+            obj_hist.append(value)
         if grad_hist[-1] < cfg.tol_grad:
             stop_reason = STOP_GRADIENT
             break
-    return w, np.array(obj_hist), np.array(grad_hist), stop_reason
+    return w, np.array(obj_hist), np.array(grad_hist), stop_reason, evaluations, rejected
 
 
 def _grid_cfg(C, p, regularize_bias):
@@ -327,10 +364,10 @@ def _grid_cfg(C, p, regularize_bias):
     (_grid_cfg(1.0, 1.0, False), False, STOP_OBJECTIVE),
     (_grid_cfg(1.0, 1.0, True), False, STOP_OBJECTIVE),
     (_grid_cfg(1.0, 0.5, False), False, STOP_OBJECTIVE),
-    (_grid_cfg(1.0, 0.5, True), False, STOP_ITERATION_CAP),
-    (_grid_cfg(50.0, 0.5, False), False, STOP_ITERATION_CAP),
-    (_grid_cfg(50.0, 0.5, False), True, STOP_ITERATION_CAP),
-    (_grid_cfg(50.0, 1.0, True), False, STOP_ITERATION_CAP),
+    (_grid_cfg(1.0, 0.5, True), False, STOP_OBJECTIVE),
+    (_grid_cfg(50.0, 0.5, False), False, STOP_OBJECTIVE),
+    (_grid_cfg(50.0, 0.5, False), True, STOP_OBJECTIVE),
+    (_grid_cfg(50.0, 1.0, True), False, STOP_OBJECTIVE),
     (TrainConfig(C=1.0, p=1.0, eta=5e-3, tol_obj=1e-300, tol_grad=1e-2), False, STOP_GRADIENT),
 ])
 def test_train_matches_reference_loop_bitwise(cfg, negate, stop):
@@ -338,12 +375,18 @@ def test_train_matches_reference_loop_bitwise(cfg, negate, stop):
     if negate:
         ds = LabeledDataset(ds.X, -ds.y)
     model, trace = train(ds, cfg)
-    w, obj_hist, grad_hist, stop_reason = reference_train(ds, cfg)
+    w, obj_hist, grad_hist, stop_reason, evaluations, rejected = reference_train(ds, cfg)
     assert trace.stop_reason == stop_reason == stop
     assert np.array_equal(model.w, w[:-1]) and model.b == w[-1]
     assert np.array_equal(trace.objective_history, obj_hist)
     assert np.array_equal(trace.grad_norm_history, grad_hist)
-    assert trace.iterations == len(grad_hist)
+    assert trace.iterations == len(grad_hist) == evaluations
+    assert trace.restarts == rejected
+    # the safeguard's invariants
+    X_aug = augment(ds).matrix
+    assert np.all(np.diff(trace.objective_history) <= 0.0)
+    assert trace.objective_history[-1] == objective(model.w_aug, X_aug, ds.y, cfg)
+    assert trace.final_grad_norm == float(np.linalg.norm(gradient(model.w_aug, X_aug, ds.y, cfg)))
 
 
 def test_sv_count_shrinks_with_C_at_small_p():
