@@ -4,6 +4,7 @@ CSV for plotting convergence curves."""
 
 import argparse
 
+from lpsvm.cli import write_trace_csv
 from lpsvm.data import ToySpec, gen_toy
 from lpsvm.solver import TrainConfig, train
 
@@ -20,11 +21,7 @@ def main():
     ds = gen_toy(ToySpec(seed=args.seed))
     cfg = TrainConfig(C=args.C, p=args.p, eta=args.eta)
     model, trace = train(ds, cfg)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write("iter,objective,grad_norm\n")
-        for it, value in enumerate(trace.objective_history):
-            grad = repr(float(trace.grad_norm_history[it])) if it < trace.iterations else ""
-            fh.write(f"{it},{float(value)!r},{grad}\n")
+    write_trace_csv(trace, args.out)
     print(f"{trace.iterations} iterations, stop={trace.stop_reason}, "
           f"objective {trace.objective_history[0]:.2f} -> "
           f"{trace.objective_history[-1]:.4f}; wrote {args.out}")

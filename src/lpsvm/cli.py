@@ -20,7 +20,7 @@ from .data import ToySpec, gen_toy, kfold, load_csv, save_csv, standardize
 from .metrics import REPORT_FIELDS, accuracy, comparison_to_dict, run_comparison
 from .solver import STOP_ITERATION_CAP, DivergenceError, TrainConfig, TrainTrace, train
 
-__all__ = ["main", "save_model", "load_model", "figure_data"]
+__all__ = ["main", "save_model", "load_model", "figure_data", "write_trace_csv"]
 
 MODEL_FORMAT_VERSION = 1
 
@@ -178,7 +178,7 @@ def cmd_train(args) -> int:
     model, trace = train(dataset, cfg)
     save_model(model, trace, args.out)
     if args.trace:
-        _write_trace_csv(trace, args.trace)
+        write_trace_csv(trace, args.trace)
     print(f"trained on {dataset.n} samples: iterations={trace.iterations} "
           f"converged={trace.converged} stop_reason={trace.stop_reason} "
           f"final_objective={trace.objective_history[-1]:.6g} "
@@ -189,9 +189,10 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _write_trace_csv(trace: TrainTrace, path) -> None:
-    # One row per objective entry; no step is taken from the final point, so its
-    # row has no gradient entry (the model file records its norm).
+def write_trace_csv(trace: TrainTrace, path) -> None:
+    """Write a fit's trace as CSV: `iter,objective,grad_norm`, one row per
+    objective entry.  No step is taken from the final point, so its row has
+    no gradient entry (the model file records its norm)."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("iter,objective,grad_norm\n")
         for it, value in enumerate(trace.objective_history):
@@ -217,12 +218,14 @@ def cmd_cv(args) -> int:
     dataset = load_csv(args.data, has_header=args.has_header)
     split = kfold(dataset, args.k, args.seed)
     folds = []
+    capped = 0
     for fold in range(args.k):
         train_ds = dataset.subset(split.train_indices(fold))
         test_ds = dataset.subset(split.test_indices(fold))
         if args.standardize:
             train_ds, test_ds = standardize(train_ds, test_ds)
-        model, _ = train(train_ds, cfg)
+        model, trace = train(train_ds, cfg)
+        capped += trace.stop_reason == STOP_ITERATION_CAP
         folds.append({
             "fold": fold,
             "train_acc": accuracy(model, train_ds),
@@ -235,6 +238,9 @@ def cmd_cv(args) -> int:
     for f in folds:
         print(f"{f['fold']:>4}  {f['train_acc']:>9.4f}  {f['test_acc']:>8.4f}  {f['n_sv']:>4}")
     print(f"mean  {means['train_acc']:>9.4f}  {means['test_acc']:>8.4f}  {means['n_sv']:>6.1f}")
+    if capped:
+        print(f"warning: {capped} of {args.k} fits stopped at the iteration cap ({cfg.max_iter})",
+              file=sys.stderr)
     if args.out_json:
         doc = {"k": args.k, "seed": args.seed, "sv_threshold": args.sv_threshold,
                "config": dataclasses.asdict(cfg), "folds": folds, "means": means}

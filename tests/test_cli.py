@@ -229,6 +229,19 @@ def test_cv_prints_folds_and_means(tmp_path, toy_csv, capsys):
     assert doc["config"]["p"] == 0.5
 
 
+def test_cv_warns_when_folds_stop_at_iteration_cap(tmp_path, toy_csv, capsys):
+    out_json = tmp_path / "cv.json"
+    assert run("cv", "--data", toy_csv, "--k", 3, "--max-iter", 3, "--out-json", out_json) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "warning: 3 of 3 fits stopped at the iteration cap (3)\n"
+    assert captured.out.splitlines()[0].split() == ["fold", "train_acc", "test_acc", "n_sv"]
+    assert set(json.loads(out_json.read_text())) == {"k", "seed", "sv_threshold", "config",
+                                                     "folds", "means"}
+    # folds that stop on tolerance print no warning
+    assert run("cv", "--data", toy_csv, "--k", 3) == 0
+    assert capsys.readouterr().err == ""
+
+
 # ---------------------------------------------------------------- compare
 
 def test_compare_blocks_and_tsv_shape(tmp_path, toy_csv, capsys):

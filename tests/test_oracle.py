@@ -145,6 +145,61 @@ def test_dual_cd_rejects_bad_inputs():
         dual_cd_train(LabeledDataset([[1.0], [2.0]], [1.0, 1.0]), C=1.0)
 
 
+def reference_dual_cd(dataset, C):
+    """The full-sweep loop `dual_cd_train` ran before shrinking: every sweep
+    visits all n coordinates through numpy row operations.  Returns alpha,
+    the recovered augmented model and the converged flag."""
+    yx = dataset.y[:, None] * augment(dataset).matrix
+    q = np.einsum("ij,ij->i", yx, yx)
+    alpha = np.zeros(dataset.n)
+    w = np.zeros(yx.shape[1])
+    rng = np.random.Generator(np.random.PCG64(0))
+    for _ in range(50000):
+        max_improve = 0.0
+        for i in rng.permutation(dataset.n):
+            g = float(yx[i] @ w) - 1.0
+            a_new = min(max(alpha[i] - g / q[i], 0.0), C)
+            delta = a_new - alpha[i]
+            if delta != 0.0:
+                max_improve = max(max_improve, -(g * delta + 0.5 * q[i] * delta * delta))
+                w += delta * yx[i]
+                alpha[i] = a_new
+        if max_improve < 1e-15:
+            return alpha, yx.T @ alpha, True
+    return alpha, yx.T @ alpha, False
+
+
+# Toy seed 2 at C = 10 stalls a naive shrinking rule (drop any coordinate whose
+# clipped step is 0 at a bound): four free coordinates in three dimensions
+# slide along a flat direction and the solver stops at the pass cap with a
+# wrong model.  The projected-gradient thresholds must converge there.
+@pytest.mark.parametrize("seed, C", [
+    *[(seed, C) for seed in (0, 1, 3, 4) for C in (1.0, 10.0)],
+    (2, 1.0),
+    pytest.param(2, 10.0, id="naive-shrink-stall-seed2-C10"),
+])
+def test_dual_cd_matches_full_sweep_reference(seed, C):
+    ds = gen_toy(ToySpec(seed=seed))
+    X_aug, y = augment(ds).matrix, ds.y
+    sol = dual_cd_train(ds, C)
+    ref_alpha, ref_w, ref_converged = reference_dual_cd(ds, C)
+    assert sol.converged and ref_converged
+    j_new = hinge_objective(sol.model.w_aug, X_aug, y, C)
+    j_ref = hinge_objective(ref_w, X_aug, y, C)
+    assert abs(j_new - j_ref) <= 1e-7 * abs(j_ref)
+    assert np.array_equal(sol.alpha > 0.0, ref_alpha > 0.0)
+    report = kkt_check(sol.model, sol.alpha, ds, C)
+    assert max(report.stationarity_residual, report.complementarity_residual,
+               report.feasibility_violation, report.box_violation) <= 1e-5
+    # The certificate is a full pass: no coordinate, shrunk or not, has an
+    # exact step left that improves the dual by more than about `tol`.
+    yx = y[:, None] * X_aug
+    q = np.einsum("ij,ij->i", yx, yx)
+    g = yx @ sol.model.w_aug - 1.0
+    delta = np.clip(sol.alpha - g / q, 0.0, C) - sol.alpha
+    assert np.max(-(g * delta + 0.5 * q * delta * delta)) < 1e-14
+
+
 # -------------------------------------------------------------- kkt_check
 
 def test_kkt_exact_two_point_optimum():
