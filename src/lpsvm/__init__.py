@@ -26,6 +26,7 @@ from .metrics import (
     accuracy,
     angle_theta,
     comparison_to_dict,
+    cross_validate,
     dist_d,
     run_comparison,
 )

@@ -16,8 +16,8 @@ import sys
 import numpy as np
 
 from .core import DEFAULT_SV_THRESHOLD, LabeledDataset, SvmModel, margin_width, slack
-from .data import ToySpec, gen_toy, kfold, load_csv, save_csv, standardize
-from .metrics import REPORT_FIELDS, accuracy, comparison_to_dict, run_comparison
+from .data import ToySpec, gen_toy, load_csv, save_csv
+from .metrics import REPORT_FIELDS, accuracy, comparison_to_dict, cross_validate, run_comparison
 from .solver import STOP_ITERATION_CAP, DivergenceError, TrainConfig, TrainTrace, train
 
 __all__ = ["main", "save_model", "load_model", "figure_data", "write_trace_csv"]
@@ -69,8 +69,11 @@ def load_model(path) -> tuple[SvmModel, dict]:
     unknown = sorted(set(doc["config"]) - {f.name for f in dataclasses.fields(TrainConfig)})
     if unknown:
         raise ValueError(f"{path}: unknown config key(s) {', '.join(unknown)}")
-    cfg = TrainConfig(**doc["config"])
-    model = SvmModel(w=np.array(doc["w"], dtype=np.float64), b=float(doc["b"]), meta=cfg)
+    try:
+        cfg = TrainConfig(**doc["config"])
+        model = SvmModel(w=np.array(doc["w"], dtype=np.float64), b=float(doc["b"]), meta=cfg)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return model, doc
 
 
@@ -135,11 +138,10 @@ def _float_list(text: str) -> list[float]:
     return values
 
 
-def _add_config_flags(p: argparse.ArgumentParser, with_p: bool = True) -> None:
+def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--C", type=float, default=_DEFAULTS.C, help="slack penalty weight")
-    if with_p:
-        p.add_argument("--p", type=float, default=_DEFAULTS.p,
-                       help="slack exponent in (0, 1]; 1 gives the standard hinge")
+    p.add_argument("--p", type=float, default=_DEFAULTS.p,
+                   help="slack exponent in (0, 1]; 1 gives the standard hinge")
     p.add_argument("--s", type=float, default=_DEFAULTS.s, help="softplus sharpness")
     p.add_argument("--eta", type=float, default=_DEFAULTS.eta, help="initial step")
     p.add_argument("--eps", type=float, default=_DEFAULTS.eps, help="momentum coefficient")
@@ -154,7 +156,7 @@ def _add_config_flags(p: argparse.ArgumentParser, with_p: bool = True) -> None:
 
 def _config_from_args(args, **overrides) -> TrainConfig:
     kw = dict(
-        C=args.C, p=getattr(args, "p", _DEFAULTS.p), s=args.s, eta=args.eta,
+        C=args.C, p=args.p, s=args.s, eta=args.eta,
         eps=args.eps, tol_obj=args.tol_obj, tol_grad=args.tol_grad,
         max_iter=args.max_iter, regularize_bias=args.regularize_bias,
     )
@@ -216,31 +218,21 @@ def cmd_eval(args) -> int:
 def cmd_cv(args) -> int:
     cfg = _config_from_args(args)
     dataset = load_csv(args.data, has_header=args.has_header)
-    split = kfold(dataset, args.k, args.seed)
-    folds = []
-    capped = 0
-    for fold in range(args.k):
-        train_ds = dataset.subset(split.train_indices(fold))
-        test_ds = dataset.subset(split.test_indices(fold))
-        if args.standardize:
-            train_ds, test_ds = standardize(train_ds, test_ds)
-        model, trace = train(train_ds, cfg)
-        capped += trace.stop_reason == STOP_ITERATION_CAP
-        folds.append({
-            "fold": fold,
-            "train_acc": accuracy(model, train_ds),
-            "test_acc": accuracy(model, test_ds),
-            "n_sv": slack(model, train_ds, args.sv_threshold).n_sv,
-        })
+    results = cross_validate(dataset, [cfg], args.k, args.seed, args.standardize)
+    folds = [
+        {"fold": fold,
+         "train_acc": accuracy(model, train_ds),
+         "test_acc": accuracy(model, test_ds),
+         "n_sv": slack(model, train_ds, args.sv_threshold).n_sv}
+        for fold, (train_ds, test_ds, [(model, _)]) in enumerate(results)
+    ]
     means = {key: float(np.mean([f[key] for f in folds]))
              for key in ("train_acc", "test_acc", "n_sv")}
     print("fold  train_acc  test_acc  n_sv")
     for f in folds:
         print(f"{f['fold']:>4}  {f['train_acc']:>9.4f}  {f['test_acc']:>8.4f}  {f['n_sv']:>4}")
     print(f"mean  {means['train_acc']:>9.4f}  {means['test_acc']:>8.4f}  {means['n_sv']:>6.1f}")
-    if capped:
-        print(f"warning: {capped} of {args.k} fits stopped at the iteration cap ({cfg.max_iter})",
-              file=sys.stderr)
+    _warn_if_capped([trace for _, _, [(_, trace)] in results], cfg.max_iter)
     if args.out_json:
         doc = {"k": args.k, "seed": args.seed, "sv_threshold": args.sv_threshold,
                "config": dataclasses.asdict(cfg), "folds": folds, "means": means}
@@ -270,6 +262,8 @@ def cmd_compare(args) -> int:
         mean_row = [f"{C:g}", "mean"] + [_cell(report.means[name]) for name in REPORT_FIELDS]
         tsv_lines.append("\t".join(mean_row))
         print("\t".join(mean_row))
+    _warn_if_capped([trace for _, _, _, report in blocks
+                     for pair in report.traces for trace in pair], args.max_iter)
 
     if args.out_tsv:
         with open(args.out_tsv, "w", encoding="utf-8", newline="\n") as fh:
@@ -291,6 +285,14 @@ def cmd_compare(args) -> int:
             json.dump(doc, fh, indent=2)
             fh.write("\n")
     return 0
+
+
+def _warn_if_capped(traces, max_iter: int) -> None:
+    """One stderr line when any of the fits stopped at the iteration cap."""
+    capped = sum(trace.stop_reason == STOP_ITERATION_CAP for trace in traces)
+    if capped:
+        print(f"warning: {capped} of {len(traces)} fits stopped at the iteration cap "
+              f"({max_iter})", file=sys.stderr)
 
 
 def _cell(value) -> str:

@@ -1,4 +1,5 @@
-"""Evaluation metrics and the cross-validated two-solver comparison pipeline."""
+"""Evaluation metrics, stratified k-fold cross-validation and the two-solver
+comparison built on it."""
 
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ import numpy as np
 from .core import DEFAULT_SV_THRESHOLD, LabeledDataset, SvmModel, decision_values, slack
 from .data import kfold
 from .data import standardize as standardize_features
-from .solver import TrainConfig, train
+from .solver import TrainConfig, TrainTrace, train
 
 __all__ = [
     "REPORT_FIELDS",
@@ -19,6 +20,7 @@ __all__ = [
     "accuracy",
     "angle_theta",
     "dist_d",
+    "cross_validate",
     "run_comparison",
     "comparison_to_dict",
 ]
@@ -52,13 +54,17 @@ class FoldComparison:
 
 @dataclass(frozen=True, eq=False)
 class ComparisonReport:
-    """Fold-level comparison records plus their arithmetic means."""
+    """Fold-level comparison records plus their arithmetic means.
+
+    `traces` holds each fold's (p = 1, p < 1) training traces, in fold order.
+    """
 
     folds: tuple[FoldComparison, ...]
     means: dict[str, float]
     k: int
     seed: int
     sv_threshold: float
+    traces: tuple[tuple[TrainTrace, TrainTrace], ...]
 
 
 def accuracy(model: SvmModel, dataset: LabeledDataset) -> float:
@@ -102,17 +108,16 @@ def dist_d(w1: np.ndarray, w2: np.ndarray) -> float:
     return float(np.linalg.norm(w1 - w2)) / n1
 
 
-def run_comparison(dataset: LabeledDataset, cfg_std: TrainConfig, cfg_min: TrainConfig,
-                   k: int, seed: int = 0,
-                   sv_threshold: float = DEFAULT_SV_THRESHOLD,
-                   standardize: bool = False) -> ComparisonReport:
-    """Stratified k-fold comparison of the two solver configurations.
+def cross_validate(
+        dataset: LabeledDataset, configs: list[TrainConfig], k: int, seed: int = 0,
+        standardize: bool = False,
+) -> list[tuple[LabeledDataset, LabeledDataset, list[tuple[SvmModel, TrainTrace]]]]:
+    """Train every configuration on every fold of one stratified k-fold split.
 
-    Per fold, both solvers are trained on the training split; support vectors
-    are counted on that split, and the angle/distance are computed between
-    the two weight vectors (bias excluded).  With `standardize`, features are
-    rescaled per fold using training-split statistics.  Deterministic given
-    (dataset, configs, k, seed); folds are processed in index order.
+    Returns one (train_ds, test_ds, fits) entry per fold, in index order,
+    where `fits` holds `train(train_ds, cfg)` for each config in the given
+    order.  With `standardize`, both splits are rescaled with training-split
+    statistics.  Deterministic given (dataset, configs, k, seed).
     """
     split = kfold(dataset, k, seed)
     folds = []
@@ -121,8 +126,27 @@ def run_comparison(dataset: LabeledDataset, cfg_std: TrainConfig, cfg_min: Train
         test_ds = dataset.subset(split.test_indices(fold))
         if standardize:
             train_ds, test_ds = standardize_features(train_ds, test_ds)
-        model_std, _ = train(train_ds, cfg_std)
-        model_min, _ = train(train_ds, cfg_min)
+        folds.append((train_ds, test_ds, [train(train_ds, cfg) for cfg in configs]))
+    return folds
+
+
+def run_comparison(dataset: LabeledDataset, cfg_std: TrainConfig, cfg_min: TrainConfig,
+                   k: int, seed: int = 0,
+                   sv_threshold: float = DEFAULT_SV_THRESHOLD,
+                   standardize: bool = False) -> ComparisonReport:
+    """Stratified k-fold comparison of the two solver configurations.
+
+    Per fold (from `cross_validate`), support vectors are counted on the
+    training split, and the angle/distance are computed between the two
+    weight vectors (bias excluded).  Each fold's two traces are kept in the
+    report.
+    """
+    folds = []
+    traces = []
+    for fold, (train_ds, test_ds, fits) in enumerate(
+            cross_validate(dataset, [cfg_std, cfg_min], k, seed, standardize)):
+        (model_std, trace_std), (model_min, trace_min) = fits
+        traces.append((trace_std, trace_min))
         folds.append(FoldComparison(
             fold=fold,
             test_acc_std=accuracy(model_std, test_ds),
@@ -144,11 +168,12 @@ def run_comparison(dataset: LabeledDataset, cfg_std: TrainConfig, cfg_min: Train
         k=k,
         seed=seed,
         sv_threshold=float(sv_threshold),
+        traces=tuple(traces),
     )
 
 
 def comparison_to_dict(report: ComparisonReport) -> dict:
-    """JSON-ready view of a comparison report."""
+    """JSON-ready view of a comparison report (its traces are left out)."""
     return {
         "k": report.k,
         "seed": report.seed,

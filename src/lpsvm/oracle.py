@@ -61,7 +61,7 @@ class KktReport:
     box_violation: float
 
 
-def fd_gradient(w_aug: np.ndarray, data, y: np.ndarray, cfg: TrainConfig,
+def fd_gradient(w_aug: np.ndarray, X_aug: np.ndarray, y: np.ndarray, cfg: TrainConfig,
                 step: float = 1e-6) -> np.ndarray:
     """Central-difference approximation of the smoothed objective's gradient."""
     if step <= 0:
@@ -71,15 +71,15 @@ def fd_gradient(w_aug: np.ndarray, data, y: np.ndarray, cfg: TrainConfig,
     for j in range(w_aug.shape[0]):
         shift = np.zeros_like(w_aug)
         shift[j] = step
-        grad[j] = (objective(w_aug + shift, data, y, cfg)
-                   - objective(w_aug - shift, data, y, cfg)) / (2.0 * step)
+        grad[j] = (objective(w_aug + shift, X_aug, y, cfg)
+                   - objective(w_aug - shift, X_aug, y, cfg)) / (2.0 * step)
     return grad
 
 
-def hinge_objective(w_aug: np.ndarray, data, y: np.ndarray, C: float,
+def hinge_objective(w_aug: np.ndarray, X_aug: np.ndarray, y: np.ndarray, C: float,
                     regularize_bias: bool = True) -> float:
     """True (unsmoothed) hinge objective 1/2 w'^T D w' + C sum_i max(0, 1 - y_i w'.x'_i)."""
-    X_aug = data.matrix if hasattr(data, "matrix") else np.asarray(data, dtype=np.float64)
+    X_aug = np.asarray(X_aug, dtype=np.float64)
     w_aug = np.asarray(w_aug, dtype=np.float64)
     d = np.ones(w_aug.shape[0])
     if not regularize_bias:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AugmentedView, LabeledDataset, SvmModel
+from .core import LabeledDataset, SvmModel
 
 __all__ = [
     "TrainConfig",
@@ -168,10 +168,6 @@ def _reg_diag(dim: int, regularize_bias: bool) -> np.ndarray:
     return d
 
 
-def _aug_matrix(data) -> np.ndarray:
-    return data.matrix if isinstance(data, AugmentedView) else np.asarray(data, dtype=np.float64)
-
-
 def _signed_design(dataset: LabeledDataset) -> np.ndarray:
     """The (n, k+1) matrix y_i [x_i, 1]; with y = +-1 every entry is exact."""
     yX = np.empty((dataset.n, dataset.k + 1))
@@ -210,13 +206,13 @@ def _value_and_grad(w_aug: np.ndarray, yX: np.ndarray, d: np.ndarray,
     return _value(w_aug, dw, sp, cfg), dw - cfg.p * cfg.C * (yX.T @ _coeff(t, sp, cfg))
 
 
-def objective(w_aug: np.ndarray, data, y: np.ndarray, cfg: TrainConfig) -> float:
-    """Smoothed penalized objective at the augmented weight vector.
+def objective(w_aug: np.ndarray, X_aug: np.ndarray, y: np.ndarray, cfg: TrainConfig) -> float:
+    """Smoothed penalized objective at the augmented weight vector, over the
+    (n, k+1) augmented sample matrix X_aug = [X, 1].
 
-    `data` is an AugmentedView or the (n, k+1) augmented sample matrix.
     Raises DivergenceError if the value is not finite.
     """
-    X_aug = _aug_matrix(data)
+    X_aug = np.asarray(X_aug, dtype=np.float64)
     w_aug = np.asarray(w_aug, dtype=np.float64)
     d = _reg_diag(w_aug.shape[0], cfg.regularize_bias)
     with np.errstate(**_QUIET):
@@ -227,7 +223,7 @@ def objective(w_aug: np.ndarray, data, y: np.ndarray, cfg: TrainConfig) -> float
     return value
 
 
-def gradient(w_aug: np.ndarray, data, y: np.ndarray, cfg: TrainConfig) -> np.ndarray:
+def gradient(w_aug: np.ndarray, X_aug: np.ndarray, y: np.ndarray, cfg: TrainConfig) -> np.ndarray:
     """Analytic gradient of `objective` with respect to w_aug.
 
     The per-sample coefficient sigma(s z_i) * n_i^(p-1), with
@@ -235,7 +231,7 @@ def gradient(w_aug: np.ndarray, data, y: np.ndarray, cfg: TrainConfig) -> np.nda
     logs come from stable softplus forms, so the coefficient is exact where
     representable and exactly 0 where it underflows (never 0 * inf).
     """
-    X_aug = _aug_matrix(data)
+    X_aug = np.asarray(X_aug, dtype=np.float64)
     w_aug = np.asarray(w_aug, dtype=np.float64)
     d = _reg_diag(w_aug.shape[0], cfg.regularize_bias)
     with np.errstate(**_QUIET):

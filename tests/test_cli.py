@@ -1,7 +1,12 @@
+import contextlib
+import copy
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from lpsvm.cli import figure_data, load_model, main, save_model
 from lpsvm.core import SvmModel, margin_width
@@ -164,6 +169,65 @@ def test_load_model_unknown_config_key_names_file(tmp_path, toy_csv, capsys):
     assert "m.json" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [
+    ("b", None),
+    ("config.C", "abc"),
+    ("config.max_iter", "5"),
+    ("config.p", None),
+    pytest.param("b", 10**400, id="b-int-beyond-float"),
+])
+def test_load_model_mistyped_value_names_file(tmp_path, toy_csv, capsys, key, value):
+    path = tmp_path / "m.json"
+    run("train", "--data", toy_csv, "--out", path, *FAST_FLAGS)
+    doc = json.loads(path.read_text())
+    *parents, last = key.split(".")
+    target = doc
+    for name in parents:
+        target = target[name]
+    target[last] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="m.json: "):
+        load_model(path)
+    capsys.readouterr()
+    assert run("eval", "--model", path, "--data", toy_csv) == 2
+    assert "m.json" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def trained_model(tmp_path_factory):
+    """A toy CSV and the model document `lpsvm train` writes for it."""
+    tmp = tmp_path_factory.mktemp("model")
+    data = tmp / "toy.csv"
+    save_csv(gen_toy(ToySpec(seed=7, n_per_class=15)), data)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run("train", "--data", data, "--out", tmp / "m.json", *FAST_FLAGS) == 0
+    return data, json.loads((tmp / "m.json").read_text())
+
+
+JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
+
+
+@given(data=st.data())
+def test_eval_with_one_model_value_replaced_exits_0_or_2(trained_model, data):
+    csv_path, doc = trained_model
+    doc = copy.deepcopy(doc)
+    paths = [(key,) for key in doc] + [
+        (section, key) for section in ("config", "trace") for key in doc[section]]
+    *parents, last = data.draw(st.sampled_from(paths))
+    target = doc
+    for name in parents:
+        target = target[name]
+    target[last] = data.draw(JSON_SCALARS | st.lists(JSON_SCALARS, max_size=3))
+    path = csv_path.parent / "fuzzed.json"
+    path.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run("eval", "--model", path, "--data", csv_path)
+    assert code in (0, 2)
+    if code == 2:
+        assert err.getvalue().startswith("error: ")
+
+
 def test_model_config_keys_follow_train_config(tmp_path, toy_csv):
     path = tmp_path / "m.json"
     run("train", "--data", toy_csv, "--out", path, *FAST_FLAGS)
@@ -266,6 +330,17 @@ def test_compare_blocks_and_tsv_shape(tmp_path, toy_csv, capsys):
     assert len(rows) == 1 + 3 * (2 + 1)
     assert rows[0].startswith("C\tfold\t")
     assert sum(1 for r in rows if "\tmean\t" in r) == 3
+
+
+def test_compare_warns_when_fits_stop_at_iteration_cap(tmp_path, toy_csv, capsys):
+    flags = ["compare", "--data", toy_csv, "--c-list", "1,2", "--k", 3, "--seed", 7]
+    assert run(*flags, "--max-iter", 3) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "warning: 12 of 12 fits stopped at the iteration cap (3)\n"
+    assert captured.out.startswith("C\tfold\t")
+    # fits that stop on tolerance print no warning
+    assert run(*flags) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_compare_sv_trend_on_seeded_toy(tmp_path, capsys):

@@ -5,16 +5,17 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from lpsvm.core import LabeledDataset, SvmModel
-from lpsvm.data import ToySpec, gen_toy
+from lpsvm.data import ToySpec, gen_toy, kfold, standardize
 from lpsvm.metrics import (
     REPORT_FIELDS,
     accuracy,
     angle_theta,
     comparison_to_dict,
+    cross_validate,
     dist_d,
     run_comparison,
 )
-from lpsvm.solver import TrainConfig
+from lpsvm.solver import STOP_ITERATION_CAP, TrainConfig, train
 
 nonzero_w = arrays(np.float64, (3,), elements=st.floats(-100, 100)).filter(
     lambda w: np.linalg.norm(w) > 1e-6)
@@ -97,6 +98,63 @@ def test_dist_simultaneous_scaling_invariance(w1, w2, c):
 def test_dist_rejects_zero_reference():
     with pytest.raises(ValueError, match="zero"):
         dist_d([0.0, 0.0], [1.0, 0.0])
+
+
+# ----------------------------------------------------------- cross_validate
+
+# The first config stops at its iteration cap and the second on tolerance, so
+# the two fits of a fold differ in stop reason as well as in C and p.
+CV_CONFIGS = [TrainConfig(C=1.0, p=1.0, **{**FAST, "max_iter": 3}),
+              TrainConfig(C=2.0, p=0.5, **FAST)]
+
+
+def hand_folds(ds, k, seed, scale=False):
+    """(train, test) per fold, written out with kfold + subset + standardize."""
+    split = kfold(ds, k, seed)
+    folds = []
+    for fold in range(k):
+        train_ds = ds.subset(split.train_indices(fold))
+        test_ds = ds.subset(split.test_indices(fold))
+        if scale:
+            train_ds, test_ds = standardize(train_ds, test_ds)
+        folds.append((train_ds, test_ds))
+    return folds
+
+
+def assert_same_fit(got, want):
+    (model, trace), (want_model, want_trace) = got, want
+    assert np.array_equal(model.w, want_model.w) and model.b == want_model.b
+    assert np.array_equal(trace.objective_history, want_trace.objective_history)
+    assert np.array_equal(trace.grad_norm_history, want_trace.grad_norm_history)
+    for name in ("iterations", "converged", "stop_reason", "final_grad_norm", "restarts"):
+        assert getattr(trace, name) == getattr(want_trace, name)
+
+
+@pytest.mark.parametrize("scale", [False, True])
+@pytest.mark.parametrize("k", [2, 3])
+def test_cross_validate_matches_hand_written_fold_loop(k, scale):
+    ds = gen_toy(ToySpec(seed=25, n_per_class=10))
+    results = cross_validate(ds, CV_CONFIGS, k, seed=6, standardize=scale)
+    assert len(results) == k
+    for (train_ds, test_ds, fits), (want_train, want_test) in zip(
+            results, hand_folds(ds, k, 6, scale)):
+        for got, want in ((train_ds, want_train), (test_ds, want_test)):
+            assert np.array_equal(got.X, want.X) and np.array_equal(got.y, want.y)
+        assert len(fits) == len(CV_CONFIGS)
+        for fit, cfg in zip(fits, CV_CONFIGS):
+            assert_same_fit(fit, train(want_train, cfg))
+
+
+def test_run_comparison_keeps_every_fits_trace():
+    ds = gen_toy(ToySpec(seed=25, n_per_class=10))
+    report = run_comparison(ds, *CV_CONFIGS, k=3, seed=6)
+    assert len(report.traces) == 3
+    for (trace_std, trace_min), (train_ds, _) in zip(report.traces, hand_folds(ds, 3, 6)):
+        _, want_std = train(train_ds, CV_CONFIGS[0])
+        _, want_min = train(train_ds, CV_CONFIGS[1])
+        assert trace_std.stop_reason == want_std.stop_reason == STOP_ITERATION_CAP
+        assert trace_min.stop_reason == want_min.stop_reason != STOP_ITERATION_CAP
+    assert "traces" not in comparison_to_dict(report)
 
 
 # ----------------------------------------------------------- run_comparison

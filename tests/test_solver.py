@@ -146,14 +146,6 @@ def test_objective_matches_high_precision_oracle():
     assert recomputed == pytest.approx(TEN_POINT_OBJECTIVE, rel=1e-15)
 
 
-def test_objective_accepts_augmented_view():
-    ds = gen_toy(ToySpec(seed=1, n_per_class=5))
-    cfg = TrainConfig(C=1.0)
-    view = augment(ds)
-    assert objective(np.zeros(3), view, ds.y, cfg) == objective(
-        np.zeros(3), view.matrix, ds.y, cfg)
-
-
 def test_objective_rejects_nonfinite_iterate():
     X_aug = np.array([[1.0, 1.0]])
     y = np.array([1.0])
