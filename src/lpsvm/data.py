@@ -1,9 +1,10 @@
 """Seeded toy-data generation, CSV ingestion, standardization and stratified folds.
 
 The CSV format, shared by the loader and writer: comma-separated, LF
-newlines, lines starting with '#' ignored, optional single header row; the
-first data column is the label (+1/-1, a bare 1 also accepted), remaining
-columns are decimal floats.
+newlines (the loader also reads CRLF and CR), blank lines and lines starting
+with '#' ignored, optional single header row; the first data column is the
+label (+1/-1, a bare 1 also accepted), remaining columns are finite floats
+in Python `float` syntax, with whitespace around any field allowed.
 """
 
 from __future__ import annotations
@@ -68,44 +69,70 @@ def gen_toy(spec: ToySpec) -> LabeledDataset:
 def load_csv(path, has_header: bool = False) -> LabeledDataset:
     """Parse a labeled dataset from `path`; errors name the offending line.
 
-    Values are collected in flat double buffers rather than per-row lists,
-    which keeps the peak memory near twice the size of the final matrix.
+    Feature fields take Python `float` syntax, with whitespace around them
+    allowed; a non-finite value is an error.  When several lines are bad,
+    the error names the first of them.  The file is streamed once: values
+    are collected in flat double buffers rather than per-row lists, which
+    keeps the peak memory near twice the size of the final matrix, and their
+    finiteness is checked in one vectorised pass at the end, or before any
+    other error is raised, so that an earlier non-finite line wins.
     """
     values = array("d")
     labels = array("d")
+    linenos = array("q")  # the line number of each data row
     width: int | None = None
     header_pending = has_header
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if header_pending:
-                header_pending = False
-                continue
-            fields = [f.strip() for f in line.split(",")]
-            label = _LABELS.get(fields[0])
-            if label is None:
-                raise ValueError(f"{path}: line {lineno}: label must be +1 or -1, got {fields[0]!r}")
-            if width is None:
-                width = len(fields)
-                if width < 2:
-                    raise ValueError(f"{path}: line {lineno}: expected at least one feature column")
-            elif len(fields) != width:
-                raise ValueError(
-                    f"{path}: line {lineno}: expected {width} columns, got {len(fields)}")
-            try:
-                row = [float(f) for f in fields[1:]]
-            except ValueError:
-                raise ValueError(f"{path}: line {lineno}: malformed feature value") from None
-            if not all(math.isfinite(v) for v in row):
-                raise ValueError(f"{path}: line {lineno}: non-finite feature value")
-            labels.append(label)
-            values.extend(row)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                fields = line.split(",")
+                head = fields[0].strip()
+                label = _LABELS.get(head)
+                if label is None or header_pending:
+                    # Only a data row starts with a valid label; this is a
+                    # blank or comment line, the header, or a bad label.
+                    stripped = line.strip()
+                    if not stripped or stripped[0] == "#":
+                        continue
+                    if header_pending:
+                        header_pending = False
+                        continue
+                    raise ValueError(
+                        f"{path}: line {lineno}: label must be +1 or -1, got {head!r}")
+                if width is None:
+                    width = len(fields)
+                    if width < 2:
+                        raise ValueError(
+                            f"{path}: line {lineno}: expected at least one feature column")
+                elif len(fields) != width:
+                    raise ValueError(
+                        f"{path}: line {lineno}: expected {width} columns, got {len(fields)}")
+                try:
+                    values.extend(map(float, fields[1:]))  # float strips whitespace
+                except ValueError:
+                    raise ValueError(f"{path}: line {lineno}: malformed feature value") from None
+                labels.append(label)
+                linenos.append(lineno)
+    except ValueError:
+        if width is not None:
+            # A row that failed to parse may have left some of its values behind.
+            del values[len(labels) * (width - 1):]
+        _check_finite(path, values, linenos, width)
+        raise
     if not labels:
         raise ValueError(f"{path}: no data rows")
+    _check_finite(path, values, linenos, width)
     X = np.frombuffer(values, dtype=np.float64).reshape(len(labels), width - 1)
     return LabeledDataset(X, np.frombuffer(labels, dtype=np.float64))
+
+
+def _check_finite(path, values: array, linenos: array, width: int | None) -> None:
+    """Raise naming the first data row in `values` (width - 1 features per
+    row, from the lines `linenos`) that holds a non-finite value."""
+    finite = np.isfinite(np.frombuffer(values, dtype=np.float64))
+    if not finite.all():
+        row = int(finite.argmin()) // (width - 1)
+        raise ValueError(f"{path}: line {linenos[row]}: non-finite feature value") from None
 
 
 def save_csv(dataset: LabeledDataset, path, header: bool = False) -> None:
@@ -114,9 +141,10 @@ def save_csv(dataset: LabeledDataset, path, header: bool = False) -> None:
         if header:
             cols = ",".join(f"x{j}" for j in range(dataset.k))
             fh.write(f"label,{cols}\n")
-        for label, row in zip(dataset.y, dataset.X):
-            text = ",".join(repr(float(v)) for v in row)
-            fh.write(f"{'+1' if label > 0 else '-1'},{text}\n")
+        # Row by row: a whole-matrix tolist() would hold every value as a
+        # Python float at once, several times the matrix's own size.
+        for label, row in zip(dataset.y.tolist(), dataset.X):
+            fh.write(f"{'+1' if label > 0 else '-1'},{','.join(map(repr, row.tolist()))}\n")
 
 
 @dataclass(frozen=True, eq=False)

@@ -12,7 +12,12 @@ unless `regularize_bias` is set.
 All floating-point paths are overflow-free: the per-sample gradient
 coefficient sigma(s z) * softplus_s(z)^(p-1) is assembled in the log domain,
 so margins anywhere in double range produce finite objective and gradient
-values, with exact zeros where the true coefficient underflows.
+values, with exact zeros where the true coefficient underflows.  Every path
+(`objective`, `gradient`, `smoothed_plus` and the solver's fused kernel)
+takes softplus(t) and softplus(-t) = -log sigma(t) from one shared pair,
+max(t, 0) + l and l - min(t, 0) with l = log1p(exp(-|t|)) (the split
+Maechler 2012 recommends), so they all round alike; `objective` and
+`gradient` are the reference the solver's iterates are tested against.
 
 `train` runs momentum descent with a monotone safeguard: a trial step that
 would raise the objective is rejected, the momentum restarts and the step
@@ -110,8 +115,12 @@ class TrainConfig:
             raise ValueError(f"eps must lie in [0, 1), got {self.eps}")
         if not (self.tol_obj > 0 and self.tol_grad > 0):
             raise ValueError("tolerances must be positive")
+        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, (int, np.integer)):
+            raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
+        if not isinstance(self.regularize_bias, (bool, np.bool_)):
+            raise ValueError(f"regularize_bias must be a bool, got {self.regularize_bias!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,17 +145,29 @@ class TrainTrace:
     restarts: int
 
 
-def _softplus(t: np.ndarray) -> np.ndarray:
-    # log(1 + e^t), stable in both directions
-    return np.logaddexp(0.0, t)
+def _softplus_pair(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """softplus(t) = log(1 + e^t) and softplus(-t), elementwise, for an array
+    t of one or more dimensions.
+
+    Both come from one l = log1p(exp(-|t|)), which never overflows:
+    softplus(t) = max(t, 0) + l and softplus(-t) = l - min(t, 0).  Both are
+    exact at t = +-inf, and NaN stays NaN.
+    """
+    sp_neg = np.copysign(t, -1.0)
+    np.exp(sp_neg, out=sp_neg)
+    np.log1p(sp_neg, out=sp_neg)  # l
+    sp = np.maximum(t, 0.0)
+    sp += sp_neg
+    sp_neg -= np.minimum(t, 0.0)
+    return sp, sp_neg
 
 
 def smoothed_plus(x, s: float):
     """Sharp softplus (1/s) log(1 + exp(s x)), elementwise.
 
     Upper-bounds max(0, x) within log(2)/s and is computed overflow-free for
-    any double-range input (large positive s*x evaluates as
-    x + (1/s) log(1 + exp(-s x)) inside logaddexp).
+    any double-range input, as (1/s) (max(s x, 0) + log1p(exp(-|s x|))):
+    the same rounding as the solver's objective.
     """
     if s <= 0:
         raise ValueError(f"s must be positive, got {s}")
@@ -154,10 +175,10 @@ def smoothed_plus(x, s: float):
     # s*x may overflow for x near the top of double range; there the result
     # is x itself to double precision.
     with np.errstate(over="ignore"):
-        t = s * arr
-        result = np.where(np.isposinf(t), arr, _softplus(t) / s)
+        t = s * np.atleast_1d(arr)
+        result = np.where(np.isposinf(t), arr, _softplus_pair(t)[0] / s)
     if arr.ndim == 0:
-        return float(result)
+        return float(result[0])
     return result
 
 
@@ -177,19 +198,20 @@ def _signed_design(dataset: LabeledDataset) -> np.ndarray:
 
 
 # The elementwise terms below take the scaled margins t = s (1 - y w'.x') and
-# sp = softplus(t), so one margin pass serves both the value and the gradient.
+# the pair sp = softplus(t), sp_neg = softplus(-t), so one margin pass and one
+# exp/log1p pass serve both the value and the gradient.
 
 def _value(w_aug: np.ndarray, dw: np.ndarray, sp: np.ndarray, cfg: TrainConfig) -> float:
     # dw = D w'; softplus_s(z) = sp / s
-    return 0.5 * float(w_aug @ dw) + cfg.C * float(np.sum((sp / cfg.s) ** cfg.p))
+    return 0.5 * float(w_aug @ dw) + cfg.C * float(((sp / cfg.s) ** cfg.p).sum())
 
 
-def _coeff(t: np.ndarray, sp: np.ndarray, cfg: TrainConfig) -> np.ndarray:
-    # sigma(t) * n^(p-1) with n = sp / s, as exp(log sigma(t) + (p-1) log n).
-    # Below the cut sp underflows but equals e^t to double precision, so
-    # log(sp) is just t there.
+def _coeff(t: np.ndarray, sp: np.ndarray, sp_neg: np.ndarray, cfg: TrainConfig) -> np.ndarray:
+    # sigma(t) * n^(p-1) with n = sp / s, as exp(log sigma(t) + (p-1) log n),
+    # where log sigma(t) = -sp_neg.  Below the cut sp underflows but equals
+    # e^t to double precision, so log(sp) is just t there.
     log_n = np.where(t >= _LOG_SOFTPLUS_CUT, np.log(sp), t) - math.log(cfg.s)
-    return np.exp((cfg.p - 1.0) * log_n - np.logaddexp(0.0, -t))
+    return np.exp((cfg.p - 1.0) * log_n - sp_neg)
 
 
 def _value_and_grad(w_aug: np.ndarray, yX: np.ndarray, d: np.ndarray,
@@ -201,9 +223,9 @@ def _value_and_grad(w_aug: np.ndarray, yX: np.ndarray, d: np.ndarray,
     caller to report; call it under `_QUIET`.
     """
     t = cfg.s * (1.0 - yX @ w_aug)
-    sp = _softplus(t)
+    sp, sp_neg = _softplus_pair(t)
     dw = d * w_aug
-    return _value(w_aug, dw, sp, cfg), dw - cfg.p * cfg.C * (yX.T @ _coeff(t, sp, cfg))
+    return _value(w_aug, dw, sp, cfg), dw - cfg.p * cfg.C * (yX.T @ _coeff(t, sp, sp_neg, cfg))
 
 
 def objective(w_aug: np.ndarray, X_aug: np.ndarray, y: np.ndarray, cfg: TrainConfig) -> float:
@@ -217,7 +239,7 @@ def objective(w_aug: np.ndarray, X_aug: np.ndarray, y: np.ndarray, cfg: TrainCon
     d = _reg_diag(w_aug.shape[0], cfg.regularize_bias)
     with np.errstate(**_QUIET):
         t = cfg.s * (1.0 - y * (X_aug @ w_aug))
-        value = _value(w_aug, d * w_aug, _softplus(t), cfg)
+        value = _value(w_aug, d * w_aug, _softplus_pair(t)[0], cfg)
     if not np.isfinite(value):
         raise DivergenceError("objective is not finite")
     return value
@@ -236,7 +258,7 @@ def gradient(w_aug: np.ndarray, X_aug: np.ndarray, y: np.ndarray, cfg: TrainConf
     d = _reg_diag(w_aug.shape[0], cfg.regularize_bias)
     with np.errstate(**_QUIET):
         t = cfg.s * (1.0 - y * (X_aug @ w_aug))
-        coeff = _coeff(t, _softplus(t), cfg)
+        coeff = _coeff(t, *_softplus_pair(t), cfg)
         grad = d * w_aug - cfg.p * cfg.C * (X_aug.T @ (coeff * y))
     if not np.all(np.isfinite(grad)):
         raise DivergenceError("gradient is not finite")

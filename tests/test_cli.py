@@ -175,6 +175,9 @@ def test_load_model_unknown_config_key_names_file(tmp_path, toy_csv, capsys):
     ("config.max_iter", "5"),
     ("config.p", None),
     pytest.param("b", 10**400, id="b-int-beyond-float"),
+    ("config.max_iter", 2.5),
+    ("config.max_iter", True),
+    ("config.regularize_bias", "no"),
 ])
 def test_load_model_mistyped_value_names_file(tmp_path, toy_csv, capsys, key, value):
     path = tmp_path / "m.json"

@@ -1,9 +1,15 @@
+import contextlib
+import io
+import math
+from array import array
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from lpsvm.cli import main, save_model
 from lpsvm.core import LabeledDataset, slack
 from lpsvm.data import FoldSplit, ToySpec, gen_toy, kfold, load_csv, save_csv, standardize
 from lpsvm.solver import TrainConfig, train
@@ -132,6 +138,159 @@ def test_save_csv_header_round_trip(tmp_path):
     back = load_csv(path, has_header=True)
     assert np.array_equal(back.X, ds.X)
     assert np.array_equal(back.y, ds.y)
+
+
+def reference_save_csv(dataset, path, header=False):
+    """The per-element writer `save_csv` replaced: the output must not change."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        if header:
+            cols = ",".join(f"x{j}" for j in range(dataset.k))
+            fh.write(f"label,{cols}\n")
+        for label, row in zip(dataset.y, dataset.X):
+            text = ",".join(repr(float(v)) for v in row)
+            fh.write(f"{'+1' if label > 0 else '-1'},{text}\n")
+
+
+@pytest.mark.parametrize("header", [False, True])
+def test_save_csv_bytes_match_per_element_writer(tmp_path, header):
+    rng = np.random.default_rng(5)
+    X = np.vstack([rng.normal(0.0, 1.0, (40, 3)) * 10.0 ** rng.integers(-300, 300, (40, 3)),
+                   [[0.0, -0.0, 5e-324], [1e308, -1.7976931348623157e308, 0.1],
+                    [1.0, 2.0**53 + 2.0, -1e-310]]])
+    ds = LabeledDataset(X, np.where(rng.random(43) < 0.5, 1.0, -1.0))
+    save_csv(ds, tmp_path / "new.csv", header=header)
+    reference_save_csv(ds, tmp_path / "old.csv", header=header)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+# ------------------------------------------------------- csv loader fuzzing
+
+_REFERENCE_LABELS = {"+1": 1.0, "1": 1.0, "-1": -1.0, "\u22121": -1.0}
+
+
+def reference_load_csv(path, has_header=False):
+    """The line loop `load_csv` ran before its finiteness check was
+    vectorised: every field stripped, parsed and checked row by row."""
+    values = array("d")
+    labels = array("d")
+    width = None
+    header_pending = has_header
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            if header_pending:
+                header_pending = False
+                continue
+            fields = [f.strip() for f in line.split(",")]
+            label = _REFERENCE_LABELS.get(fields[0])
+            if label is None:
+                raise ValueError(f"{path}: line {lineno}: label must be +1 or -1, got {fields[0]!r}")
+            if width is None:
+                width = len(fields)
+                if width < 2:
+                    raise ValueError(f"{path}: line {lineno}: expected at least one feature column")
+            elif len(fields) != width:
+                raise ValueError(
+                    f"{path}: line {lineno}: expected {width} columns, got {len(fields)}")
+            try:
+                row = [float(f) for f in fields[1:]]
+            except ValueError:
+                raise ValueError(f"{path}: line {lineno}: malformed feature value") from None
+            if not all(math.isfinite(v) for v in row):
+                raise ValueError(f"{path}: line {lineno}: non-finite feature value")
+            labels.append(label)
+            values.extend(row)
+    if not labels:
+        raise ValueError(f"{path}: no data rows")
+    X = np.frombuffer(values, dtype=np.float64).reshape(len(labels), width - 1)
+    return LabeledDataset(X, np.frombuffer(labels, dtype=np.float64))
+
+
+_GOOD_LABELS = ["+1", "-1", "1", "\u22121", " +1", "-1\t", "\u00a01 "]
+_BAD_LABELS = ["", " ", "1.0", "-1.0", "+1.0", "2", "0", "- 1", "+-1", "x", "label", "1_0"]
+_ODD_VALUES = ["", " ", "  2.5 ", "\t-0.0", "1_0", "1__0", "_1", "1_", "nan", "-NaN", "inf",
+               "-Infinity", "1e999", "-1e999", "abc", "0x10", "1.5.2", "+", "- 1", "1 2",
+               "\u0661.\u0665", "\u20031\u2003", "#1"]
+_SEPARATORS = ["\n", "\n", "\n", "\r\n", "\r"]
+
+
+@st.composite
+def csv_texts(draw):
+    """Loader input: data rows of one width mixed with comment, blank and
+    header lines, CRLF and CR line ends, padded and malformed fields, bad
+    labels and ragged rows."""
+    width = draw(st.sampled_from([0, 1, 2, 2, 3, 3]))
+    number = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                       st.integers(-10**20, 10**20).map(str),
+                       st.floats(-1e3, 1e3).map(lambda v: f" {v!r}\t"))
+    odd = draw(st.integers(0, 30))  # how often a field is odd, in percent
+    value = st.integers(0, 99).flatmap(
+        lambda r: st.sampled_from(_ODD_VALUES) if r < odd else number)
+    label = st.sampled_from(_GOOD_LABELS * 6 + _BAD_LABELS)
+    lines = []
+    for _ in range(draw(st.integers(0, 10))):
+        kind = draw(st.sampled_from(["row"] * 12 + ["ragged", "comment", "blank", "header"]))
+        if kind in ("row", "ragged"):
+            k = width if kind == "row" else draw(st.integers(0, 4))
+            fields = [draw(label)] + [draw(value) for _ in range(k)]
+            lines.append(",".join(fields))
+        elif kind == "comment":
+            lines.append(draw(st.sampled_from(["#", "# x,1", "  #+1,2", "\t# comment"])))
+        elif kind == "blank":
+            lines.append(draw(st.sampled_from(["", " ", "\t ", "\u00a0"])))
+        else:
+            lines.append(",".join(["label"] + [f"x{j}" for j in range(width)]))
+    text = "".join(line + draw(st.sampled_from(_SEPARATORS)) for line in lines)
+    if lines and draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    return text
+
+
+def _outcome(loader, path, has_header):
+    try:
+        ds = loader(path, has_header=has_header)
+    except ValueError as exc:
+        return "error", str(exc)
+    return "ok", ds.X.shape, ds.X.tobytes(), ds.y.tobytes()
+
+
+@pytest.fixture(scope="module")
+def model_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("model") / "m.json"
+    save_model(*train(gen_toy(ToySpec(seed=1, n_per_class=5)), TrainConfig(max_iter=20)), path)
+    return path
+
+
+@settings(max_examples=200)
+@given(text=csv_texts(), has_header=st.booleans())
+def test_load_csv_matches_reference_loop(tmp_path_factory, model_file, text, has_header):
+    path = tmp_path_factory.mktemp("fuzz") / "d.csv"
+    path.write_bytes(text.encode("utf-8"))
+    outcome = _outcome(load_csv, path, has_header)
+    assert outcome == _outcome(reference_load_csv, path, has_header)
+    if outcome[0] == "error":
+        # a file the loader rejects is a usage error for every command
+        header = ["--has-header"] if has_header else []
+        for argv in (["eval", "--model", model_file], ["cv", "--k", "2"]):
+            with contextlib.redirect_stderr(io.StringIO()) as err:
+                code = main([*map(str, argv), "--data", str(path), *header])
+            assert code == 2, err.getvalue()
+
+
+def test_load_csv_reports_first_of_several_bad_lines(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text("+1,1.0,2.0\n-1,nan,1.0\n+1,3.0\n")
+    with pytest.raises(ValueError, match="line 2: non-finite"):
+        load_csv(path)
+    path.write_text("+1,1.0,2.0\n-1,1e999,1.0\n+1,inf,x\n2,1,1\n")
+    with pytest.raises(ValueError, match="line 2: non-finite"):
+        load_csv(path)
+    # a row that fails to parse part-way is malformed, whatever it parsed
+    path.write_text("+1,1.0,2.0\n-1,inf,x\n")
+    with pytest.raises(ValueError, match="line 2: malformed"):
+        load_csv(path)
 
 
 # ------------------------------------------------------------------ kfold

@@ -17,6 +17,7 @@ from lpsvm.solver import (
     TrainConfig,
     gradient,
     objective,
+    _softplus_pair,
     smoothed_plus,
     train,
 )
@@ -116,6 +117,26 @@ def test_smoothing_bound(x, s):
 def test_smoothed_plus_monotone(x1, x2, s):
     lo, hi = min(x1, x2), max(x1, x2)
     assert smoothed_plus(lo, s) <= smoothed_plus(hi, s)
+
+
+# ------------------------------------------------------------ softplus pair
+
+def test_softplus_pair_matches_logaddexp_within_2_ulp():
+    rng = np.random.default_rng(11)
+    edges = [0.0, -0.0, 33.0, -33.0, 745.0, -745.0, 1e300, -1e300, math.inf, -math.inf]
+    t = np.concatenate([
+        edges,
+        rng.normal(0.0, 40.0, 4000),
+        rng.uniform(-750.0, 750.0, 4000),
+        rng.normal(0.0, 1e-3, 1000),
+        rng.choice([-1.0, 1.0], 1000) * 10.0 ** rng.uniform(-300.0, 300.0, 1000),
+    ])
+    sp, sp_neg = _softplus_pair(t)
+    for got, want in ((sp, np.logaddexp(0.0, t)), (sp_neg, np.logaddexp(0.0, -t))):
+        inf = np.isinf(want)
+        assert np.array_equal(got[inf], want[inf])
+        assert np.all(np.abs(got[~inf] - want[~inf]) <= 2.0 * np.spacing(want[~inf]))
+    assert np.isnan(_softplus_pair(np.array([np.nan]))).all()
 
 
 # ---------------------------------------------------------------- objective
@@ -403,3 +424,18 @@ def test_sv_count_shrinks_with_C_at_small_p():
 def test_config_validation(kwargs):
     with pytest.raises(ValueError):
         TrainConfig(**kwargs)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"max_iter": 2.5}, {"max_iter": 5.0}, {"max_iter": True}, {"max_iter": "5"},
+    {"regularize_bias": "no"}, {"regularize_bias": 1}, {"regularize_bias": None},
+])
+def test_config_rejects_mistyped_fields(kwargs):
+    with pytest.raises(ValueError, match=next(iter(kwargs))):
+        TrainConfig(**kwargs)
+
+
+def test_config_accepts_numpy_integers_and_bools():
+    cfg = TrainConfig(max_iter=np.int64(3), regularize_bias=np.True_)
+    _, trace = train(gen_toy(ToySpec(seed=0, n_per_class=5)), cfg)
+    assert trace.iterations == 3
