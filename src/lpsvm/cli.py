@@ -44,6 +44,11 @@ def save_model(model: SvmModel, trace: TrainTrace, path) -> None:
             "restarts": trace.restarts,
         },
     }
+    _write_json(doc, path)
+
+
+def _write_json(doc: dict, path) -> None:
+    """Write `doc` as indented JSON with a trailing newline."""
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
@@ -143,7 +148,8 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--p", type=float, default=_DEFAULTS.p,
                    help="slack exponent in (0, 1]; 1 gives the standard hinge")
     p.add_argument("--s", type=float, default=_DEFAULTS.s, help="softplus sharpness")
-    p.add_argument("--eta", type=float, default=_DEFAULTS.eta, help="initial step")
+    p.add_argument("--eta", type=float, default=None,
+                   help="initial step (default: 1e-2 / max(1, C/2))")
     p.add_argument("--eps", type=float, default=_DEFAULTS.eps, help="momentum coefficient")
     p.add_argument("--tol-obj", type=float, default=_DEFAULTS.tol_obj,
                    help="relative objective-change tolerance")
@@ -236,9 +242,7 @@ def cmd_cv(args) -> int:
     if args.out_json:
         doc = {"k": args.k, "seed": args.seed, "sv_threshold": args.sv_threshold,
                "config": dataclasses.asdict(cfg), "folds": folds, "means": means}
-        with open(args.out_json, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
+        _write_json(doc, args.out_json)
     return 0
 
 
@@ -281,9 +285,7 @@ def cmd_compare(args) -> int:
                 for C, cs, cm, report in blocks
             ],
         }
-        with open(args.out_json, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
+        _write_json(doc, args.out_json)
     return 0
 
 
@@ -305,9 +307,7 @@ def cmd_figure(args) -> int:
     model, _ = load_model(args.model)
     dataset = load_csv(args.data, has_header=args.has_header)
     doc = figure_data(model, dataset, args.sv_threshold)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    _write_json(doc, args.out)
     print(f"wrote figure data for {dataset.n} points (n_sv={doc['n_sv']}) to {args.out}")
     return 0
 

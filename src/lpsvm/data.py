@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
+from typing import NoReturn
 
 import numpy as np
 
@@ -70,60 +71,88 @@ def load_csv(path, has_header: bool = False) -> LabeledDataset:
     """Parse a labeled dataset from `path`; errors name the offending line.
 
     Feature fields take Python `float` syntax, with whitespace around them
-    allowed; a non-finite value is an error.  When several lines are bad,
-    the error names the first of them.  The file is streamed once: values
-    are collected in flat double buffers rather than per-row lists, which
-    keeps the peak memory near twice the size of the final matrix, and their
-    finiteness is checked in one vectorised pass at the end, or before any
-    other error is raised, so that an earlier non-finite line wins.
+    allowed; a non-finite value is an error, and so is a line that is not
+    valid UTF-8.  When several lines are bad, the error names the first of
+    them.  The file is streamed once: values are collected in flat double
+    buffers rather than per-row lists, which keeps the peak memory near
+    twice the size of the final matrix, and their finiteness is checked in
+    one vectorised pass at the end, or before any other error is raised, so
+    that an earlier non-finite line wins.
     """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            values, labels, width = _parse_lines(path, fh, has_header)
+    except UnicodeDecodeError:
+        _raise_undecodable(path, has_header)
+    if not labels:
+        raise ValueError(f"{path}: no data rows")
+    X = np.frombuffer(values, dtype=np.float64).reshape(len(labels), width - 1)
+    return LabeledDataset(X, np.frombuffer(labels, dtype=np.float64))
+
+
+def _parse_lines(path, lines, has_header: bool) -> tuple[array, array, int | None]:
+    """Parse text lines into flat feature values, labels and the column
+    count; raise ValueError naming the first bad line of `path`."""
     values = array("d")
     labels = array("d")
     linenos = array("q")  # the line number of each data row
     width: int | None = None
     header_pending = has_header
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                fields = line.split(",")
-                head = fields[0].strip()
-                label = _LABELS.get(head)
-                if label is None or header_pending:
-                    # Only a data row starts with a valid label; this is a
-                    # blank or comment line, the header, or a bad label.
-                    stripped = line.strip()
-                    if not stripped or stripped[0] == "#":
-                        continue
-                    if header_pending:
-                        header_pending = False
-                        continue
+        for lineno, line in enumerate(lines, start=1):
+            fields = line.split(",")
+            head = fields[0].strip()
+            label = _LABELS.get(head)
+            if label is None or header_pending:
+                # Only a data row starts with a valid label; this is a
+                # blank or comment line, the header, or a bad label.
+                stripped = line.strip()
+                if not stripped or stripped[0] == "#":
+                    continue
+                if header_pending:
+                    header_pending = False
+                    continue
+                raise ValueError(
+                    f"{path}: line {lineno}: label must be +1 or -1, got {head!r}")
+            if width is None:
+                width = len(fields)
+                if width < 2:
                     raise ValueError(
-                        f"{path}: line {lineno}: label must be +1 or -1, got {head!r}")
-                if width is None:
-                    width = len(fields)
-                    if width < 2:
-                        raise ValueError(
-                            f"{path}: line {lineno}: expected at least one feature column")
-                elif len(fields) != width:
-                    raise ValueError(
-                        f"{path}: line {lineno}: expected {width} columns, got {len(fields)}")
-                try:
-                    values.extend(map(float, fields[1:]))  # float strips whitespace
-                except ValueError:
-                    raise ValueError(f"{path}: line {lineno}: malformed feature value") from None
-                labels.append(label)
-                linenos.append(lineno)
+                        f"{path}: line {lineno}: expected at least one feature column")
+            elif len(fields) != width:
+                raise ValueError(
+                    f"{path}: line {lineno}: expected {width} columns, got {len(fields)}")
+            try:
+                values.extend(map(float, fields[1:]))  # float strips whitespace
+            except ValueError:
+                raise ValueError(f"{path}: line {lineno}: malformed feature value") from None
+            labels.append(label)
+            linenos.append(lineno)
     except ValueError:
         if width is not None:
             # A row that failed to parse may have left some of its values behind.
             del values[len(labels) * (width - 1):]
         _check_finite(path, values, linenos, width)
         raise
-    if not labels:
-        raise ValueError(f"{path}: no data rows")
     _check_finite(path, values, linenos, width)
-    X = np.frombuffer(values, dtype=np.float64).reshape(len(labels), width - 1)
-    return LabeledDataset(X, np.frombuffer(labels, dtype=np.float64))
+    return values, labels, width
+
+
+def _raise_undecodable(path, has_header: bool) -> NoReturn:
+    """Raise naming the first line of `path` that is not valid UTF-8, or an
+    earlier line's error: the decoder reads ahead in blocks, so the parse
+    may have stopped before the lines that precede the bad one.  Splitting
+    the bytes with `bytes.splitlines` counts lines as text mode does."""
+    with open(path, "rb") as fh:
+        raw = fh.read().splitlines()
+    good = []
+    for line in raw:
+        try:
+            good.append(line.decode("utf-8"))
+        except UnicodeDecodeError:
+            break
+    _parse_lines(path, good, has_header)
+    raise ValueError(f"{path}: line {len(good) + 1}: not valid UTF-8") from None
 
 
 def _check_finite(path, values: array, linenos: array, width: int | None) -> None:

@@ -4,7 +4,7 @@ comparison built on it."""
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -25,20 +25,6 @@ __all__ = [
     "comparison_to_dict",
 ]
 
-# Column order of the comparison table: the standard (p = 1) solver first,
-# then the sparse-slack solver, then the geometry between their weights.
-REPORT_FIELDS = (
-    "test_acc_std",
-    "train_acc_std",
-    "n_sv_std",
-    "test_acc_min",
-    "train_acc_min",
-    "n_sv_min",
-    "angle_theta_degrees",
-    "dist_d",
-)
-
-
 @dataclass(frozen=True)
 class FoldComparison:
     fold: int
@@ -50,6 +36,12 @@ class FoldComparison:
     n_sv_min: int
     angle_theta_degrees: float
     dist_d: float
+
+
+# Column order of the comparison table, FoldComparison's fields after `fold`:
+# the standard (p = 1) solver first, then the sparse-slack solver, then the
+# geometry between their weights.
+REPORT_FIELDS = tuple(f.name for f in fields(FoldComparison) if f.name != "fold")
 
 
 @dataclass(frozen=True, eq=False)

@@ -79,7 +79,11 @@ class TrainConfig:
     p         : slack exponent in (0, 1]; p < 1 shrinks the support-vector set
     s         : softplus sharpness (> 0); the smoothing gap is log(2)/s
     eta       : initial step (> 0); `train` halves the step on every
-                rejected trial and grows it by 5 % on every accepted one
+                rejected trial and grows it by 5 % on every accepted one.
+                None (the default) means 1e-2 / max(1, C/2): at p < 1
+                the initial step can decide which local minimum a fit
+                reaches, and a step that shrinks with C finds the lower
+                one on the toy data at C = 50 and 100
     eps       : momentum coefficient in [0, 1)
     tol_obj   : stop when an accepted step lowers J by a relative amount
                 (J_{t-1} - J_t) / max(1, |J_{t-1}|) below tol_obj
@@ -95,7 +99,7 @@ class TrainConfig:
     C: float = 1.0
     p: float = 0.5
     s: float = 100.0
-    eta: float = 1e-2
+    eta: float | None = None
     eps: float = 0.9
     tol_obj: float = 1e-8
     tol_grad: float = 1e-5
@@ -105,6 +109,9 @@ class TrainConfig:
     def __post_init__(self):
         if not (np.isfinite(self.C) and self.C > 0):
             raise ValueError(f"C must be positive, got {self.C}")
+        if self.eta is None:
+            C = float(self.C)
+            object.__setattr__(self, "eta", 1e-2 / max(1.0, C / 2.0))
         if not (0.0 < self.p <= 1.0):
             raise ValueError(f"p must lie in (0, 1], got {self.p}")
         if not (np.isfinite(self.s) and self.s > 0):
@@ -121,6 +128,12 @@ class TrainConfig:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
         if not isinstance(self.regularize_bias, (bool, np.bool_)):
             raise ValueError(f"regularize_bias must be a bool, got {self.regularize_bias!r}")
+        # Store builtins, so that numpy scalars that pass the checks above
+        # still write out as JSON.
+        for name in ("C", "p", "s", "eta", "eps", "tol_obj", "tol_grad"):
+            object.__setattr__(self, name, float(getattr(self, name)))
+        object.__setattr__(self, "max_iter", int(self.max_iter))
+        object.__setattr__(self, "regularize_bias", bool(self.regularize_bias))
 
 
 @dataclass(frozen=True, eq=False)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from lpsvm.cli import figure_data, load_model, main, save_model
 from lpsvm.core import SvmModel, margin_width
 from lpsvm.data import ToySpec, gen_toy, load_csv, save_csv
+from lpsvm.metrics import run_comparison
 from lpsvm.solver import TrainConfig, TrainTrace, train
 
 FAST_FLAGS = ["--eta", "1e-3", "--max-iter", "600"]
@@ -96,6 +97,12 @@ def test_train_warns_at_iteration_cap(tmp_path, toy_csv, capsys):
     assert json.loads(model_path.read_text())["trace"]["stop_reason"] == "iteration-cap"
 
 
+def test_train_default_eta_follows_C(tmp_path, toy_csv):
+    path = tmp_path / "m.json"
+    assert run("train", "--data", toy_csv, "--C", 50, "--max-iter", 50, "--out", path) == 0
+    assert json.loads(path.read_text())["config"]["eta"] == 1e-2 / 25
+
+
 def test_train_rejects_p_zero(tmp_path, toy_csv, capsys):
     assert run("train", "--data", toy_csv, "--p", 0,
                "--out", tmp_path / "m.json") == 2
@@ -132,6 +139,29 @@ def test_model_round_trip_bit_exact(tmp_path, toy_csv):
     assert back.b == model.b
     assert back.meta == model.meta
     assert doc["trace"]["stop_reason"] == trace.stop_reason
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"max_iter": np.int64(3)}, {"regularize_bias": np.True_}, {"C": np.float32(2.0)},
+])
+def test_model_round_trip_numpy_scalar_config(tmp_path, toy_csv, kwargs):
+    cfg = TrainConfig(**{"max_iter": 50, **kwargs})
+    model, trace = train(load_csv(toy_csv), cfg)
+    path = tmp_path / "m.json"
+    save_model(model, trace, path)
+    back, _ = load_model(path)
+    assert back.meta == cfg
+    assert np.array_equal(back.w, model.w) and back.b == model.b
+
+
+def test_load_model_null_eta_is_the_C_default(tmp_path, toy_csv):
+    path = tmp_path / "m.json"
+    run("train", "--data", toy_csv, "--C", 50, "--out", path, *FAST_FLAGS)
+    doc = json.loads(path.read_text())
+    doc["config"]["eta"] = None
+    path.write_text(json.dumps(doc))
+    back, _ = load_model(path)
+    assert back.meta.eta == 1e-2 / 25
 
 
 def test_load_model_rejects_unknown_version(tmp_path):
@@ -172,6 +202,7 @@ def test_load_model_unknown_config_key_names_file(tmp_path, toy_csv, capsys):
 @pytest.mark.parametrize("key, value", [
     ("b", None),
     ("config.C", "abc"),
+    ("config.C", "5"),
     ("config.max_iter", "5"),
     ("config.p", None),
     pytest.param("b", 10**400, id="b-int-beyond-float"),
@@ -358,6 +389,28 @@ def test_compare_sv_trend_on_seeded_toy(tmp_path, capsys):
     doc = json.loads(out_json.read_text())
     n_sv = {block["C"]: block["means"]["n_sv_min"] for block in doc["configs"]}
     assert n_sv[100.0] < n_sv[1.0]
+
+
+def test_compare_default_eta_is_set_per_C(tmp_path, capsys):
+    # Without --eta each C gets its own initial step, 1e-2 / max(1, C/2):
+    # the same means as run_comparison with those steps written out.
+    data = tmp_path / "toy.csv"
+    run("gen-toy", "--seed", 11, "--out", data)
+    out_json = tmp_path / "cmp.json"
+    assert run("compare", "--data", data, "--c-list", "1,50,100", "--p", 0.5,
+               "--k", 5, "--seed", 3, "--s", 100, "--max-iter", 8000,
+               "--tol-obj", "1e-10", "--tol-grad", "1e-6", "--out-json", out_json) == 0
+    doc = json.loads(out_json.read_text())
+    ds = load_csv(data)
+    base = dict(s=100.0, eps=0.9, max_iter=8000, tol_obj=1e-10, tol_grad=1e-6)
+    etas = {1.0: 1e-2, 50.0: 1e-2 / 25, 100.0: 1e-2 / 50}
+    assert [block["C"] for block in doc["configs"]] == list(etas)
+    for block in doc["configs"]:
+        C, eta = block["C"], etas[block["C"]]
+        report = run_comparison(ds, TrainConfig(C=C, p=1.0, eta=eta, **base),
+                                TrainConfig(C=C, p=0.5, eta=eta, **base), k=5, seed=3)
+        assert block["config_min"]["eta"] == eta
+        assert block["means"] == report.means
 
 
 # ----------------------------------------------------------------- figure

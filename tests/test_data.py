@@ -293,6 +293,29 @@ def test_load_csv_reports_first_of_several_bad_lines(tmp_path):
         load_csv(path)
 
 
+def test_load_csv_undecodable_line_names_line(tmp_path, model_file):
+    path = tmp_path / "d.csv"
+    path.write_bytes(b"+1,1.0\n-1,\xff2.0\n")
+    with pytest.raises(ValueError, match="d.csv: line 2: not valid UTF-8"):
+        load_csv(path)
+    for argv in (["eval", "--model", model_file], ["cv", "--k", "2"]):
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            assert main([*map(str, argv), "--data", str(path)]) == 2
+        assert "line 2" in err.getvalue()
+    # CR and CRLF end lines, as in text mode; lines past the decoder's
+    # first block are counted too
+    path.write_bytes(b"+1,1.0\r\n-1,2.0\r" + b"+1,3.0\n" * 3000 + b"-1,\xe2\n")
+    with pytest.raises(ValueError, match="line 3003: not valid UTF-8"):
+        load_csv(path)
+    # an earlier bad line still wins, though the decoder failed before reaching it
+    path.write_bytes(b"+1,1.0\nx,2.0\n-1,nan\n-1,\xff\n")
+    with pytest.raises(ValueError, match="line 2: label"):
+        load_csv(path)
+    path.write_bytes(b"+1,1.0\n-1,nan\n-1,x\n-1,\xff\n")
+    with pytest.raises(ValueError, match="line 2: non-finite"):
+        load_csv(path)
+
+
 # ------------------------------------------------------------------ kfold
 
 def test_kfold_exact_division():

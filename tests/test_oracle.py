@@ -254,8 +254,8 @@ def test_p_half_fits_are_local_minima_for_lbfgsb(seed):
     ds = gen_toy(ToySpec(seed=seed))
     X_aug, y = augment(ds).matrix, ds.y
     for C in (1.0, 50.0, 100.0):
-        cfg = TrainConfig(C=C, p=0.5, s=100.0, eta=1e-2 / max(1.0, C / 2.0), eps=0.9,
-                          max_iter=8000, tol_obj=1e-10, tol_grad=1e-6)
+        cfg = TrainConfig(C=C, p=0.5, s=100.0, eps=0.9, max_iter=8000,
+                          tol_obj=1e-10, tol_grad=1e-6)
         model, trace = train(ds, cfg)
         value = objective(model.w_aug, X_aug, y, cfg)
         ref = optimize.minimize(objective, model.w_aug, args=(X_aug, y, cfg), jac=gradient,

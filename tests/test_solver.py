@@ -368,8 +368,7 @@ def reference_train(dataset, cfg):
 
 
 def _grid_cfg(C, p, regularize_bias):
-    return TrainConfig(C=C, p=p, s=100.0, eta=1e-2 / max(1.0, C / 2.0), eps=0.9,
-                       max_iter=1500, tol_obj=1e-10, tol_grad=1e-6,
+    return TrainConfig(C=C, p=p, s=100.0, eps=0.9, max_iter=1500, tol_obj=1e-10, tol_grad=1e-6,
                        regularize_bias=regularize_bias)
 
 
@@ -407,8 +406,8 @@ def test_sv_count_shrinks_with_C_at_small_p():
     ds = gen_toy(ToySpec(seed=0))
     counts = {}
     for C in (1.0, 100.0):
-        cfg = TrainConfig(C=C, p=0.5, s=100.0, eta=1e-2 / max(1.0, C / 2.0),
-                          eps=0.9, max_iter=8000, tol_obj=1e-10, tol_grad=1e-6)
+        cfg = TrainConfig(C=C, p=0.5, s=100.0, eps=0.9, max_iter=8000,
+                          tol_obj=1e-10, tol_grad=1e-6)
         model, _ = train(ds, cfg)
         counts[C] = slack(model, ds).n_sv
     assert counts[100.0] < counts[1.0]
@@ -435,7 +434,21 @@ def test_config_rejects_mistyped_fields(kwargs):
         TrainConfig(**kwargs)
 
 
+@pytest.mark.parametrize("C, eta", [
+    (0.1, 1e-2), (1.0, 1e-2), (2.0, 1e-2), (3.0, 1e-2 / 1.5), (50.0, 1e-2 / 25), (100.0, 1e-2 / 50),
+])
+def test_config_default_eta_follows_C(C, eta):
+    # the initial step defaults to 1e-2 / max(1, C/2); an explicit one is kept
+    assert TrainConfig(C=C).eta == eta
+    assert TrainConfig(C=C, eta=None) == TrainConfig(C=C)
+    assert TrainConfig(C=C, eta=3e-5).eta == 3e-5
+
+
 def test_config_accepts_numpy_integers_and_bools():
-    cfg = TrainConfig(max_iter=np.int64(3), regularize_bias=np.True_)
+    cfg = TrainConfig(C=np.float32(2.0), max_iter=np.int64(3), regularize_bias=np.True_)
+    # stored as builtins, which JSON can write
+    assert type(cfg.C) is float and type(cfg.max_iter) is int and cfg.regularize_bias is True
+    assert all(type(getattr(cfg, name)) is float
+               for name in ("p", "s", "eta", "eps", "tol_obj", "tol_grad"))
     _, trace = train(gen_toy(ToySpec(seed=0, n_per_class=5)), cfg)
     assert trace.iterations == 3
