@@ -17,19 +17,18 @@ import numpy as np
 
 from .core import DEFAULT_SV_THRESHOLD, LabeledDataset, SvmModel, margin_width, slack
 from .data import ToySpec, gen_toy, load_csv, save_csv
-from .metrics import REPORT_FIELDS, accuracy, comparison_to_dict, cross_validate, run_comparison
-from .solver import STOP_ITERATION_CAP, DivergenceError, TrainConfig, TrainTrace, train
+from .metrics import (REPORT_FIELDS, accuracy, comparison_to_dict, cross_validate, fold_scores,
+                      run_comparison)
+from .solver import DivergenceError, TrainConfig, TrainTrace, field_kind, train
 
 __all__ = ["main", "save_model", "load_model", "figure_data", "write_trace_csv"]
 
 MODEL_FORMAT_VERSION = 1
 
-_DEFAULTS = TrainConfig()
-
 
 def save_model(model: SvmModel, trace: TrainTrace, path) -> None:
     """Write the model-file JSON; floats keep shortest round-trip precision."""
-    cfg = model.meta if model.meta is not None else _DEFAULTS
+    cfg = model.meta if model.meta is not None else TrainConfig()
     doc = {
         "format_version": MODEL_FORMAT_VERSION,
         "w": [float(v) for v in model.w],
@@ -89,9 +88,6 @@ def figure_data(model: SvmModel, dataset: LabeledDataset,
     width and the support-vector count."""
     if dataset.k != 2:
         raise ValueError(f"figure export requires 2-d data, got k={dataset.k}")
-    if model.k != dataset.k:
-        raise ValueError(f"dimension mismatch: model expects k={model.k}, "
-                         f"data has k={dataset.k}")
     report = slack(model, dataset, sv_threshold)
     is_sv = np.zeros(dataset.n, dtype=bool)
     is_sv[report.sv_indices] = True
@@ -144,30 +140,17 @@ def _float_list(text: str) -> list[float]:
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--C", type=float, default=_DEFAULTS.C, help="slack penalty weight")
-    p.add_argument("--p", type=float, default=_DEFAULTS.p,
-                   help="slack exponent in (0, 1]; 1 gives the standard hinge")
-    p.add_argument("--s", type=float, default=_DEFAULTS.s, help="softplus sharpness")
-    p.add_argument("--eta", type=float, default=None,
-                   help="initial step (default: 1e-2 / max(1, C/2))")
-    p.add_argument("--eps", type=float, default=_DEFAULTS.eps, help="momentum coefficient")
-    p.add_argument("--tol-obj", type=float, default=_DEFAULTS.tol_obj,
-                   help="relative objective-change tolerance")
-    p.add_argument("--tol-grad", type=float, default=_DEFAULTS.tol_grad,
-                   help="gradient-norm tolerance")
-    p.add_argument("--max-iter", type=int, default=_DEFAULTS.max_iter, help="iteration cap")
-    p.add_argument("--regularize-bias", action="store_true",
-                   help="include the bias in the quadratic term")
+    """One flag per `TrainConfig` field, `tol_obj` as `--tol-obj`, with the
+    field's default and help; a bool field is a switch."""
+    for f in dataclasses.fields(TrainConfig):
+        kind = field_kind(f)
+        p.add_argument("--" + f.name.replace("_", "-"), default=f.default, help=f.metadata["help"],
+                       **({"action": "store_true"} if kind is bool else {"type": kind}))
 
 
 def _config_from_args(args, **overrides) -> TrainConfig:
-    kw = dict(
-        C=args.C, p=args.p, s=args.s, eta=args.eta,
-        eps=args.eps, tol_obj=args.tol_obj, tol_grad=args.tol_grad,
-        max_iter=args.max_iter, regularize_bias=args.regularize_bias,
-    )
-    kw.update(overrides)
-    return TrainConfig(**kw)
+    kw = {f.name: getattr(args, f.name) for f in dataclasses.fields(TrainConfig)}
+    return TrainConfig(**{**kw, **overrides})
 
 
 def cmd_gen_toy(args) -> int:
@@ -191,7 +174,7 @@ def cmd_train(args) -> int:
           f"converged={trace.converged} stop_reason={trace.stop_reason} "
           f"final_objective={trace.objective_history[-1]:.6g} "
           f"final_grad_norm={trace.final_grad_norm:.3g}")
-    if trace.stop_reason == STOP_ITERATION_CAP:
+    if not trace.converged:
         print(f"warning: stopped at the iteration cap ({cfg.max_iter}) before either "
               "tolerance was met", file=sys.stderr)
     return 0
@@ -211,9 +194,6 @@ def write_trace_csv(trace: TrainTrace, path) -> None:
 def cmd_eval(args) -> int:
     model, _ = load_model(args.model)
     dataset = load_csv(args.data, has_header=args.has_header)
-    if model.k != dataset.k:
-        raise ValueError(f"dimension mismatch: model expects k={model.k}, "
-                         f"data has k={dataset.k}")
     report = slack(model, dataset, args.sv_threshold)
     print(f"accuracy {accuracy(model, dataset):.6f}")
     print(f"n_sv {report.n_sv}")
@@ -225,15 +205,9 @@ def cmd_cv(args) -> int:
     cfg = _config_from_args(args)
     dataset = load_csv(args.data, has_header=args.has_header)
     results = cross_validate(dataset, [cfg], args.k, args.seed, args.standardize)
-    folds = [
-        {"fold": fold,
-         "train_acc": accuracy(model, train_ds),
-         "test_acc": accuracy(model, test_ds),
-         "n_sv": slack(model, train_ds, args.sv_threshold).n_sv}
-        for fold, (train_ds, test_ds, [(model, _)]) in enumerate(results)
-    ]
-    means = {key: float(np.mean([f[key] for f in folds]))
-             for key in ("train_acc", "test_acc", "n_sv")}
+    folds = [{"fold": fold, **fold_scores(model, train_ds, test_ds, args.sv_threshold)}
+             for fold, (train_ds, test_ds, [(model, _)]) in enumerate(results)]
+    means = {key: float(np.mean([f[key] for f in folds])) for key in folds[0] if key != "fold"}
     print("fold  train_acc  test_acc  n_sv")
     for f in folds:
         print(f"{f['fold']:>4}  {f['train_acc']:>9.4f}  {f['test_acc']:>8.4f}  {f['n_sv']:>4}")
@@ -291,7 +265,7 @@ def cmd_compare(args) -> int:
 
 def _warn_if_capped(traces, max_iter: int) -> None:
     """One stderr line when any of the fits stopped at the iteration cap."""
-    capped = sum(trace.stop_reason == STOP_ITERATION_CAP for trace in traces)
+    capped = sum(not trace.converged for trace in traces)
     if capped:
         print(f"warning: {capped} of {len(traces)} fits stopped at the iteration cap "
               f"({max_iter})", file=sys.stderr)

@@ -18,6 +18,7 @@ __all__ = [
     "FoldComparison",
     "ComparisonReport",
     "accuracy",
+    "fold_scores",
     "angle_theta",
     "dist_d",
     "cross_validate",
@@ -64,6 +65,15 @@ def accuracy(model: SvmModel, dataset: LabeledDataset) -> float:
     scores = decision_values(model, dataset.X)
     predicted = np.where(scores >= 0.0, 1.0, -1.0)
     return float(np.mean(predicted == dataset.y))
+
+
+def fold_scores(model: SvmModel, train_ds: LabeledDataset, test_ds: LabeledDataset,
+                sv_threshold: float = DEFAULT_SV_THRESHOLD) -> dict[str, float | int]:
+    """A fold's `train_acc`, `test_acc` and `n_sv`, the support-vector count
+    on the training split."""
+    return {"train_acc": accuracy(model, train_ds),
+            "test_acc": accuracy(model, test_ds),
+            "n_sv": slack(model, train_ds, sv_threshold).n_sv}
 
 
 def angle_theta(w1: np.ndarray, w2: np.ndarray) -> float:
@@ -139,14 +149,12 @@ def run_comparison(dataset: LabeledDataset, cfg_std: TrainConfig, cfg_min: Train
             cross_validate(dataset, [cfg_std, cfg_min], k, seed, standardize)):
         (model_std, trace_std), (model_min, trace_min) = fits
         traces.append((trace_std, trace_min))
+        scores = {f"{key}_{tag}": value
+                  for tag, model in (("std", model_std), ("min", model_min))
+                  for key, value in fold_scores(model, train_ds, test_ds, sv_threshold).items()}
         folds.append(FoldComparison(
             fold=fold,
-            test_acc_std=accuracy(model_std, test_ds),
-            train_acc_std=accuracy(model_std, train_ds),
-            n_sv_std=slack(model_std, train_ds, sv_threshold).n_sv,
-            test_acc_min=accuracy(model_min, test_ds),
-            train_acc_min=accuracy(model_min, train_ds),
-            n_sv_min=slack(model_min, train_ds, sv_threshold).n_sv,
+            **scores,
             angle_theta_degrees=angle_theta(model_std.w, model_min.w),
             dist_d=dist_d(model_std.w, model_min.w),
         ))

@@ -28,10 +28,9 @@ public single-point forms of the same elementwise code and give bit-identical
 values.
 """
 
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass
+import typing
+from dataclasses import Field, dataclass, field, fields
 
 import numpy as np
 
@@ -40,6 +39,7 @@ from .core import LabeledDataset, SvmModel
 __all__ = [
     "TrainConfig",
     "TrainTrace",
+    "field_kind",
     "DivergenceError",
     "smoothed_plus",
     "objective",
@@ -71,69 +71,71 @@ class DivergenceError(RuntimeError):
     """An iterate produced a non-finite objective or gradient."""
 
 
+def _knob(default, help: str):
+    return field(default=default, metadata={"help": help})
+
+
+# The runtime types each declared field type accepts.  numpy scalars pass;
+# a bool, which isinstance counts as an int, passes only for a bool field.
+_ACCEPTS = {float: (float, int, np.floating, np.integer), int: (int, np.integer),
+            bool: (bool, np.bool_)}
+
+
+def field_kind(f: Field) -> type:
+    """The builtin type a `TrainConfig` field stores: float for `float | None`."""
+    return next(iter(typing.get_args(f.type)), f.type)
+
+
 @dataclass(frozen=True)
 class TrainConfig:
-    """All solver knobs.
+    """All solver knobs; each field's `metadata["help"]` describes it.
 
-    C         : weight of the slack penalty (> 0)
-    p         : slack exponent in (0, 1]; p < 1 shrinks the support-vector set
-    s         : softplus sharpness (> 0); the smoothing gap is log(2)/s
-    eta       : initial step (> 0); `train` halves the step on every
-                rejected trial and grows it by 5 % on every accepted one.
-                None (the default) means 1e-2 / max(1, C/2): at p < 1
-                the initial step can decide which local minimum a fit
-                reaches, and a step that shrinks with C finds the lower
-                one on the toy data at C = 50 and 100
-    eps       : momentum coefficient in [0, 1)
-    tol_obj   : stop when an accepted step lowers J by a relative amount
-                (J_{t-1} - J_t) / max(1, |J_{t-1}|) below tol_obj
-    tol_grad  : stop when the gradient norm at the point stepped from
-                drops below tol_grad
-    max_iter  : iteration cap; every objective evaluation after the start
-                point, accepted or rejected, is one iteration
-    regularize_bias : include the bias in the quadratic term (needed when
-        comparing against the dual reference solver, which folds the bias
-        into the weights); off by default
+    The CLI derives one flag per field (`tol_obj` -> `--tol-obj`) with the
+    field's default and help.  `__post_init__` checks each value against the
+    field's declared type, stores it as that builtin type (so numpy scalars
+    write out as JSON), then checks its range.
     """
 
-    C: float = 1.0
-    p: float = 0.5
-    s: float = 100.0
-    eta: float | None = None
-    eps: float = 0.9
-    tol_obj: float = 1e-8
-    tol_grad: float = 1e-5
-    max_iter: int = 5000
-    regularize_bias: bool = False
+    C: float = _knob(1.0, "slack penalty weight (> 0)")
+    p: float = _knob(0.5, "slack exponent in (0, 1]; 1 gives the standard hinge")
+    s: float = _knob(100.0, "softplus sharpness (> 0); the smoothing gap is log(2)/s")
+    # At p < 1 the initial step can decide which local minimum a fit reaches,
+    # and a step that shrinks with C finds the lower one on the toy data at
+    # C = 50 and 100.
+    eta: float | None = _knob(None, "initial step (> 0; default: 1e-2 / max(1, C/2))")
+    eps: float = _knob(0.9, "momentum coefficient in [0, 1)")
+    tol_obj: float = _knob(1e-8, "stop when an accepted step lowers the objective J by "
+                                 "less than this times max(1, |J|)")
+    tol_grad: float = _knob(1e-5, "stop when the gradient norm drops below this")
+    max_iter: int = _knob(5000, "iteration cap; rejected trial steps count too")
+    regularize_bias: bool = _knob(False, "include the bias in the quadratic term, as the "
+                                         "dual oracle does")
 
     def __post_init__(self):
-        if not (np.isfinite(self.C) and self.C > 0):
+        for f in fields(self):
+            value, kind = getattr(self, f.name), field_kind(f)
+            if value is None and type(None) in typing.get_args(f.type):
+                continue
+            if not isinstance(value, _ACCEPTS[kind]) or (isinstance(value, bool)
+                                                          and kind is not bool):
+                raise ValueError(f"{f.name} must be of type {kind.__name__}, got {value!r}")
+            object.__setattr__(self, f.name, kind(value))
+        if not (math.isfinite(self.C) and self.C > 0):
             raise ValueError(f"C must be positive, got {self.C}")
         if self.eta is None:
-            C = float(self.C)
-            object.__setattr__(self, "eta", 1e-2 / max(1.0, C / 2.0))
+            object.__setattr__(self, "eta", 1e-2 / max(1.0, self.C / 2.0))
         if not (0.0 < self.p <= 1.0):
             raise ValueError(f"p must lie in (0, 1], got {self.p}")
-        if not (np.isfinite(self.s) and self.s > 0):
+        if not (math.isfinite(self.s) and self.s > 0):
             raise ValueError(f"s must be positive, got {self.s}")
-        if not (np.isfinite(self.eta) and self.eta > 0):
+        if not (math.isfinite(self.eta) and self.eta > 0):
             raise ValueError(f"eta must be positive, got {self.eta}")
         if not (0.0 <= self.eps < 1.0):
             raise ValueError(f"eps must lie in [0, 1), got {self.eps}")
         if not (self.tol_obj > 0 and self.tol_grad > 0):
             raise ValueError("tolerances must be positive")
-        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, (int, np.integer)):
-            raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
-        if not isinstance(self.regularize_bias, (bool, np.bool_)):
-            raise ValueError(f"regularize_bias must be a bool, got {self.regularize_bias!r}")
-        # Store builtins, so that numpy scalars that pass the checks above
-        # still write out as JSON.
-        for name in ("C", "p", "s", "eta", "eps", "tol_obj", "tol_grad"):
-            object.__setattr__(self, name, float(getattr(self, name)))
-        object.__setattr__(self, "max_iter", int(self.max_iter))
-        object.__setattr__(self, "regularize_bias", bool(self.regularize_bias))
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,11 +153,18 @@ class TrainTrace:
 
     objective_history: np.ndarray
     grad_norm_history: np.ndarray
-    iterations: int
-    converged: bool
     stop_reason: str
     final_grad_norm: float
     restarts: int
+
+    @property
+    def iterations(self) -> int:
+        return len(self.grad_norm_history)
+
+    @property
+    def converged(self) -> bool:
+        """True unless the fit stopped at the iteration cap."""
+        return self.stop_reason != STOP_ITERATION_CAP
 
 
 def _softplus_pair(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -315,7 +324,6 @@ def train(dataset: LabeledDataset, cfg: TrainConfig) -> tuple[SvmModel, TrainTra
             raise DivergenceError("objective diverged at iteration 0")
         obj_hist = [value]
         grad_hist: list[float] = []
-        converged = False
         stop_reason = STOP_ITERATION_CAP
 
         for it in range(1, cfg.max_iter + 1):
@@ -338,7 +346,6 @@ def train(dataset: LabeledDataset, cfg: TrainConfig) -> tuple[SvmModel, TrainTra
                 step *= _STEP_GROW
                 obj_hist.append(value)
                 if decrease < cfg.tol_obj:
-                    converged = True
                     stop_reason = STOP_OBJECTIVE
                     break
             else:
@@ -347,7 +354,6 @@ def train(dataset: LabeledDataset, cfg: TrainConfig) -> tuple[SvmModel, TrainTra
                 restarts += 1
                 obj_hist.append(value)
             if grad_norm < cfg.tol_grad:
-                converged = True
                 stop_reason = STOP_GRADIENT
                 break
         final_grad_norm = math.sqrt(g.dot(g))
@@ -356,8 +362,6 @@ def train(dataset: LabeledDataset, cfg: TrainConfig) -> tuple[SvmModel, TrainTra
     trace = TrainTrace(
         objective_history=np.array(obj_hist),
         grad_norm_history=np.array(grad_hist),
-        iterations=len(grad_hist),
-        converged=converged,
         stop_reason=stop_reason,
         final_grad_norm=final_grad_norm,
         restarts=restarts,

@@ -1,13 +1,17 @@
+import argparse
 import contextlib
 import copy
+import dataclasses
 import io
 import json
+import pathlib
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from lpsvm import cli
 from lpsvm.cli import figure_data, load_model, main, save_model
 from lpsvm.core import SvmModel, margin_width
 from lpsvm.data import ToySpec, gen_toy, load_csv, save_csv
@@ -203,6 +207,7 @@ def test_load_model_unknown_config_key_names_file(tmp_path, toy_csv, capsys):
     ("b", None),
     ("config.C", "abc"),
     ("config.C", "5"),
+    ("config.C", True),
     ("config.max_iter", "5"),
     ("config.p", None),
     pytest.param("b", 10**400, id="b-int-beyond-float"),
@@ -454,6 +459,73 @@ def test_figure_data_validates_model_dim(toy_csv):
     ds = load_csv(toy_csv)
     with pytest.raises(ValueError, match="mismatch"):
         figure_data(SvmModel([1.0, 2.0, 3.0], 0.0), ds)
+
+
+# ----------------------------------------------------------- config flags
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _subparsers():
+    parser = cli._build_parser()
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def _config_actions(parser, config_cls=TrainConfig):
+    names = {f.name for f in dataclasses.fields(config_cls)}
+    return [a for a in parser._actions if a.dest in names]
+
+
+@pytest.mark.parametrize("command", ["train", "cv", "compare"])
+def test_config_flags_follow_train_config_fields(command):
+    parser = _subparsers()[command]
+    actions = _config_actions(parser)
+    fields = dataclasses.fields(TrainConfig)
+    assert [a.option_strings for a in actions] == [
+        ["--" + f.name.replace("_", "-")] for f in fields]
+    assert [a.default for a in actions] == [f.default for f in fields]
+    assert [a.help for a in actions] == [f.metadata["help"] for f in fields]
+    assert "--tol-obj" in parser.format_help()  # argparse %-formats every help text
+
+
+def test_config_flags_round_trip_a_config():
+    cfg = TrainConfig(C=3.0, p=0.25, s=50.0, eta=1e-3, eps=0.5, tol_obj=1e-9,
+                      tol_grad=1e-7, max_iter=77, regularize_bias=True)
+    argv = ["train", "--data", "x.csv", "--out", "m.json"]
+    for f in dataclasses.fields(cfg):
+        value = getattr(cfg, f.name)
+        flag = "--" + f.name.replace("_", "-")
+        argv += [flag] if value is True else [flag, repr(value)]
+    assert cli._config_from_args(cli._build_parser().parse_args(argv)) == cfg
+
+
+def test_new_config_field_gets_a_flag(monkeypatch):
+    @dataclasses.dataclass(frozen=True)
+    class Extended(TrainConfig):
+        new_knob: int = dataclasses.field(default=3, metadata={"help": "a new knob"})
+
+    monkeypatch.setattr(cli, "TrainConfig", Extended)
+    parser = _subparsers()["cv"]
+    assert [a.option_strings for a in _config_actions(parser, Extended)][-1] == ["--new-knob"]
+    parse = cli._build_parser().parse_args
+    cfg = cli._config_from_args(parse(["cv", "--data", "x.csv", "--new-knob", "7", "--C", "2"]))
+    assert isinstance(cfg, Extended) and cfg.new_knob == 7 and cfg.C == 2.0
+    assert cli._config_from_args(parse(["cv", "--data", "x.csv"])).new_knob == 3
+
+
+def test_readme_knob_table_matches_config_flags():
+    section = README.read_text(encoding="utf-8").split("## Solver knobs and defaults")[1]
+    rows = [[cell.strip().strip("`") for cell in line.strip().strip("|").split("|")]
+            for line in section.split("\n## ")[0].splitlines() if line.startswith("| `--")]
+    actions = _config_actions(_subparsers()["train"])
+    assert [row[0] for row in rows] == [a.option_strings[0] for a in actions]
+    for (_, default, *_), action in zip(rows, actions):
+        if action.default is None:  # a rule, written as in the flag's help
+            assert f"default: {default}" in action.help
+        elif isinstance(action.default, bool):
+            assert default == ("on" if action.default else "off")
+        else:
+            assert float(default) == action.default
 
 
 # ------------------------------------------------------------------ usage
