@@ -58,8 +58,11 @@ def load_model(path) -> tuple[SvmModel, dict]:
 
     Raises ValueError naming the file if the document is not a model file.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
+        raise ValueError(f"{path}: {exc}") from None
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: model file must hold a JSON object")
     if doc.get("format_version") != MODEL_FORMAT_VERSION:

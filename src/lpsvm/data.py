@@ -1,10 +1,11 @@
 """Seeded toy-data generation, CSV ingestion, standardization and stratified folds.
 
-The CSV format, shared by the loader and writer: comma-separated, LF
+The CSV format, shared by the loader and writer: UTF-8, comma-separated, LF
 newlines (the loader also reads CRLF and CR), blank lines and lines starting
 with '#' ignored, optional single header row; the first data column is the
 label (+1/-1, a bare 1 also accepted), remaining columns are finite floats
-in Python `float` syntax, with whitespace around any field allowed.
+in Python `float` syntax, with whitespace around any field allowed.  The
+loader streams a file once and rejects any line that is not valid UTF-8.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from typing import NoReturn
 
 import numpy as np
 
@@ -73,17 +73,15 @@ def load_csv(path, has_header: bool = False) -> LabeledDataset:
     Feature fields take Python `float` syntax, with whitespace around them
     allowed; a non-finite value is an error, and so is a line that is not
     valid UTF-8.  When several lines are bad, the error names the first of
-    them.  The file is streamed once: values are collected in flat double
-    buffers rather than per-row lists, which keeps the peak memory near
-    twice the size of the final matrix, and their finiteness is checked in
-    one vectorised pass at the end, or before any other error is raised, so
-    that an earlier non-finite line wins.
+    them.  The file is opened and streamed once, undecodable bytes arriving
+    as lone surrogates (`surrogateescape`) for the parse to reject; values
+    are collected in flat double buffers rather than per-row lists, which
+    keeps the peak memory near twice the size of the final matrix, and their
+    finiteness is checked in one vectorised pass at the end, or before any
+    other error is raised, so that an earlier non-finite line wins.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            values, labels, width = _parse_lines(path, fh, has_header)
-    except UnicodeDecodeError:
-        _raise_undecodable(path, has_header)
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        values, labels, width = _parse_lines(path, fh, has_header)
     if not labels:
         raise ValueError(f"{path}: no data rows")
     X = np.frombuffer(values, dtype=np.float64).reshape(len(labels), width - 1)
@@ -100,6 +98,11 @@ def _parse_lines(path, lines, has_header: bool) -> tuple[array, array, int | Non
     header_pending = has_header
     try:
         for lineno, line in enumerate(lines, start=1):
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")  # fails on an escaped undecodable byte
+                except UnicodeEncodeError:
+                    raise ValueError(f"{path}: line {lineno}: not valid UTF-8") from None
             fields = line.split(",")
             head = fields[0].strip()
             label = _LABELS.get(head)
@@ -136,23 +139,6 @@ def _parse_lines(path, lines, has_header: bool) -> tuple[array, array, int | Non
         raise
     _check_finite(path, values, linenos, width)
     return values, labels, width
-
-
-def _raise_undecodable(path, has_header: bool) -> NoReturn:
-    """Raise naming the first line of `path` that is not valid UTF-8, or an
-    earlier line's error: the decoder reads ahead in blocks, so the parse
-    may have stopped before the lines that precede the bad one.  Splitting
-    the bytes with `bytes.splitlines` counts lines as text mode does."""
-    with open(path, "rb") as fh:
-        raw = fh.read().splitlines()
-    good = []
-    for line in raw:
-        try:
-            good.append(line.decode("utf-8"))
-        except UnicodeDecodeError:
-            break
-    _parse_lines(path, good, has_header)
-    raise ValueError(f"{path}: line {len(good) + 1}: not valid UTF-8") from None
 
 
 def _check_finite(path, values: array, linenos: array, width: int | None) -> None:

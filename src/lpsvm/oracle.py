@@ -19,7 +19,7 @@ from operator import mul
 
 import numpy as np
 
-from .core import LabeledDataset, SvmModel, augment
+from .core import LabeledDataset, SvmModel, augment, decision_values
 from .solver import TrainConfig, objective
 
 __all__ = [
@@ -214,10 +214,8 @@ def kkt_check(model: SvmModel, alpha: np.ndarray, dataset: LabeledDataset,
     alpha = np.asarray(alpha, dtype=np.float64)
     if alpha.shape != (dataset.n,):
         raise ValueError(f"alpha has shape {alpha.shape}, expected ({dataset.n},)")
-    if model.k != dataset.k:
-        raise ValueError(f"dimension mismatch: model k={model.k}, dataset k={dataset.k}")
 
-    margins = dataset.y * (dataset.X @ model.w + model.b)
+    margins = dataset.y * decision_values(model, dataset.X)
     xi = np.where(alpha > 0.0, np.maximum(1.0 - margins, 0.0), 0.0)
 
     stationarity = float(np.linalg.norm(model.w - dataset.X.T @ (alpha * dataset.y)))

@@ -119,7 +119,10 @@ class TrainConfig:
             if not isinstance(value, _ACCEPTS[kind]) or (isinstance(value, bool)
                                                           and kind is not bool):
                 raise ValueError(f"{f.name} must be of type {kind.__name__}, got {value!r}")
-            object.__setattr__(self, f.name, kind(value))
+            try:
+                object.__setattr__(self, f.name, kind(value))
+            except OverflowError as exc:  # an int beyond the range of a double
+                raise ValueError(f"{f.name}: {exc}") from None
         if not (math.isfinite(self.C) and self.C > 0):
             raise ValueError(f"C must be positive, got {self.C}")
         if self.eta is None:

@@ -203,6 +203,18 @@ def test_load_model_unknown_config_key_names_file(tmp_path, toy_csv, capsys):
     assert "m.json" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("payload", [b'{"b": 0.0, "w": [\xff]}', b"{b: 0.0}", b"[" * 100_000],
+                         ids=["not-utf8", "not-json", "nested-too-deep"])
+def test_load_model_unreadable_file_names_file(tmp_path, toy_csv, capsys, payload):
+    path = tmp_path / "m.json"
+    path.write_bytes(payload)
+    with pytest.raises(ValueError, match="m.json: "):
+        load_model(path)
+    capsys.readouterr()
+    assert run("eval", "--model", path, "--data", toy_csv) == 2
+    assert "m.json" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("key, value", [
     ("b", None),
     ("config.C", "abc"),

@@ -170,38 +170,41 @@ _REFERENCE_LABELS = {"+1": 1.0, "1": 1.0, "-1": -1.0, "\u22121": -1.0}
 
 def reference_load_csv(path, has_header=False):
     """The line loop `load_csv` ran before its finiteness check was
-    vectorised: every field stripped, parsed and checked row by row."""
+    vectorised: every field stripped, parsed and checked row by row.  Each
+    line is decoded on its own from the bytes split at CR, LF and CRLF."""
     values = array("d")
     labels = array("d")
     width = None
     header_pending = has_header
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if header_pending:
-                header_pending = False
-                continue
-            fields = [f.strip() for f in line.split(",")]
-            label = _REFERENCE_LABELS.get(fields[0])
-            if label is None:
-                raise ValueError(f"{path}: line {lineno}: label must be +1 or -1, got {fields[0]!r}")
-            if width is None:
-                width = len(fields)
-                if width < 2:
-                    raise ValueError(f"{path}: line {lineno}: expected at least one feature column")
-            elif len(fields) != width:
-                raise ValueError(
-                    f"{path}: line {lineno}: expected {width} columns, got {len(fields)}")
-            try:
-                row = [float(f) for f in fields[1:]]
-            except ValueError:
-                raise ValueError(f"{path}: line {lineno}: malformed feature value") from None
-            if not all(math.isfinite(v) for v in row):
-                raise ValueError(f"{path}: line {lineno}: non-finite feature value")
-            labels.append(label)
-            values.extend(row)
+    for lineno, raw in enumerate(path.read_bytes().splitlines(), start=1):
+        try:
+            line = raw.decode("utf-8").strip()
+        except UnicodeDecodeError:
+            raise ValueError(f"{path}: line {lineno}: not valid UTF-8") from None
+        if not line or line.startswith("#"):
+            continue
+        if header_pending:
+            header_pending = False
+            continue
+        fields = [f.strip() for f in line.split(",")]
+        label = _REFERENCE_LABELS.get(fields[0])
+        if label is None:
+            raise ValueError(f"{path}: line {lineno}: label must be +1 or -1, got {fields[0]!r}")
+        if width is None:
+            width = len(fields)
+            if width < 2:
+                raise ValueError(f"{path}: line {lineno}: expected at least one feature column")
+        elif len(fields) != width:
+            raise ValueError(
+                f"{path}: line {lineno}: expected {width} columns, got {len(fields)}")
+        try:
+            row = [float(f) for f in fields[1:]]
+        except ValueError:
+            raise ValueError(f"{path}: line {lineno}: malformed feature value") from None
+        if not all(math.isfinite(v) for v in row):
+            raise ValueError(f"{path}: line {lineno}: non-finite feature value")
+        labels.append(label)
+        values.extend(row)
     if not labels:
         raise ValueError(f"{path}: no data rows")
     X = np.frombuffer(values, dtype=np.float64).reshape(len(labels), width - 1)
@@ -213,14 +216,21 @@ _BAD_LABELS = ["", " ", "1.0", "-1.0", "+1.0", "2", "0", "- 1", "+-1", "x", "lab
 _ODD_VALUES = ["", " ", "  2.5 ", "\t-0.0", "1_0", "1__0", "_1", "1_", "nan", "-NaN", "inf",
                "-Infinity", "1e999", "-1e999", "abc", "0x10", "1.5.2", "+", "- 1", "1 2",
                "\u0661.\u0665", "\u20031\u2003", "#1"]
-_SEPARATORS = ["\n", "\n", "\n", "\r\n", "\r"]
+_SEPARATORS = [b"\n", b"\n", b"\n", b"\r\n", b"\r"]
+
+
+# byte sequences that are not UTF-8: a bad start byte, truncated three- and
+# two-byte sequences, an encoded surrogate and a code point beyond U+10FFFF
+_BAD_BYTES = [b"\xff", b"\xe2", b"\xe2\x82", b"\xc3", b"\xed\xa0\x80", b"\xf4\x90\x80\x80"]
 
 
 @st.composite
-def csv_texts(draw):
+def csv_files(draw):
     """Loader input: data rows of one width mixed with comment, blank and
     header lines, CRLF and CR line ends, padded and malformed fields, bad
-    labels and ragged rows."""
+    labels, ragged rows, comments long enough to carry the lines after them
+    past the decoder's first block, and lines of any kind with a byte
+    sequence that is not UTF-8."""
     width = draw(st.sampled_from([0, 1, 2, 2, 3, 3]))
     number = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
                        st.integers(-10**20, 10**20).map(str),
@@ -231,21 +241,29 @@ def csv_texts(draw):
     label = st.sampled_from(_GOOD_LABELS * 6 + _BAD_LABELS)
     lines = []
     for _ in range(draw(st.integers(0, 10))):
-        kind = draw(st.sampled_from(["row"] * 12 + ["ragged", "comment", "blank", "header"]))
+        kind = draw(st.sampled_from(
+            ["row"] * 12 + ["ragged", "comment", "long comment", "blank", "header"]))
         if kind in ("row", "ragged"):
             k = width if kind == "row" else draw(st.integers(0, 4))
             fields = [draw(label)] + [draw(value) for _ in range(k)]
             lines.append(",".join(fields))
         elif kind == "comment":
             lines.append(draw(st.sampled_from(["#", "# x,1", "  #+1,2", "\t# comment"])))
+        elif kind == "long comment":
+            lines.append("# " + "\u2212" * draw(st.integers(2600, 2800)))
         elif kind == "blank":
             lines.append(draw(st.sampled_from(["", " ", "\t ", "\u00a0"])))
         else:
             lines.append(",".join(["label"] + [f"x{j}" for j in range(width)]))
-    text = "".join(line + draw(st.sampled_from(_SEPARATORS)) for line in lines)
+    raws = [line.encode("utf-8") for line in lines]
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2])) if raws else 0):
+        i = draw(st.integers(0, len(raws) - 1))
+        at = draw(st.integers(0, len(raws[i])))
+        raws[i] = raws[i][:at] + draw(st.sampled_from(_BAD_BYTES)) + raws[i][at:]
+    data = b"".join(raw + draw(st.sampled_from(_SEPARATORS)) for raw in raws)
     if lines and draw(st.booleans()):
-        text = text.rstrip("\r\n")
-    return text
+        data = data.rstrip(b"\r\n")
+    return data
 
 
 def _outcome(loader, path, has_header):
@@ -264,10 +282,10 @@ def model_file(tmp_path_factory):
 
 
 @settings(max_examples=200)
-@given(text=csv_texts(), has_header=st.booleans())
-def test_load_csv_matches_reference_loop(tmp_path_factory, model_file, text, has_header):
+@given(data=csv_files(), has_header=st.booleans())
+def test_load_csv_matches_reference_loop(tmp_path_factory, model_file, data, has_header):
     path = tmp_path_factory.mktemp("fuzz") / "d.csv"
-    path.write_bytes(text.encode("utf-8"))
+    path.write_bytes(data)
     outcome = _outcome(load_csv, path, has_header)
     assert outcome == _outcome(reference_load_csv, path, has_header)
     if outcome[0] == "error":

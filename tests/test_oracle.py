@@ -242,6 +242,15 @@ def test_kkt_rejects_size_mismatch():
         kkt_check(sol.model, np.zeros(5), ds, C=1.0)
 
 
+def test_kkt_rejects_dimension_mismatch():
+    # the one message core.decision_values gives for every model/data mismatch
+    ds = gen_toy(ToySpec(seed=14, n_per_class=10))
+    model = dual_cd_train(ds, C=1.0).model
+    wide = LabeledDataset(np.hstack([ds.X, ds.X]), ds.y)
+    with pytest.raises(ValueError, match="dimension mismatch: model has k=2, input has k=4"):
+        kkt_check(model, np.zeros(ds.n), wide, C=1.0)
+
+
 # ------------------------------------------------- p < 1 local optimality
 
 @pytest.mark.parametrize("seed", range(5))

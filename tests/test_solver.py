@@ -429,6 +429,8 @@ def test_config_validation(kwargs):
     {"max_iter": 2.5}, {"max_iter": 5.0}, {"max_iter": True}, {"max_iter": "5"},
     {"regularize_bias": "no"}, {"regularize_bias": 1}, {"regularize_bias": None},
     {"C": True}, {"eps": False}, {"C": "5"}, {"p": None},
+    pytest.param({"C": 10**400}, id="C-int-beyond-float"),
+    pytest.param({"eta": 10**400}, id="eta-int-beyond-float"),
 ])
 def test_config_rejects_mistyped_fields(kwargs):
     with pytest.raises(ValueError, match=next(iter(kwargs))):
