@@ -13,7 +13,6 @@ from .core import (
     SlackReport,
     SvmModel,
     augment,
-    decision_value,
     decision_values,
     margin_width,
     predict,

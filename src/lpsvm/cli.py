@@ -1,8 +1,9 @@
 """Command-line surface tying the toolkit together.
 
-Subcommands: gen-toy, train, eval, cv, compare, figure.  Exit codes: 0 on
-success, 1 on runtime failure (divergence, I/O), 2 on usage or validation
-errors.  Models and figure data are JSON; anything tabular is CSV/TSV.
+Subcommands: gen-toy, train, eval, cv, compare, figure; the flags several of
+them share are declared once, as parent parsers.  Exit codes: 0 on success, 1
+on runtime failure (divergence, I/O), 2 on usage or validation errors.  Models
+and figure data are JSON; anything tabular is CSV/TSV.
 """
 
 from __future__ import annotations
@@ -65,9 +66,9 @@ def load_model(path) -> tuple[SvmModel, dict]:
         raise ValueError(f"{path}: {exc}") from None
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: model file must hold a JSON object")
-    if doc.get("format_version") != MODEL_FORMAT_VERSION:
-        raise ValueError(f"{path}: unsupported model format_version "
-                         f"{doc.get('format_version')!r}")
+    version = doc.get("format_version")
+    if type(version) is not int or version != MODEL_FORMAT_VERSION:
+        raise ValueError(f"{path}: unsupported model format_version {version!r}")
     missing = [key for key in ("config", "w", "b") if key not in doc]
     if missing:
         raise ValueError(f"{path}: model file lacks {', '.join(missing)}")
@@ -78,7 +79,7 @@ def load_model(path) -> tuple[SvmModel, dict]:
         raise ValueError(f"{path}: unknown config key(s) {', '.join(unknown)}")
     try:
         cfg = TrainConfig(**doc["config"])
-        model = SvmModel(w=np.array(doc["w"], dtype=np.float64), b=float(doc["b"]), meta=cfg)
+        model = SvmModel(w=doc["w"], b=doc["b"], meta=cfg)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{path}: {exc}") from None
     return model, doc
@@ -177,9 +178,7 @@ def cmd_train(args) -> int:
           f"converged={trace.converged} stop_reason={trace.stop_reason} "
           f"final_objective={trace.objective_history[-1]:.6g} "
           f"final_grad_norm={trace.final_grad_norm:.3g}")
-    if not trace.converged:
-        print(f"warning: stopped at the iteration cap ({cfg.max_iter}) before either "
-              "tolerance was met", file=sys.stderr)
+    _warn_if_capped([trace], cfg.max_iter)
     return 0
 
 
@@ -267,7 +266,8 @@ def cmd_compare(args) -> int:
 
 
 def _warn_if_capped(traces, max_iter: int) -> None:
-    """One stderr line when any of the fits stopped at the iteration cap."""
+    """One stderr line when any of the fits stopped at the iteration cap; `train`,
+    `cv` and `compare` all warn through it."""
     capped = sum(not trace.converged for trace in traces)
     if capped:
         print(f"warning: {capped} of {len(traces)} fits stopped at the iteration cap "
@@ -296,6 +296,19 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", metavar="command")
 
+    # Flag groups shared by several subcommands, each declared once.
+    data = argparse.ArgumentParser(add_help=False)
+    data.add_argument("--data", required=True)
+    data.add_argument("--has-header", action="store_true")
+    scoring = argparse.ArgumentParser(add_help=False)
+    scoring.add_argument("--sv-threshold", type=_sv_threshold, default=DEFAULT_SV_THRESHOLD)
+    folds = argparse.ArgumentParser(add_help=False)
+    folds.add_argument("--k", type=int, default=5)
+    folds.add_argument("--seed", type=int, default=0)
+    folds.add_argument("--standardize", action="store_true",
+                       help="rescale features per fold using training-split statistics")
+    folds.add_argument("--out-json")
+
     p = sub.add_parser("gen-toy", help="generate a seeded 2-d Gaussian toy dataset")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--n-per-class", type=int, default=50)
@@ -305,52 +318,32 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen_toy)
 
-    p = sub.add_parser("train", help="train a model and write it as JSON")
-    p.add_argument("--data", required=True)
-    p.add_argument("--has-header", action="store_true")
+    p = sub.add_parser("train", parents=[data], help="train a model and write it as JSON")
     p.add_argument("--out", required=True)
     p.add_argument("--trace", help="write per-iteration objective/gradient-norm CSV")
     _add_config_flags(p)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", help="evaluate a model file on a dataset")
+    p = sub.add_parser("eval", parents=[data, scoring],
+                       help="evaluate a model file on a dataset")
     p.add_argument("--model", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--has-header", action="store_true")
-    p.add_argument("--sv-threshold", type=_sv_threshold, default=DEFAULT_SV_THRESHOLD)
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("cv", help="stratified k-fold cross-validation of one configuration")
-    p.add_argument("--data", required=True)
-    p.add_argument("--has-header", action="store_true")
-    p.add_argument("--k", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--sv-threshold", type=_sv_threshold, default=DEFAULT_SV_THRESHOLD)
-    p.add_argument("--standardize", action="store_true",
-                   help="rescale features per fold using training-split statistics")
-    p.add_argument("--out-json")
+    p = sub.add_parser("cv", parents=[data, folds, scoring],
+                       help="stratified k-fold cross-validation of one configuration")
     _add_config_flags(p)
     p.set_defaults(func=cmd_cv)
 
-    p = sub.add_parser("compare", help="cross-validated comparison of p=1 vs p<1 at each C")
-    p.add_argument("--data", required=True)
-    p.add_argument("--has-header", action="store_true")
+    p = sub.add_parser("compare", parents=[data, folds, scoring],
+                       help="cross-validated comparison of p=1 vs p<1 at each C")
     p.add_argument("--c-list", type=_float_list, required=True, metavar="C1,C2,...")
-    p.add_argument("--k", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--sv-threshold", type=_sv_threshold, default=DEFAULT_SV_THRESHOLD)
-    p.add_argument("--standardize", action="store_true",
-                   help="rescale features per fold using training-split statistics")
-    p.add_argument("--out-json")
     p.add_argument("--out-tsv")
     _add_config_flags(p)
     p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser("figure", help="export plot-ready JSON for a 2-d dataset and model")
+    p = sub.add_parser("figure", parents=[data, scoring],
+                       help="export plot-ready JSON for a 2-d dataset and model")
     p.add_argument("--model", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--has-header", action="store_true")
-    p.add_argument("--sv-threshold", type=_sv_threshold, default=DEFAULT_SV_THRESHOLD)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_figure)
 
@@ -365,10 +358,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args)
-    except DivergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (DivergenceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:

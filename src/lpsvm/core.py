@@ -2,13 +2,14 @@
 
 Everything here is a pure function over immutable inputs: datasets and models
 freeze their arrays on construction, so they can be shared across threads and
-reused between runs without defensive copies.
+reused between runs without defensive copies.  `predict` is the one place
+the decision rule sign(w.x + b), ties to +1, is applied.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -21,7 +22,6 @@ __all__ = [
     "SvmModel",
     "SlackReport",
     "augment",
-    "decision_value",
     "decision_values",
     "predict",
     "slack",
@@ -109,13 +109,19 @@ class SvmModel:
     meta: "TrainConfig | None" = None
 
     def __post_init__(self):
-        w = np.asarray(self.w, dtype=np.float64)
+        w = np.asarray(self.w)
+        # Integers pass; bools and strings do not, though numpy and float() convert them.
+        if (w.dtype.kind not in "iuf" or isinstance(self.b, bool)
+                or not isinstance(self.b, (int, float, np.integer, np.floating))
+                or isinstance(self.w, list) and any(isinstance(v, bool) for v in self.w)):
+            raise ValueError(f"w and b must be real numbers, got w={self.w!r}, b={self.b!r}")
         if w.ndim != 1 or w.size < 1:
             raise ValueError(f"weight vector must be 1-d and non-empty, got shape {w.shape}")
-        if not (np.all(np.isfinite(w)) and np.isfinite(self.b)):
+        b = float(self.b)
+        if not (np.all(np.isfinite(w)) and np.isfinite(b)):
             raise ValueError("model parameters must be finite")
         object.__setattr__(self, "w", _frozen_array(w))
-        object.__setattr__(self, "b", float(self.b))
+        object.__setattr__(self, "b", b)
 
     @property
     def k(self) -> int:
@@ -140,38 +146,24 @@ class SlackReport:
     threshold: float
 
 
-def _check_dim(model: SvmModel, dim: int) -> None:
-    if model.k != dim:
-        raise ValueError(f"dimension mismatch: model has k={model.k}, input has k={dim}")
-
-
-def decision_value(model: SvmModel, x: Sequence[float] | np.ndarray) -> float:
-    """The raw score w.x + b for a single sample."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError(f"expected a single 1-d sample, got shape {x.shape}")
-    _check_dim(model, x.shape[0])
-    return float(model.w @ x + model.b)
-
-
 def decision_values(model: SvmModel, X: np.ndarray) -> np.ndarray:
     """Raw scores for a matrix of samples, one per row."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError(f"expected a 2-d sample matrix, got shape {X.shape}")
-    _check_dim(model, X.shape[1])
+    if model.k != X.shape[1]:
+        raise ValueError(f"dimension mismatch: model has k={model.k}, input has k={X.shape[1]}")
     return X @ model.w + model.b
 
 
-def predict(model: SvmModel, x) -> int:
-    """Class label in {-1, +1}; a score of exactly 0 breaks ties to +1."""
-    return 1 if decision_value(model, x) >= 0.0 else -1
+def predict(model: SvmModel, X: np.ndarray) -> np.ndarray:
+    """Class labels in {-1, +1}, one per row; a score of exactly 0 breaks ties to +1."""
+    return np.where(decision_values(model, X) >= 0.0, 1.0, -1.0)
 
 
 def slack(model: SvmModel, dataset: LabeledDataset,
           threshold: float = DEFAULT_SV_THRESHOLD) -> SlackReport:
     """Hinge slacks xi_i = max(0, 1 - y_i (w.x_i + b)) and the support-vector set."""
-    _check_dim(model, dataset.k)
     scores = decision_values(model, dataset.X)
     xi = np.maximum(0.0, 1.0 - dataset.y * scores)
     sv_indices = np.flatnonzero(xi > threshold)

@@ -8,7 +8,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .core import DEFAULT_SV_THRESHOLD, LabeledDataset, SvmModel, decision_values, slack
+from .core import DEFAULT_SV_THRESHOLD, LabeledDataset, SvmModel, predict, slack
 from .data import kfold
 from .data import standardize as standardize_features
 from .solver import TrainConfig, TrainTrace, train
@@ -61,10 +61,8 @@ class ComparisonReport:
 
 
 def accuracy(model: SvmModel, dataset: LabeledDataset) -> float:
-    """Fraction of samples whose predicted sign matches the label (ties to +1)."""
-    scores = decision_values(model, dataset.X)
-    predicted = np.where(scores >= 0.0, 1.0, -1.0)
-    return float(np.mean(predicted == dataset.y))
+    """Fraction of samples whose `predict` label matches the dataset's."""
+    return float(np.mean(predict(model, dataset.X) == dataset.y))
 
 
 def fold_scores(model: SvmModel, train_ds: LabeledDataset, test_ds: LabeledDataset,

@@ -32,6 +32,10 @@ __all__ = [
 ]
 
 
+# `dual_cd_train`'s certificate threshold (see its docstring) and permutation seed.
+_DUAL_TOL, _DUAL_SEED = 1e-15, 0
+
+
 @dataclass(frozen=True, eq=False)
 class DualSolution:
     """Box-constrained dual variables and the primal model they induce.
@@ -89,8 +93,7 @@ def hinge_objective(w_aug: np.ndarray, X_aug: np.ndarray, y: np.ndarray, C: floa
 
 
 def dual_cd_train(dataset: LabeledDataset, C: float, *,
-                  tol: float = 1e-15, max_sweeps: int = 50000,
-                  seed: int = 0) -> DualSolution:
+                  max_sweeps: int = 50000) -> DualSolution:
     """Reference solver for the p = 1 problem via exact coordinate minimization.
 
     Minimizes the dual 1/2 ||sum_i alpha_i y_i x'_i||^2 - sum_i alpha_i over
@@ -105,10 +108,10 @@ def dual_cd_train(dataset: LabeledDataset, C: float, *,
     passes visit only the coordinates kept.
 
     Certificate: when a shrunk pass's largest single-coordinate dual
-    improvement drops below `tol`, all n coordinates are restored and the
-    thresholds reset.  `converged` is True only after a full pass also
-    improves by less than `tol`, so every coordinate was checked at the
-    returned alpha.  `max_sweeps` caps the passes, shrunk or full; hitting it
+    improvement drops below `_DUAL_TOL`, all n coordinates are restored and
+    the thresholds reset.  `converged` is True only after a full pass also
+    improves by less than `_DUAL_TOL`, so every coordinate was checked at
+    the returned alpha.  `max_sweeps` caps the passes, shrunk or full; hitting it
     first yields converged=False.  `n_sweeps` and `dual_objective_history`
     count passes too.
     """
@@ -130,7 +133,7 @@ def dual_cd_train(dataset: LabeledDataset, C: float, *,
 
     alpha = [0.0] * n
     w = [0.0] * yx.shape[1]
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = np.random.Generator(np.random.PCG64(_DUAL_SEED))
     history: list[float] = []
     converged = False
     passes = 0
@@ -174,7 +177,7 @@ def dual_cd_train(dataset: LabeledDataset, C: float, *,
                     w[t] += delta * row[t]
                 alpha[i] = a_new
         history.append(sum(alpha) - 0.5 * sum(map(mul, w, w)))
-        if max_improve < tol:
+        if max_improve < _DUAL_TOL:
             if full:
                 converged = True
                 break

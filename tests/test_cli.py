@@ -96,8 +96,7 @@ def test_train_warns_at_iteration_cap(tmp_path, toy_csv, capsys):
     model_path = tmp_path / "m.json"
     assert run("train", "--data", toy_csv, "--max-iter", 3, "--out", model_path) == 0
     err = capsys.readouterr().err
-    assert err.startswith("warning: stopped at the iteration cap (3)")
-    assert len(err.splitlines()) == 1
+    assert err == "warning: 1 of 1 fits stopped at the iteration cap (3)\n"
     assert json.loads(model_path.read_text())["trace"]["stop_reason"] == "iteration-cap"
 
 
@@ -168,6 +167,18 @@ def test_load_model_null_eta_is_the_C_default(tmp_path, toy_csv):
     assert back.meta.eta == 1e-2 / 25
 
 
+def test_load_model_accepts_integer_parameters(tmp_path, toy_csv):
+    path = tmp_path / "m.json"
+    run("train", "--data", toy_csv, "--out", path, *FAST_FLAGS)
+    doc = json.loads(path.read_text())
+    doc["w"], doc["b"] = [1, -2], 3
+    path.write_text(json.dumps(doc))
+    back, _ = load_model(path)
+    assert back.w.dtype == np.float64 and back.w.tolist() == [1.0, -2.0]
+    assert type(back.b) is float and back.b == 3.0
+    assert run("eval", "--model", path, "--data", toy_csv) == 0
+
+
 def test_load_model_rejects_unknown_version(tmp_path):
     path = tmp_path / "m.json"
     path.write_text(json.dumps({"format_version": 99, "w": [1.0], "b": 0.0}))
@@ -226,6 +237,13 @@ def test_load_model_unreadable_file_names_file(tmp_path, toy_csv, capsys, payloa
     ("config.max_iter", 2.5),
     ("config.max_iter", True),
     ("config.regularize_bias", "no"),
+    ("b", True),
+    ("b", "2"),
+    pytest.param("w", ["1.5", "2"], id="w-strings"),
+    pytest.param("w", [True, False], id="w-bools"),
+    pytest.param("w", [1, True], id="w-int-and-bool"),
+    ("format_version", True),
+    ("format_version", 1.0),
 ])
 def test_load_model_mistyped_value_names_file(tmp_path, toy_csv, capsys, key, value):
     path = tmp_path / "m.json"

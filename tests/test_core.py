@@ -8,7 +8,6 @@ from lpsvm.core import (
     LabeledDataset,
     SvmModel,
     augment,
-    decision_value,
     decision_values,
     margin_width,
     predict,
@@ -92,40 +91,40 @@ def test_augment_project_identity(ds):
 # ---------------------------------------------------------------- scoring
 
 def test_decision_value_examples():
-    assert decision_value(SvmModel([1.0, 0.0], 0.0), [2.0, 5.0]) == 2.0
-    assert decision_value(SvmModel([0.0, 0.0], -1.0), [7.0, -3.0]) == -1.0
-    assert decision_value(SvmModel([1.0, 1.0], 0.5), [1.0, -1.0]) == 0.5
+    assert decision_values(SvmModel([1.0, 0.0], 0.0), [[2.0, 5.0]]).tolist() == [2.0]
+    assert decision_values(SvmModel([0.0, 0.0], -1.0), [[7.0, -3.0]]).tolist() == [-1.0]
+    assert decision_values(SvmModel([1.0, 1.0], 0.5), [[1.0, -1.0], [2.0, 5.0]]).tolist() == [
+        0.5, 7.5]
 
 
 def test_decision_value_dimension_mismatch():
     with pytest.raises(ValueError, match="k=2.*k=3"):
-        decision_value(SvmModel([1.0, 0.0], 0.0), [1.0, 2.0, 3.0])
+        decision_values(SvmModel([1.0, 0.0], 0.0), [[1.0, 2.0, 3.0]])
     with pytest.raises(ValueError, match="k=2.*k=1"):
         decision_values(SvmModel([1.0, 0.0], 0.0), np.ones((4, 1)))
+    with pytest.raises(ValueError, match="2-d"):
+        decision_values(SvmModel([1.0, 0.0], 0.0), [1.0, 2.0])
 
 
 def test_predict_sign_and_tiebreak():
-    assert predict(SvmModel([1.0], 0.0), [0.3]) == 1
-    assert predict(SvmModel([1.0], 0.0), [-7.0]) == -1
-    assert predict(SvmModel([1.0], -1.0), [1.0]) == 1  # score exactly 0
+    # one label per row; a score of exactly 0 (last row) goes to +1
+    assert predict(SvmModel([1.0], -1.0), [[1.3], [-6.0], [1.0]]).tolist() == [1.0, -1.0, 1.0]
 
 
 @given(small_dataset(min_k=2, max_k=2), st.floats(1e-3, 1e3))
 def test_predict_scale_invariance(ds, c):
     model = SvmModel([0.8, -1.3], 0.4)
     scaled = SvmModel(model.w * c, model.b * c)
-    for x in ds.X:
-        if abs(decision_value(model, x)) > 1e-6:
-            assert predict(model, x) == predict(scaled, x)
+    clear = np.abs(decision_values(model, ds.X)) > 1e-6
+    assert np.array_equal(predict(model, ds.X)[clear], predict(scaled, ds.X)[clear])
 
 
 @given(small_dataset(min_k=3, max_k=3))
 def test_predict_negation_antisymmetry(ds):
     model = SvmModel([0.5, -2.0, 1.1], -0.7)
     flipped = SvmModel(-model.w, -model.b)
-    for x in ds.X:
-        if decision_value(model, x) != 0.0:
-            assert predict(model, x) == -predict(flipped, x)
+    nonzero = decision_values(model, ds.X) != 0.0
+    assert np.array_equal(predict(model, ds.X)[nonzero], -predict(flipped, ds.X)[nonzero])
 
 
 # ------------------------------------------------------------------ slack
