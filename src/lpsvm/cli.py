@@ -28,13 +28,15 @@ MODEL_FORMAT_VERSION = 1
 
 
 def save_model(model: SvmModel, trace: TrainTrace, path) -> None:
-    """Write the model-file JSON; floats keep shortest round-trip precision."""
-    cfg = model.meta if model.meta is not None else TrainConfig()
+    """Write the model-file JSON; floats keep shortest round-trip precision.
+    A model without the `TrainConfig` it was trained with is a ValueError."""
+    if model.meta is None:
+        raise ValueError("cannot save a model without its training config (meta is None)")
     doc = {
         "format_version": MODEL_FORMAT_VERSION,
         "w": [float(v) for v in model.w],
         "b": float(model.b),
-        "config": dataclasses.asdict(cfg),
+        "config": dataclasses.asdict(model.meta),
         "trace": {
             "iterations": trace.iterations,
             "final_objective": float(trace.objective_history[-1]),
@@ -80,7 +82,7 @@ def load_model(path) -> tuple[SvmModel, dict]:
     try:
         cfg = TrainConfig(**doc["config"])
         model = SvmModel(w=doc["w"], b=doc["b"], meta=cfg)
-    except (TypeError, ValueError, OverflowError) as exc:
+    except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
     return model, doc
 

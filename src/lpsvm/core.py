@@ -3,11 +3,13 @@
 Everything here is a pure function over immutable inputs: datasets and models
 freeze their arrays on construction, so they can be shared across threads and
 reused between runs without defensive copies.  `predict` is the one place
-the decision rule sign(w.x + b), ties to +1, is applied.
+the decision rule sign(w.x + b), ties to +1, is applied, and `number` the one
+place a scalar from outside the package is checked.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -26,11 +28,34 @@ __all__ = [
     "predict",
     "slack",
     "margin_width",
+    "number",
     "DEFAULT_SV_THRESHOLD",
 ]
 
 # Absolute slack threshold above which a sample counts as a support vector.
 DEFAULT_SV_THRESHOLD = 1e-6
+
+# The runtime types each builtin kind accepts.  numpy scalars pass; a bool,
+# which isinstance counts as an int, passes only where a bool is declared.
+_ACCEPTS = {float: (float, int, np.floating, np.integer), int: (int, np.integer),
+            bool: (bool, np.bool_)}
+
+
+def number(name: str, value, kind: type = float, positive: bool = False):
+    """`value`, of a type in `_ACCEPTS[kind]`, as the builtin `kind`: finite
+    if a float, and > 0 with `positive`.  Raises ValueError naming `name`
+    for anything else, an int beyond the range of a double included."""
+    if not isinstance(value, _ACCEPTS[kind]) or (isinstance(value, bool) and kind is not bool):
+        raise ValueError(f"{name} must be of type {kind.__name__}, got {value!r}")
+    try:
+        value = kind(value)
+    except OverflowError as exc:  # an int beyond the range of a double
+        raise ValueError(f"{name}: {exc}") from None
+    if kind is float and not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    if positive and not value > 0:
+        raise ValueError(f"{name} must be positive, got {value}")
+    return value
 
 
 def _frozen_array(values, dtype=np.float64) -> np.ndarray:
@@ -44,15 +69,18 @@ class LabeledDataset:
     """n samples in R^k with labels in {-1, +1}.
 
     Arrays are validated and made read-only on construction; `X` has shape
-    (n, k) and `y` has shape (n,) with entries exactly -1.0 or +1.0.
+    (n, k) and `y` has shape (n,) with entries exactly -1.0 or +1.0.  Both
+    hold ints or floats: numpy would convert strings and bools, but not here.
     """
 
     X: np.ndarray
     y: np.ndarray
 
     def __post_init__(self):
-        X = np.asarray(self.X, dtype=np.float64)
-        y = np.asarray(self.y, dtype=np.float64)
+        X, y = np.asarray(self.X), np.asarray(self.y)
+        for name, arr in (("X", X), ("y", y)):
+            if not issubclass(arr.dtype.type, _ACCEPTS[float]):
+                raise ValueError(f"{name} must hold real numbers, got dtype {arr.dtype}")
         if X.ndim != 2:
             raise ValueError(f"samples must form a 2-d array, got shape {X.shape}")
         n, k = X.shape
@@ -64,7 +92,7 @@ class LabeledDataset:
             raise ValueError("feature values must be finite (found NaN or Inf)")
         if not np.all((y == 1.0) | (y == -1.0)):
             bad = y[(y != 1.0) & (y != -1.0)][0]
-            raise ValueError(f"labels must be -1 or +1, found {bad!r}")
+            raise ValueError(f"labels must be -1 or +1, found {float(bad)}")
         object.__setattr__(self, "X", _frozen_array(X))
         object.__setattr__(self, "y", _frozen_array(y))
 
@@ -109,19 +137,12 @@ class SvmModel:
     meta: "TrainConfig | None" = None
 
     def __post_init__(self):
-        w = np.asarray(self.w)
-        # Integers pass; bools and strings do not, though numpy and float() convert them.
-        if (w.dtype.kind not in "iuf" or isinstance(self.b, bool)
-                or not isinstance(self.b, (int, float, np.integer, np.floating))
-                or isinstance(self.w, list) and any(isinstance(v, bool) for v in self.w)):
-            raise ValueError(f"w and b must be real numbers, got w={self.w!r}, b={self.b!r}")
+        # An object array keeps each entry as given, for `number` to check.
+        w = np.asarray(self.w, dtype=object)
         if w.ndim != 1 or w.size < 1:
-            raise ValueError(f"weight vector must be 1-d and non-empty, got shape {w.shape}")
-        b = float(self.b)
-        if not (np.all(np.isfinite(w)) and np.isfinite(b)):
-            raise ValueError("model parameters must be finite")
-        object.__setattr__(self, "w", _frozen_array(w))
-        object.__setattr__(self, "b", b)
+            raise ValueError(f"w must be 1-d and non-empty, got shape {w.shape}")
+        object.__setattr__(self, "w", _frozen_array([number("w", v) for v in w]))
+        object.__setattr__(self, "b", number("b", self.b))
 
     @property
     def k(self) -> int:

@@ -10,13 +10,12 @@ loader streams a file once and rejects any line that is not valid UTF-8.
 
 from __future__ import annotations
 
-import math
 from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LabeledDataset
+from .core import LabeledDataset, number
 
 __all__ = [
     "ToySpec",
@@ -46,10 +45,9 @@ class ToySpec:
     cov_scale: float = 1.0
 
     def __post_init__(self):
-        if self.n_per_class < 1:
-            raise ValueError(f"n_per_class must be >= 1, got {self.n_per_class}")
-        if not (math.isfinite(self.cov_scale) and self.cov_scale > 0):
-            raise ValueError(f"cov_scale must be positive, got {self.cov_scale}")
+        object.__setattr__(self, "n_per_class",
+                           number("n_per_class", self.n_per_class, int, positive=True))
+        object.__setattr__(self, "cov_scale", number("cov_scale", self.cov_scale, positive=True))
 
 
 def gen_toy(spec: ToySpec) -> LabeledDataset:
@@ -183,7 +181,7 @@ def kfold(dataset: LabeledDataset, k: int, seed: int = 0) -> FoldSplit:
     Within each class the samples are shuffled (PCG64) and dealt round-robin
     onto folds, so per-class fold sizes differ by at most one.
     """
-    if k < 2:
+    if (k := number("k", k, int)) < 2:
         raise ValueError(f"k must be >= 2, got {k}")
     rng = np.random.Generator(np.random.PCG64(seed))
     assignments = np.full(dataset.n, -1, dtype=np.intp)

@@ -19,7 +19,7 @@ from operator import mul
 
 import numpy as np
 
-from .core import LabeledDataset, SvmModel, augment, decision_values
+from .core import LabeledDataset, SvmModel, augment, decision_values, number
 from .solver import TrainConfig, objective
 
 __all__ = [
@@ -68,8 +68,7 @@ class KktReport:
 def fd_gradient(w_aug: np.ndarray, X_aug: np.ndarray, y: np.ndarray, cfg: TrainConfig,
                 step: float = 1e-6) -> np.ndarray:
     """Central-difference approximation of the smoothed objective's gradient."""
-    if step <= 0:
-        raise ValueError(f"step must be positive, got {step}")
+    step = number("step", step, positive=True)
     w_aug = np.asarray(w_aug, dtype=np.float64)
     grad = np.empty_like(w_aug)
     for j in range(w_aug.shape[0]):
@@ -115,11 +114,9 @@ def dual_cd_train(dataset: LabeledDataset, C: float, *,
     first yields converged=False.  `n_sweeps` and `dual_objective_history`
     count passes too.
     """
-    if C <= 0:
-        raise ValueError(f"C must be positive, got {C}")
+    C = number("C", C, positive=True)
     if not dataset.has_both_classes:
         raise ValueError("training requires samples from both classes")
-    C = float(C)
     X_aug = augment(dataset).matrix
     y = dataset.y
     n = dataset.n
@@ -214,6 +211,7 @@ def kkt_check(model: SvmModel, alpha: np.ndarray, dataset: LabeledDataset,
     feasibility residual therefore flags points an alpha = 0 multiplier
     wrongly claims are satisfied.
     """
+    C = number("C", C, positive=True)
     alpha = np.asarray(alpha, dtype=np.float64)
     if alpha.shape != (dataset.n,):
         raise ValueError(f"alpha has shape {alpha.shape}, expected ({dataset.n},)")

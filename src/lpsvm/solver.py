@@ -34,7 +34,7 @@ from dataclasses import Field, dataclass, field, fields
 
 import numpy as np
 
-from .core import LabeledDataset, SvmModel
+from .core import LabeledDataset, SvmModel, number
 
 __all__ = [
     "TrainConfig",
@@ -71,14 +71,8 @@ class DivergenceError(RuntimeError):
     """An iterate produced a non-finite objective or gradient."""
 
 
-def _knob(default, help: str):
-    return field(default=default, metadata={"help": help})
-
-
-# The runtime types each declared field type accepts.  numpy scalars pass;
-# a bool, which isinstance counts as an int, passes only for a bool field.
-_ACCEPTS = {float: (float, int, np.floating, np.integer), int: (int, np.integer),
-            bool: (bool, np.bool_)}
+def _knob(default, help: str, positive: bool = False):
+    return field(default=default, metadata={"help": help, "positive": positive})
 
 
 def field_kind(f: Field) -> type:
@@ -91,54 +85,41 @@ class TrainConfig:
     """All solver knobs; each field's `metadata["help"]` describes it.
 
     The CLI derives one flag per field (`tol_obj` -> `--tol-obj`) with the
-    field's default and help.  `__post_init__` checks each value against the
-    field's declared type, stores it as that builtin type (so numpy scalars
-    write out as JSON), then checks its range.
+    field's default and help.  `__post_init__` passes each value through
+    `core.number` with the field's declared type, and `metadata["positive"]`
+    as its sign rule, and stores the builtin value it returns (so numpy
+    scalars write out as JSON); then it checks the remaining ranges.
     """
 
-    C: float = _knob(1.0, "slack penalty weight (> 0)")
+    C: float = _knob(1.0, "slack penalty weight (> 0)", positive=True)
     p: float = _knob(0.5, "slack exponent in (0, 1]; 1 gives the standard hinge")
-    s: float = _knob(100.0, "softplus sharpness (> 0); the smoothing gap is log(2)/s")
+    s: float = _knob(100.0, "softplus sharpness (> 0); the smoothing gap is log(2)/s",
+                     positive=True)
     # At p < 1 the initial step can decide which local minimum a fit reaches,
     # and a step that shrinks with C finds the lower one on the toy data at
     # C = 50 and 100.
-    eta: float | None = _knob(None, "initial step (> 0; default: 1e-2 / max(1, C/2))")
+    eta: float | None = _knob(None, "initial step (> 0; default: 1e-2 / max(1, C/2))",
+                              positive=True)
     eps: float = _knob(0.9, "momentum coefficient in [0, 1)")
     tol_obj: float = _knob(1e-8, "stop when an accepted step lowers the objective J by "
-                                 "less than this times max(1, |J|)")
-    tol_grad: float = _knob(1e-5, "stop when the gradient norm drops below this")
-    max_iter: int = _knob(5000, "iteration cap; rejected trial steps count too")
+                                 "less than this times max(1, |J|)", positive=True)
+    tol_grad: float = _knob(1e-5, "stop when the gradient norm drops below this", positive=True)
+    max_iter: int = _knob(5000, "iteration cap; rejected trial steps count too", positive=True)
     regularize_bias: bool = _knob(False, "include the bias in the quadratic term, as the "
                                          "dual oracle does")
 
     def __post_init__(self):
         for f in fields(self):
-            value, kind = getattr(self, f.name), field_kind(f)
-            if value is None and type(None) in typing.get_args(f.type):
-                continue
-            if not isinstance(value, _ACCEPTS[kind]) or (isinstance(value, bool)
-                                                          and kind is not bool):
-                raise ValueError(f"{f.name} must be of type {kind.__name__}, got {value!r}")
-            try:
-                object.__setattr__(self, f.name, kind(value))
-            except OverflowError as exc:  # an int beyond the range of a double
-                raise ValueError(f"{f.name}: {exc}") from None
-        if not (math.isfinite(self.C) and self.C > 0):
-            raise ValueError(f"C must be positive, got {self.C}")
+            value = getattr(self, f.name)
+            if value is not None or type(None) not in typing.get_args(f.type):
+                object.__setattr__(self, f.name, number(f.name, value, field_kind(f),
+                                                        f.metadata.get("positive", False)))
         if self.eta is None:
             object.__setattr__(self, "eta", 1e-2 / max(1.0, self.C / 2.0))
         if not (0.0 < self.p <= 1.0):
             raise ValueError(f"p must lie in (0, 1], got {self.p}")
-        if not (math.isfinite(self.s) and self.s > 0):
-            raise ValueError(f"s must be positive, got {self.s}")
-        if not (math.isfinite(self.eta) and self.eta > 0):
-            raise ValueError(f"eta must be positive, got {self.eta}")
         if not (0.0 <= self.eps < 1.0):
             raise ValueError(f"eps must lie in [0, 1), got {self.eps}")
-        if not (self.tol_obj > 0 and self.tol_grad > 0):
-            raise ValueError("tolerances must be positive")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,8 +175,7 @@ def smoothed_plus(x, s: float):
     any double-range input, as (1/s) (max(s x, 0) + log1p(exp(-|s x|))):
     the same rounding as the solver's objective.
     """
-    if s <= 0:
-        raise ValueError(f"s must be positive, got {s}")
+    s = number("s", s, positive=True)
     arr = np.asarray(x, dtype=np.float64)
     # s*x may overflow for x near the top of double range; there the result
     # is x itself to double precision.

@@ -157,6 +157,15 @@ def test_model_round_trip_numpy_scalar_config(tmp_path, toy_csv, kwargs):
     assert np.array_equal(back.w, model.w) and back.b == model.b
 
 
+def test_save_model_without_config_raises(tmp_path, toy_csv):
+    # the file would otherwise record a config the model was never trained with
+    model, trace = train(load_csv(toy_csv), TrainConfig(max_iter=5))
+    path = tmp_path / "m.json"
+    with pytest.raises(ValueError, match="meta is None"):
+        save_model(SvmModel(w=model.w, b=model.b), trace, path)
+    assert not path.exists()
+
+
 def test_load_model_null_eta_is_the_C_default(tmp_path, toy_csv):
     path = tmp_path / "m.json"
     run("train", "--data", toy_csv, "--C", 50, "--out", path, *FAST_FLAGS)

@@ -13,6 +13,9 @@ from lpsvm.core import (
     predict,
     slack,
 )
+from lpsvm.data import ToySpec, kfold
+from lpsvm.oracle import dual_cd_train, fd_gradient, kkt_check
+from lpsvm.solver import TrainConfig, smoothed_plus
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
 
@@ -54,6 +57,26 @@ def test_dataset_rejects_empty_and_mismatched():
         LabeledDataset(np.empty((0, 2)), np.empty(0))
     with pytest.raises(ValueError):
         LabeledDataset([[1.0, 2.0]], [1.0, -1.0])
+
+
+@pytest.mark.parametrize("X, y, name", [
+    ([["1.5"], ["2"]], [1, -1], "X"),
+    ([[True], [False]], [1, -1], "X"),
+    ([[1.0], [2.0]], ["1", "-1"], "y"),
+    ([[1.0], [2.0]], [True, False], "y"),
+    ([[1.0], [2.0]], [1, None], "y"),
+    ([[2**70], [1]], [1, -1], "X"),
+])
+def test_dataset_rejects_values_that_are_not_real_numbers(X, y, name):
+    # numpy would convert strings and bools; the dtype must be integer or float
+    with pytest.raises(ValueError, match=f"^{name} must hold real numbers"):
+        LabeledDataset(X, y)
+
+
+def test_dataset_accepts_integers_as_floats():
+    ds = LabeledDataset(np.array([[1], [2]], dtype=np.int32), [1, -1])
+    assert ds.X.dtype == ds.y.dtype == np.float64
+    assert ds.X.tolist() == [[1.0], [2.0]] and ds.y.tolist() == [1.0, -1.0]
 
 
 def test_dataset_arrays_are_readonly():
@@ -180,3 +203,58 @@ def test_margin_width_examples():
 def test_margin_width_zero_weights_rejected():
     with pytest.raises(ValueError, match="zero weight"):
         margin_width(SvmModel([0.0, 0.0], 1.0))
+
+
+# ------------------------------------------------ values from outside
+
+_DS = LabeledDataset([[0.0], [1.0], [2.0], [3.0]], [-1, -1, 1, 1])
+
+# (parameter, a call that passes the value there, its kind): every entry
+# point checks a value from outside through `core.number`.
+ENTRY_POINTS = [
+    ("C", lambda v: TrainConfig(C=v), float),
+    ("s", lambda v: TrainConfig(s=v), float),
+    ("eta", lambda v: TrainConfig(eta=v), float | None),
+    ("tol_obj", lambda v: TrainConfig(tol_obj=v), float),
+    ("tol_grad", lambda v: TrainConfig(tol_grad=v), float),
+    ("w", lambda v: SvmModel(w=[1.0, v], b=0.0), "real"),
+    ("b", lambda v: SvmModel(w=[1.0], b=v), "real"),
+    ("n_per_class", lambda v: ToySpec(n_per_class=v), int),
+    ("cov_scale", lambda v: ToySpec(cov_scale=v), float),
+    ("k", lambda v: kfold(_DS, v), int),
+    ("C", lambda v: dual_cd_train(_DS, v), float),
+    ("C", lambda v: kkt_check(SvmModel([1.0], 0.0), np.zeros(4), _DS, v), float),
+    ("s", lambda v: smoothed_plus(0.5, v), float),
+    ("step", lambda v: fd_gradient(np.zeros(2), augment(_DS).matrix, _DS.y, TrainConfig(),
+                                   step=v), float),
+]
+_BAD = [("True", True), ("str", "1"), ("None", None), ("nan", float("nan")),
+        ("inf", float("inf")), ("zero", 0), ("int-beyond-float", 10**400), ("half", 2.5)]
+# 0 is a fine weight or bias, 10**400 a fine (if useless) int, 2.5 a fine
+# float, and None asks for eta's default.
+_APPLIES = {float: {"True", "str", "None", "nan", "inf", "zero", "int-beyond-float"},
+            float | None: {"True", "str", "nan", "inf", "zero", "int-beyond-float"},
+            "real": {"True", "str", "None", "nan", "inf", "int-beyond-float"},
+            int: {"True", "str", "None", "nan", "inf", "zero", "half"}}
+
+
+@pytest.mark.parametrize("name, call, value", [
+    pytest.param(name, call, value, id=f"{i}-{name}-{label}")
+    for i, (name, call, kind) in enumerate(ENTRY_POINTS)
+    for label, value in _BAD if label in _APPLIES[kind]
+])
+def test_entry_points_reject_bad_numbers_naming_the_parameter(name, call, value):
+    with pytest.raises(ValueError, match=f"^{name}[: ]"):
+        call(value)
+
+
+def test_int_beyond_int64_loads_in_w_and_b():
+    model = SvmModel(w=[2**70], b=2**70)
+    assert model.w.tolist() == [1.1805916207174113e+21] and model.b == 1.1805916207174113e+21
+
+
+def test_entry_points_store_builtin_numbers():
+    assert type(SvmModel(w=np.array([1, 2], dtype=np.int8), b=np.float32(0.5)).b) is float
+    spec = ToySpec(n_per_class=np.int64(3), cov_scale=2)
+    assert type(spec.n_per_class) is int and type(spec.cov_scale) is float
+    assert type(kfold(_DS, np.int64(2)).k) is int
