@@ -45,9 +45,17 @@ class ToySpec:
     cov_scale: float = 1.0
 
     def __post_init__(self):
+        object.__setattr__(self, "seed", _seed(self.seed))
         object.__setattr__(self, "n_per_class",
                            number("n_per_class", self.n_per_class, int, positive=True))
         object.__setattr__(self, "cov_scale", number("cov_scale", self.cov_scale, positive=True))
+
+
+def _seed(value) -> int:
+    """A PCG64 seed from outside: an int >= 0, checked by `number`."""
+    if (seed := number("seed", value, int)) < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    return seed
 
 
 def gen_toy(spec: ToySpec) -> LabeledDataset:
@@ -183,6 +191,7 @@ def kfold(dataset: LabeledDataset, k: int, seed: int = 0) -> FoldSplit:
     """
     if (k := number("k", k, int)) < 2:
         raise ValueError(f"k must be >= 2, got {k}")
+    seed = _seed(seed)
     rng = np.random.Generator(np.random.PCG64(seed))
     assignments = np.full(dataset.n, -1, dtype=np.intp)
     for label in (-1.0, 1.0):

@@ -2,8 +2,10 @@
 
 Three routes that never share code with the solver they check: central
 finite differences for the analytic gradient, a dual coordinate-descent
-reference solver for the p = 1 hinge objective, and a residual checker for
-the optimality (KKT) conditions of that problem.
+reference solver for the p = 1 hinge objective (with a subspace step on the
+free coordinates after each pass, as in active-set methods for
+bound-constrained QPs), and a residual checker for the optimality (KKT)
+conditions of that problem.
 
 The dual solver works on augmented features with the bias *regularized*
 (folded into the weight vector), because plain coordinate descent cannot
@@ -34,6 +36,8 @@ __all__ = [
 
 # `dual_cd_train`'s certificate threshold (see its docstring) and permutation seed.
 _DUAL_TOL, _DUAL_SEED = 1e-15, 0
+# Eigenvalues of G below this fraction of its largest count as zero in G^+.
+_RANK_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,7 +47,7 @@ class DualSolution:
     The model is recovered as w' = sum_i alpha_i y_i x'_i over augmented
     features, recomputed from alpha after the final pass (no accumulation
     drift).  `dual_objective_history` holds the dual objective after each
-    pass, shrunk or full; it is nondecreasing.
+    pass, shrunk or full, and its subspace step; it is nondecreasing.
     """
 
     alpha: np.ndarray
@@ -106,11 +110,20 @@ def dual_cd_train(dataset: LabeledDataset, C: float, *,
     is below the smallest.  Such a coordinate cannot move in that pass.  Later
     passes visit only the coordinates kept.
 
+    Subspace step (Moré & Toraldo 1991, SIAM J. Optim. 1:93-113): a pass
+    whose best coordinate step still improved the dual by `_DUAL_TOL` or more
+    ends with one step over the free coordinates 0 < alpha_i < C, the others
+    held fixed (`_subspace_step`).  Coordinate descent alone moves free
+    coordinates along a flat face one at a time, which took thousands of
+    passes at C = 50 and 100 and still certified with KKT residuals up to
+    7e-6; the step solves the face in (k + 1)-square systems.
+
     Certificate: when a shrunk pass's largest single-coordinate dual
     improvement drops below `_DUAL_TOL`, all n coordinates are restored and
     the thresholds reset.  `converged` is True only after a full pass also
-    improves by less than `_DUAL_TOL`, so every coordinate was checked at
-    the returned alpha.  `max_sweeps` caps the passes, shrunk or full; hitting it
+    improves by less than `_DUAL_TOL`; that pass takes no subspace step, so
+    every coordinate was checked at the returned alpha.  `max_sweeps` caps
+    the passes, shrunk or full, each with its subspace step; hitting it
     first yields converged=False.  `n_sweeps` and `dual_objective_history`
     count passes too.
     """
@@ -173,19 +186,21 @@ def dual_cd_train(dataset: LabeledDataset, C: float, *,
                 for t in dims:
                     w[t] += delta * row[t]
                 alpha[i] = a_new
-        history.append(sum(alpha) - 0.5 * sum(map(mul, w, w)))
-        if max_improve < _DUAL_TOL:
-            if full:
-                converged = True
-                break
-            active = list(range(n))
-            pg_max, pg_min = math.inf, -math.inf
-        else:
+        if max_improve >= _DUAL_TOL:
             active = kept
             # A threshold of the wrong sign would drop coordinates that can
             # still move; disable it instead.
             pg_max = new_max if new_max > 0.0 else math.inf
             pg_min = new_min if new_min < 0.0 else -math.inf
+            alpha, w = _subspace_step(yx, alpha, w, C)
+        elif full:
+            converged = True
+        else:
+            active = list(range(n))
+            pg_max, pg_min = math.inf, -math.inf
+        history.append(sum(alpha) - 0.5 * sum(map(mul, w, w)))
+        if converged:
+            break
 
     alpha_out = np.array(alpha)
     w_exact = yx.T @ alpha_out
@@ -198,6 +213,59 @@ def dual_cd_train(dataset: LabeledDataset, C: float, *,
         n_sweeps=passes,
         dual_objective_history=np.array(history),
     )
+
+
+def _subspace_step(yx: np.ndarray, alpha: list, w: list, C: float) -> tuple[list, list]:
+    """One subspace step on the face of the free coordinates F (0 < alpha_i < C).
+
+    With R = yx[F] and G = R^T R, the dual restricted to the face is a
+    concave quadratic in alpha_F whose Hessian -R R^T has rank <= k + 1.
+    First the min-norm Newton step: w moves to the face's maximizer (G w =
+    R^T 1, reached within range(G)) through the least alpha_F change,
+    R G^+ G^+ (R^T 1 - G w).  Then the flat direction u = (I - R G^+ R^T) 1,
+    along which w stays put and the dual rises by ||u||^2 per unit.  Each
+    move stops at the first box bound, which it sets exactly, and is kept
+    only if the dual rises.  Only (k + 1)-square systems are solved.
+    """
+    a = np.array(alpha)
+    free = np.flatnonzero((a > 0.0) & (a < C))
+    if free.size == 0:
+        return alpha, w
+    R = yx[free]
+    G = R.T @ R
+    lam, V = np.linalg.eigh(G)
+    keep = lam > _RANK_TOL * lam[-1]
+    V, lam = V[:, keep], lam[keep]
+
+    def g_pinv(v):  # G^+ v
+        return V @ ((V.T @ v) / lam)
+
+    s = R.sum(axis=0)
+    w_now = yx.T @ a
+    best = a.sum() - 0.5 * (w_now @ w_now)
+    moves = [(R @ g_pinv(g_pinv(s - G @ w_now)), 1.0)]
+    if lam.size < free.size:  # rank(R) < |F|: R^T has a null space, the face a flat direction
+        moves.append((1.0 - R @ g_pinv(s), math.inf))
+    improved = False
+    for d, cap in moves:
+        a_free = a[free]
+        t = np.full(d.shape, math.inf)
+        up, down = d > 0.0, d < 0.0
+        t[up] = (C - a_free[up]) / d[up]
+        t[down] = -a_free[down] / d[down]
+        j = int(t.argmin())
+        step = min(t[j], cap)
+        if not 0.0 < step < math.inf:
+            continue
+        trial = a.copy()
+        trial[free] = np.clip(a_free + step * d, 0.0, C)
+        if step == t[j]:
+            trial[free[j]] = C if d[j] > 0.0 else 0.0
+        w_trial = yx.T @ trial
+        dual = trial.sum() - 0.5 * (w_trial @ w_trial)
+        if dual > best:
+            a, w_now, best, improved = trial, w_trial, dual, True
+    return (a.tolist(), w_now.tolist()) if improved else (alpha, w)
 
 
 def kkt_check(model: SvmModel, alpha: np.ndarray, dataset: LabeledDataset,

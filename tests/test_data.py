@@ -54,6 +54,32 @@ def test_toy_spec_validation():
         ToySpec(seed=0, cov_scale=0.0)
 
 
+@pytest.mark.parametrize("seed", [True, 2.5, "3", None, -1])
+def test_seeds_reject_what_is_not_an_int_at_least_0(seed):
+    # A bool would run as seed 1, None would draw unseeded data, a float or
+    # a string would reach numpy's SeedSequence.
+    with pytest.raises(ValueError, match="^seed"):
+        ToySpec(seed=seed)
+    ds = gen_toy(ToySpec(seed=0, n_per_class=5))
+    with pytest.raises(ValueError, match="^seed"):
+        kfold(ds, 2, seed=seed)
+
+
+def test_seeds_take_numpy_ints_as_python_ints():
+    spec = ToySpec(seed=np.int64(3))
+    assert type(spec.seed) is int
+    assert np.array_equal(gen_toy(spec).X, gen_toy(ToySpec(seed=3)).X)
+    split = kfold(gen_toy(spec), 2, seed=np.uint8(9))
+    assert type(split.seed) is int
+    assert np.array_equal(split.assignments, kfold(gen_toy(spec), 2, seed=9).assignments)
+
+
+def test_gen_toy_cli_names_a_negative_seed(tmp_path):
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        assert main(["gen-toy", "--seed", "-1", "--out", str(tmp_path / "x.csv")]) == 2
+    assert err.getvalue() == "error: seed must be >= 0, got -1\n"
+
+
 # -------------------------------------------------------------------- csv
 
 def test_load_csv_two_rows(tmp_path):
