@@ -11,12 +11,12 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 
 import numpy as np
 
-from .core import DEFAULT_SV_THRESHOLD, LabeledDataset, SvmModel, margin_width, slack
+from .core import (DEFAULT_SV_THRESHOLD, LabeledDataset, SvmModel, margin_width, nonnegative,
+                   slack)
 from .data import ToySpec, gen_toy, load_csv, save_csv
 from .metrics import (REPORT_FIELDS, accuracy, comparison_to_dict, cross_validate, fold_scores,
                       run_comparison)
@@ -127,12 +127,9 @@ def _pair(text: str) -> tuple[float, float]:
 
 def _sv_threshold(text: str) -> float:
     try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a float, got {text!r}") from None
-    if not (math.isfinite(value) and value >= 0.0):
-        raise argparse.ArgumentTypeError(f"must be finite and non-negative, got {text!r}")
-    return value
+        return nonnegative("threshold", float(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _float_list(text: str) -> list[float]:

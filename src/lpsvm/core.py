@@ -4,7 +4,7 @@ Everything here is a pure function over immutable inputs: datasets and models
 freeze their arrays on construction, so they can be shared across threads and
 reused between runs without defensive copies.  `predict` is the one place
 the decision rule sign(w.x + b), ties to +1, is applied, and `number` the one
-place a scalar from outside the package is checked.
+place a scalar from outside the package is checked (`nonnegative` adds >= 0).
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ __all__ = [
     "slack",
     "margin_width",
     "number",
+    "nonnegative",
     "DEFAULT_SV_THRESHOLD",
 ]
 
@@ -55,6 +56,13 @@ def number(name: str, value, kind: type = float, positive: bool = False):
         raise ValueError(f"{name} must be finite, got {value}")
     if positive and not value > 0:
         raise ValueError(f"{name} must be positive, got {value}")
+    return value
+
+
+def nonnegative(name: str, value, kind: type = float):
+    """`number(name, value, kind)` that must also be >= 0."""
+    if (value := number(name, value, kind)) < 0:
+        raise ValueError(f"{name} must be >= 0, got {value}")
     return value
 
 
@@ -184,7 +192,9 @@ def predict(model: SvmModel, X: np.ndarray) -> np.ndarray:
 
 def slack(model: SvmModel, dataset: LabeledDataset,
           threshold: float = DEFAULT_SV_THRESHOLD) -> SlackReport:
-    """Hinge slacks xi_i = max(0, 1 - y_i (w.x_i + b)) and the support-vector set."""
+    """Hinge slacks xi_i = max(0, 1 - y_i (w.x_i + b)) and the support-vector
+    set; `threshold` is a finite float >= 0."""
+    threshold = nonnegative("threshold", threshold)
     scores = decision_values(model, dataset.X)
     xi = np.maximum(0.0, 1.0 - dataset.y * scores)
     sv_indices = np.flatnonzero(xi > threshold)
@@ -192,7 +202,7 @@ def slack(model: SvmModel, dataset: LabeledDataset,
         xi=_frozen_array(xi),
         sv_indices=_frozen_array(sv_indices, dtype=np.intp),
         n_sv=int(sv_indices.size),
-        threshold=float(threshold),
+        threshold=threshold,
     )
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LabeledDataset, number
+from .core import LabeledDataset, nonnegative, number
 
 __all__ = [
     "ToySpec",
@@ -45,17 +45,21 @@ class ToySpec:
     cov_scale: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "seed", _seed(self.seed))
+        object.__setattr__(self, "seed", nonnegative("seed", self.seed, int))
         object.__setattr__(self, "n_per_class",
                            number("n_per_class", self.n_per_class, int, positive=True))
         object.__setattr__(self, "cov_scale", number("cov_scale", self.cov_scale, positive=True))
+        for name in ("mean_pos", "mean_neg"):
+            object.__setattr__(self, name, _point(name, getattr(self, name)))
 
 
-def _seed(value) -> int:
-    """A PCG64 seed from outside: an int >= 0, checked by `number`."""
-    if (seed := number("seed", value, int)) < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
-    return seed
+def _point(name: str, value) -> tuple[float, float]:
+    """A class mean from outside: a pair of finite floats, each checked by `number`."""
+    try:
+        x, y = value
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be a pair of numbers, got {value!r}") from None
+    return number(name, x), number(name, y)
 
 
 def gen_toy(spec: ToySpec) -> LabeledDataset:
@@ -191,7 +195,7 @@ def kfold(dataset: LabeledDataset, k: int, seed: int = 0) -> FoldSplit:
     """
     if (k := number("k", k, int)) < 2:
         raise ValueError(f"k must be >= 2, got {k}")
-    seed = _seed(seed)
+    seed = nonnegative("seed", seed, int)
     rng = np.random.Generator(np.random.PCG64(seed))
     assignments = np.full(dataset.n, -1, dtype=np.intp)
     for label in (-1.0, 1.0):

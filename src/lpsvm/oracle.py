@@ -2,10 +2,10 @@
 
 Three routes that never share code with the solver they check: central
 finite differences for the analytic gradient, a dual coordinate-descent
-reference solver for the p = 1 hinge objective (with a subspace step on the
-free coordinates after each pass, as in active-set methods for
-bound-constrained QPs), and a residual checker for the optimality (KKT)
-conditions of that problem.
+reference solver for the p = 1 hinge objective (shrinking on the sign of the
+dual gradient, and a subspace step on the free coordinates after each pass,
+as in active-set methods for bound-constrained QPs), and a residual checker
+for the optimality (KKT) conditions of that problem.
 
 The dual solver works on augmented features with the bias *regularized*
 (folded into the weight vector), because plain coordinate descent cannot
@@ -104,11 +104,11 @@ def dual_cd_train(dataset: LabeledDataset, C: float, *,
     box.  A *pass* visits the active coordinates in a freshly seeded
     permutation; a *full pass* is one that starts with all n active.
 
-    Shrinking (Hsieh et al. 2008, Alg. 3): with g the coordinate's dual
-    gradient, a pass drops a coordinate at alpha = 0 whose g exceeds the
-    previous pass's largest projected gradient, and one at alpha = C whose g
-    is below the smallest.  Such a coordinate cannot move in that pass.  Later
-    passes visit only the coordinates kept.
+    Shrinking: with g the coordinate's dual gradient, a pass drops a
+    coordinate at alpha = 0 with g >= 0 and one at alpha = C with g <= 0,
+    exactly those whose step the box clips to zero.  Later passes visit only
+    the coordinates kept.  Only alpha, w, the active list and the permutation
+    stream carry from one pass to the next.
 
     Subspace step (Moré & Toraldo 1991, SIAM J. Optim. 1:93-113): a pass
     whose best coordinate step still improved the dual by `_DUAL_TOL` or more
@@ -119,13 +119,14 @@ def dual_cd_train(dataset: LabeledDataset, C: float, *,
     7e-6; the step solves the face in (k + 1)-square systems.
 
     Certificate: when a shrunk pass's largest single-coordinate dual
-    improvement drops below `_DUAL_TOL`, all n coordinates are restored and
-    the thresholds reset.  `converged` is True only after a full pass also
-    improves by less than `_DUAL_TOL`; that pass takes no subspace step, so
-    every coordinate was checked at the returned alpha.  `max_sweeps` caps
-    the passes, shrunk or full, each with its subspace step; hitting it
-    first yields converged=False.  `n_sweeps` and `dual_objective_history`
-    count passes too.
+    improvement drops below `_DUAL_TOL`, all n coordinates are restored.
+    `converged` is True only after a full pass also improves by less than
+    `_DUAL_TOL`; that pass takes no subspace step, so every coordinate was
+    checked at the returned alpha.  This full-pass check is what makes any
+    shrinking rule safe: a coordinate dropped wrongly costs passes, never
+    correctness.  `max_sweeps` caps the passes, shrunk or full, each with
+    its subspace step; hitting it first yields converged=False.  `n_sweeps`
+    and `dual_objective_history` count passes too.
     """
     C = number("C", C, positive=True)
     if not dataset.has_both_classes:
@@ -148,34 +149,20 @@ def dual_cd_train(dataset: LabeledDataset, C: float, *,
     converged = False
     passes = 0
     active = list(range(n))
-    pg_max, pg_min = math.inf, -math.inf
 
     for passes in range(1, max_sweeps + 1):
         full = len(active) == n
         max_improve = 0.0
-        new_max, new_min = -math.inf, math.inf
         kept = []
         for j in rng.permutation(len(active)).tolist():
             i = active[j]
             row = rows[i]
             g = sum(map(mul, row, w)) - 1.0
             a_old = alpha[i]
-            # Projected gradient; a coordinate past the thresholds is dropped.
-            if a_old == 0.0:
-                if g > pg_max:
-                    continue
-                pg = g if g < 0.0 else 0.0
-            elif a_old == C:
-                if g < pg_min:
-                    continue
-                pg = g if g > 0.0 else 0.0
-            else:
-                pg = g
+            # Shrinking: the box clips this coordinate's step to zero.
+            if (a_old == 0.0 and g >= 0.0) or (a_old == C and g <= 0.0):
+                continue
             kept.append(i)
-            if pg > new_max:
-                new_max = pg
-            if pg < new_min:
-                new_min = pg
             qi = q[i]
             a_new = min(max(a_old - g / qi, 0.0), C)
             delta = a_new - a_old
@@ -188,16 +175,11 @@ def dual_cd_train(dataset: LabeledDataset, C: float, *,
                 alpha[i] = a_new
         if max_improve >= _DUAL_TOL:
             active = kept
-            # A threshold of the wrong sign would drop coordinates that can
-            # still move; disable it instead.
-            pg_max = new_max if new_max > 0.0 else math.inf
-            pg_min = new_min if new_min < 0.0 else -math.inf
             alpha, w = _subspace_step(yx, alpha, w, C)
         elif full:
             converged = True
         else:
             active = list(range(n))
-            pg_max, pg_min = math.inf, -math.inf
         history.append(sum(alpha) - 0.5 * sum(map(mul, w, w)))
         if converged:
             break

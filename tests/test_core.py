@@ -13,7 +13,9 @@ from lpsvm.core import (
     predict,
     slack,
 )
-from lpsvm.data import ToySpec, kfold
+from lpsvm.cli import figure_data
+from lpsvm.data import ToySpec, gen_toy, kfold
+from lpsvm.metrics import fold_scores, run_comparison
 from lpsvm.oracle import dual_cd_train, fd_gradient, kkt_check
 from lpsvm.solver import TrainConfig, smoothed_plus
 
@@ -208,6 +210,7 @@ def test_margin_width_zero_weights_rejected():
 # ------------------------------------------------ values from outside
 
 _DS = LabeledDataset([[0.0], [1.0], [2.0], [3.0]], [-1, -1, 1, 1])
+_DS_2D = gen_toy(ToySpec(n_per_class=2))
 
 # (parameter, a call that passes the value there, its kind): every entry
 # point checks a value from outside through `core.number`.
@@ -227,15 +230,22 @@ ENTRY_POINTS = [
     ("s", lambda v: smoothed_plus(0.5, v), float),
     ("step", lambda v: fd_gradient(np.zeros(2), augment(_DS).matrix, _DS.y, TrainConfig(),
                                    step=v), float),
+    ("threshold", lambda v: slack(SvmModel([1.0], 0.0), _DS, v), ">= 0"),
+    ("threshold", lambda v: fold_scores(SvmModel([1.0], 0.0), _DS, _DS, v), ">= 0"),
+    ("threshold", lambda v: run_comparison(_DS, TrainConfig(max_iter=5), TrainConfig(max_iter=5),
+                                           2, sv_threshold=v), ">= 0"),
+    ("threshold", lambda v: figure_data(SvmModel([1.0, 1.0], 0.0), _DS_2D, v), ">= 0"),
 ]
 _BAD = [("True", True), ("str", "1"), ("None", None), ("nan", float("nan")),
-        ("inf", float("inf")), ("zero", 0), ("int-beyond-float", 10**400), ("half", 2.5)]
-# 0 is a fine weight or bias, 10**400 a fine (if useless) int, 2.5 a fine
+        ("inf", float("inf")), ("zero", 0), ("int-beyond-float", 10**400), ("half", 2.5),
+        ("negative", -1.0)]
+# 0 is a fine weight, bias or threshold, 10**400 a fine (if useless) int, 2.5 a fine
 # float, and None asks for eta's default.
 _APPLIES = {float: {"True", "str", "None", "nan", "inf", "zero", "int-beyond-float"},
             float | None: {"True", "str", "nan", "inf", "zero", "int-beyond-float"},
             "real": {"True", "str", "None", "nan", "inf", "int-beyond-float"},
-            int: {"True", "str", "None", "nan", "inf", "zero", "half"}}
+            int: {"True", "str", "None", "nan", "inf", "zero", "half"},
+            ">= 0": {"True", "str", "None", "nan", "inf", "int-beyond-float", "negative"}}
 
 
 @pytest.mark.parametrize("name, call, value", [
@@ -246,6 +256,12 @@ _APPLIES = {float: {"True", "str", "None", "nan", "inf", "zero", "int-beyond-flo
 def test_entry_points_reject_bad_numbers_naming_the_parameter(name, call, value):
     with pytest.raises(ValueError, match=f"^{name}[: ]"):
         call(value)
+
+
+def test_slack_threshold_takes_0_and_stores_a_float():
+    report = slack(SvmModel([1.0], 0.0), _DS, np.int64(0))
+    assert type(report.threshold) is float and report.threshold == 0.0
+    assert report.sv_indices.tolist() == [0, 1]
 
 
 def test_int_beyond_int64_loads_in_w_and_b():

@@ -80,6 +80,29 @@ def test_gen_toy_cli_names_a_negative_seed(tmp_path):
     assert err.getvalue() == "error: seed must be >= 0, got -1\n"
 
 
+@pytest.mark.parametrize("field", ["mean_pos", "mean_neg"])
+@pytest.mark.parametrize("value", [(True, False), ("1", "2"), None, (1.0, 2.0, 3.0), (1.0,),
+                                   (math.inf, 0.0), (0.0, math.nan), (10**400, 0)])
+def test_toy_means_reject_what_is_not_a_pair_of_finite_floats(field, value):
+    # A bool pair would run as (1, 0) and strings would be parsed; the rest
+    # failed in numpy or later, in LabeledDataset, naming no field.
+    with pytest.raises(ValueError, match=f"^{field}[: ]"):
+        ToySpec(**{field: value})
+
+
+def test_toy_means_are_stored_as_float_pairs():
+    spec = ToySpec(seed=3, mean_pos=[np.int64(2), np.float32(2.0)], mean_neg=np.zeros(2))
+    assert spec.mean_pos == (2.0, 2.0) and spec.mean_neg == (0.0, 0.0)
+    assert all(type(v) is float for v in spec.mean_pos + spec.mean_neg)
+    assert np.array_equal(gen_toy(spec).X, gen_toy(ToySpec(seed=3)).X)
+
+
+def test_gen_toy_cli_names_a_nonfinite_mean(tmp_path):
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        assert main(["gen-toy", "--mean-pos", "inf,0", "--out", str(tmp_path / "x.csv")]) == 2
+    assert err.getvalue() == "error: mean_pos must be finite, got inf\n"
+
+
 # -------------------------------------------------------------------- csv
 
 def test_load_csv_two_rows(tmp_path):

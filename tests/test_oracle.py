@@ -188,10 +188,11 @@ def best_coordinate_improvement(sol, dataset, C):
     return float(np.max(-(g * delta + 0.5 * q * delta * delta)))
 
 
-# Toy seed 2 at C = 10 stalls a naive shrinking rule (drop any coordinate whose
-# clipped step is 0 at a bound): four free coordinates in three dimensions
-# slide along a flat direction and the solver stops at the pass cap with a
-# wrong model.  The projected-gradient thresholds must converge there.
+# Toy seed 2 at C = 10 once stalled the sign rule (drop a coordinate whose
+# clipped step is 0 at a bound): before the subspace step, four free
+# coordinates in three dimensions slid along a flat direction and the solver
+# stopped at the pass cap with a wrong model.  The subspace step solves that
+# face, so the sign rule must converge there.
 @pytest.mark.parametrize("seed, C", [
     *[(seed, C) for seed in (0, 1, 3, 4) for C in (1.0, 10.0)],
     (2, 1.0),
@@ -240,6 +241,17 @@ def test_dual_cd_pass_count_heavy_overlap_k16():
     sol = dual_cd_train(ds, C=1.0)
     assert sol.converged
     assert sol.n_sweeps <= 500
+    assert kkt_max(sol, ds, 1.0) <= 1e-9
+
+
+def test_dual_cd_pass_count_toy_seed3_scaled_by_100():
+    # Features x100 at C = 1: 414 passes with the projected-gradient
+    # thresholds the sign rule replaced.
+    ds = gen_toy(ToySpec(seed=3))
+    ds = LabeledDataset(100.0 * ds.X, ds.y)
+    sol = dual_cd_train(ds, C=1.0)
+    assert sol.converged
+    assert sol.n_sweeps <= 200
     assert kkt_max(sol, ds, 1.0) <= 1e-9
 
 
