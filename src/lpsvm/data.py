@@ -5,11 +5,14 @@ newlines (the loader also reads CRLF and CR), blank lines and lines starting
 with '#' ignored, optional single header row; the first data column is the
 label (+1/-1, a bare 1 also accepted), remaining columns are finite floats
 in Python `float` syntax, with whitespace around any field allowed.  The
-loader streams a file once and rejects any line that is not valid UTF-8.
+loader reads a file once, in order, checks each line where it parses it
+(valid UTF-8, label, column count, well-formed and finite values), and
+stops at the first bad line.
 """
 
 from __future__ import annotations
 
+import math
 from array import array
 from dataclasses import dataclass
 
@@ -82,32 +85,19 @@ def load_csv(path, has_header: bool = False) -> LabeledDataset:
 
     Feature fields take Python `float` syntax, with whitespace around them
     allowed; a non-finite value is an error, and so is a line that is not
-    valid UTF-8.  When several lines are bad, the error names the first of
-    them.  The file is opened and streamed once, undecodable bytes arriving
-    as lone surrogates (`surrogateescape`) for the parse to reject; values
-    are collected in flat double buffers rather than per-row lists, which
-    keeps the peak memory near twice the size of the final matrix, and their
-    finiteness is checked in one vectorised pass at the end, or before any
-    other error is raised, so that an earlier non-finite line wins.
+    valid UTF-8.  The file is opened and read once, line by line, with
+    undecodable bytes arriving as lone surrogates (`surrogateescape`) for
+    the parse to reject.  Each row is checked as soon as it is parsed, so
+    the first bad line is the one named.  Values are collected in flat
+    double buffers rather than a list of rows, which keeps the peak memory
+    near twice the size of the final matrix.
     """
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        values, labels, width = _parse_lines(path, fh, has_header)
-    if not labels:
-        raise ValueError(f"{path}: no data rows")
-    X = np.frombuffer(values, dtype=np.float64).reshape(len(labels), width - 1)
-    return LabeledDataset(X, np.frombuffer(labels, dtype=np.float64))
-
-
-def _parse_lines(path, lines, has_header: bool) -> tuple[array, array, int | None]:
-    """Parse text lines into flat feature values, labels and the column
-    count; raise ValueError naming the first bad line of `path`."""
     values = array("d")
     labels = array("d")
-    linenos = array("q")  # the line number of each data row
     width: int | None = None
     header_pending = has_header
-    try:
-        for lineno, line in enumerate(lines, start=1):
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
             if not line.isascii():
                 try:
                     line.encode("utf-8")  # fails on an escaped undecodable byte
@@ -136,28 +126,19 @@ def _parse_lines(path, lines, has_header: bool) -> tuple[array, array, int | Non
                 raise ValueError(
                     f"{path}: line {lineno}: expected {width} columns, got {len(fields)}")
             try:
-                values.extend(map(float, fields[1:]))  # float strips whitespace
+                row = list(map(float, fields[1:]))  # float strips whitespace
             except ValueError:
                 raise ValueError(f"{path}: line {lineno}: malformed feature value") from None
+            # A finite sum proves every value finite; the exact test runs
+            # only on an inf or NaN, or on finite values whose sum overflowed.
+            if not math.isfinite(sum(row)) and not all(map(math.isfinite, row)):
+                raise ValueError(f"{path}: line {lineno}: non-finite feature value")
+            values.extend(row)
             labels.append(label)
-            linenos.append(lineno)
-    except ValueError:
-        if width is not None:
-            # A row that failed to parse may have left some of its values behind.
-            del values[len(labels) * (width - 1):]
-        _check_finite(path, values, linenos, width)
-        raise
-    _check_finite(path, values, linenos, width)
-    return values, labels, width
-
-
-def _check_finite(path, values: array, linenos: array, width: int | None) -> None:
-    """Raise naming the first data row in `values` (width - 1 features per
-    row, from the lines `linenos`) that holds a non-finite value."""
-    finite = np.isfinite(np.frombuffer(values, dtype=np.float64))
-    if not finite.all():
-        row = int(finite.argmin()) // (width - 1)
-        raise ValueError(f"{path}: line {linenos[row]}: non-finite feature value") from None
+    if not labels:
+        raise ValueError(f"{path}: no data rows")
+    X = np.frombuffer(values, dtype=np.float64).reshape(len(labels), width - 1)
+    return LabeledDataset(X, np.frombuffer(labels, dtype=np.float64))
 
 
 def save_csv(dataset: LabeledDataset, path, header: bool = False) -> None:

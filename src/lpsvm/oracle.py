@@ -47,7 +47,8 @@ class DualSolution:
     The model is recovered as w' = sum_i alpha_i y_i x'_i over augmented
     features, recomputed from alpha after the final pass (no accumulation
     drift).  `dual_objective_history` holds the dual objective after each
-    pass, shrunk or full, and its subspace step; it is nondecreasing.
+    pass, shrunk or full, and its subspace step; it is nondecreasing up to
+    rounding, about one ulp of the value.
     """
 
     alpha: np.ndarray

@@ -148,9 +148,20 @@ def test_load_csv_nonfinite_and_malformed(tmp_path):
     path.write_text("+1,inf\n")
     with pytest.raises(ValueError, match="line 1"):
         load_csv(path)
+    path.write_text("+1,1.0,2.0\n-1,inf,-inf\n")  # the row's sum is NaN, not inf
+    with pytest.raises(ValueError, match="line 2: non-finite feature value"):
+        load_csv(path)
     path.write_text("+1,abc\n")
     with pytest.raises(ValueError, match="line 1"):
         load_csv(path)
+
+
+def test_load_csv_keeps_finite_values_whose_sum_overflows(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text("+1,1e308,1e308\n-1,-1e308,-1e308\n")
+    ds = load_csv(path)
+    assert ds.X.tolist() == [[1e308, 1e308], [-1e308, -1e308]]
+    assert ds.y.tolist() == [1.0, -1.0]
 
 
 def test_load_csv_empty_file(tmp_path):
@@ -218,8 +229,8 @@ _REFERENCE_LABELS = {"+1": 1.0, "1": 1.0, "-1": -1.0, "\u22121": -1.0}
 
 
 def reference_load_csv(path, has_header=False):
-    """The line loop `load_csv` ran before its finiteness check was
-    vectorised: every field stripped, parsed and checked row by row.  Each
+    """A plain line loop to check `load_csv` against: every field stripped,
+    parsed and checked row by row with `math.isfinite` on each value.  Each
     line is decoded on its own from the bytes split at CR, LF and CRLF."""
     values = array("d")
     labels = array("d")
