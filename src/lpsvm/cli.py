@@ -134,12 +134,9 @@ def _sv_threshold(text: str) -> float:
 
 def _float_list(text: str) -> list[float]:
     try:
-        values = [float(tok) for tok in text.split(",") if tok.strip()]
+        return [float(tok) for tok in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated floats, got {text!r}") from None
-    if not values:
-        raise argparse.ArgumentTypeError("expected a non-empty list")
-    return values
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:

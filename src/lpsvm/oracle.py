@@ -2,9 +2,10 @@
 
 Three routes that never share code with the solver they check: central
 finite differences for the analytic gradient, a dual coordinate-descent
-reference solver for the p = 1 hinge objective (shrinking on the sign of the
-dual gradient, and a subspace step on the free coordinates after each pass,
-as in active-set methods for bound-constrained QPs), and a residual checker
+reference solver for the p = 1 hinge objective (one vectorised step test per
+pass that picks the coordinates to visit and certifies the result, and a
+subspace step on the free coordinates after each pass, as in active-set
+methods for bound-constrained QPs), and a residual checker
 for the optimality (KKT) conditions of that problem.
 
 The dual solver works on augmented features with the bias *regularized*
@@ -45,10 +46,10 @@ class DualSolution:
     """Box-constrained dual variables and the primal model they induce.
 
     The model is recovered as w' = sum_i alpha_i y_i x'_i over augmented
-    features, recomputed from alpha after the final pass (no accumulation
-    drift).  `dual_objective_history` holds the dual objective after each
-    pass, shrunk or full, and its subspace step; it is nondecreasing up to
-    rounding, about one ulp of the value.
+    features, recomputed from alpha (no accumulation drift).
+    `dual_objective_history` holds the dual objective after each pass and its
+    subspace step, one entry per pass counted in `n_sweeps`; it is
+    nondecreasing up to rounding, about one ulp of the value.
     """
 
     alpha: np.ndarray
@@ -102,95 +103,80 @@ def dual_cd_train(dataset: LabeledDataset, C: float, *,
 
     Minimizes the dual 1/2 ||sum_i alpha_i y_i x'_i||^2 - sum_i alpha_i over
     the box [0, C]^n.  Each update is the exact 1-d minimizer clipped to the
-    box.  A *pass* visits the active coordinates in a freshly seeded
-    permutation; a *full pass* is one that starts with all n active.
+    box.
 
-    Shrinking: with g the coordinate's dual gradient, a pass drops a
-    coordinate at alpha = 0 with g >= 0 and one at alpha = C with g <= 0,
-    exactly those whose step the box clips to zero.  Later passes visit only
-    the coordinates kept.  Only alpha, w, the active list and the permutation
-    stream carry from one pass to the next.
+    Step test: each pass starts from w = sum_i alpha_i y_i x'_i recomputed
+    exactly and takes every coordinate's clipped step delta_i, with the dual
+    gain -(g_i delta_i + 1/2 q_i delta_i^2) it would bring (g the dual
+    gradient, q_i = ||x'_i||^2).  A coordinate is *movable* when that gain is
+    at least `_DUAL_TOL`.  When none is, `converged` is True: no coordinate
+    step can improve the returned alpha by `_DUAL_TOL`.  Otherwise the pass
+    visits, in a freshly seeded permutation and each with its exact step on
+    the running w, the active coordinates still movable; once none are left,
+    all movable ones become active again.  Carrying the active set matters:
+    without it toy seed 0 with features x1e4 did not converge in 5000 passes.
 
-    Subspace step (Moré & Toraldo 1991, SIAM J. Optim. 1:93-113): a pass
-    whose best coordinate step still improved the dual by `_DUAL_TOL` or more
+    Subspace step (Moré & Toraldo 1991, SIAM J. Optim. 1:93-113): every pass
     ends with one step over the free coordinates 0 < alpha_i < C, the others
     held fixed (`_subspace_step`).  Coordinate descent alone moves free
     coordinates along a flat face one at a time, which took thousands of
     passes at C = 50 and 100 and still certified with KKT residuals up to
     7e-6; the step solves the face in (k + 1)-square systems.
 
-    Certificate: when a shrunk pass's largest single-coordinate dual
-    improvement drops below `_DUAL_TOL`, all n coordinates are restored.
-    `converged` is True only after a full pass also improves by less than
-    `_DUAL_TOL`; that pass takes no subspace step, so every coordinate was
-    checked at the returned alpha.  This full-pass check is what makes any
-    shrinking rule safe: a coordinate dropped wrongly costs passes, never
-    correctness.  `max_sweeps` caps the passes, shrunk or full, each with
-    its subspace step; hitting it first yields converged=False.  `n_sweeps`
-    and `dual_objective_history` count passes too.
+    `max_sweeps` caps the passes; the step test still runs after the last,
+    and converged=False if it finds a movable coordinate.  `n_sweeps` counts
+    the passes made; the certifying step test visits none and is not one.
     """
     C = number("C", C, positive=True)
+    max_sweeps = number("max_sweeps", max_sweeps, int, positive=True)
     if not dataset.has_both_classes:
         raise ValueError("training requires samples from both classes")
     X_aug = augment(dataset).matrix
     y = dataset.y
     n = dataset.n
     yx = np.ascontiguousarray(y[:, None] * X_aug)
-    # The loop runs on Python floats: per visit, list arithmetic over a short
-    # row is cheaper than the numpy calls it replaces.
-    rows = yx.tolist()
     # Squared row norms; >= 1 because of the constant-1 coordinate.
-    q = np.einsum("ij,ij->i", yx, yx).tolist()
+    q = np.einsum("ij,ij->i", yx, yx)
+    # The visits run on Python floats: per visit, list arithmetic over a short
+    # row is cheaper than the numpy calls it replaces.
+    rows, q_list = yx.tolist(), q.tolist()
     dims = range(yx.shape[1])
 
-    alpha = [0.0] * n
-    w = [0.0] * yx.shape[1]
+    alpha = np.zeros(n)
     rng = np.random.Generator(np.random.PCG64(_DUAL_SEED))
     history: list[float] = []
-    converged = False
-    passes = 0
-    active = list(range(n))
+    active = np.ones(n, dtype=bool)
 
-    for passes in range(1, max_sweeps + 1):
-        full = len(active) == n
-        max_improve = 0.0
-        kept = []
-        for j in rng.permutation(len(active)).tolist():
-            i = active[j]
+    for passes in range(max_sweeps + 1):
+        # The step test, at the exact w: every coordinate's clipped step and its gain.
+        w = yx.T @ alpha
+        g = yx @ w - 1.0
+        step = np.clip(alpha - g / q, 0.0, C) - alpha
+        movable = -(g * step + 0.5 * q * step * step) >= _DUAL_TOL
+        converged = not movable.any()
+        if converged or passes == max_sweeps:
+            break
+        active &= movable
+        if not active.any():
+            active = movable
+        a, w = alpha.tolist(), w.tolist()
+        for i in rng.permutation(np.flatnonzero(active)).tolist():
             row = rows[i]
-            g = sum(map(mul, row, w)) - 1.0
-            a_old = alpha[i]
-            # Shrinking: the box clips this coordinate's step to zero.
-            if (a_old == 0.0 and g >= 0.0) or (a_old == C and g <= 0.0):
-                continue
-            kept.append(i)
-            qi = q[i]
-            a_new = min(max(a_old - g / qi, 0.0), C)
+            g_i = sum(map(mul, row, w)) - 1.0
+            a_old = a[i]
+            a_new = min(max(a_old - g_i / q_list[i], 0.0), C)
             delta = a_new - a_old
             if delta != 0.0:
-                improve = -(g * delta + 0.5 * qi * delta * delta)
-                if improve > max_improve:
-                    max_improve = improve
                 for t in dims:
                     w[t] += delta * row[t]
-                alpha[i] = a_new
-        if max_improve >= _DUAL_TOL:
-            active = kept
-            alpha, w = _subspace_step(yx, alpha, w, C)
-        elif full:
-            converged = True
-        else:
-            active = list(range(n))
-        history.append(sum(alpha) - 0.5 * sum(map(mul, w, w)))
-        if converged:
-            break
+                a[i] = a_new
+        alpha, dual = _subspace_step(yx, np.array(a), C)
+        history.append(dual)
 
-    alpha_out = np.array(alpha)
-    w_exact = yx.T @ alpha_out
-    model = SvmModel(w=w_exact[:-1].copy(), b=float(w_exact[-1]))
-    alpha_out.setflags(write=False)
+    model = SvmModel(w=w[:-1].copy(), b=float(w[-1]))  # w from the last step test
+    alpha.setflags(write=False)
     return DualSolution(
-        alpha=alpha_out,
+        alpha=alpha,
         model=model,
         converged=converged,
         n_sweeps=passes,
@@ -198,7 +184,7 @@ def dual_cd_train(dataset: LabeledDataset, C: float, *,
     )
 
 
-def _subspace_step(yx: np.ndarray, alpha: list, w: list, C: float) -> tuple[list, list]:
+def _subspace_step(yx: np.ndarray, a: np.ndarray, C: float) -> tuple[np.ndarray, float]:
     """One subspace step on the face of the free coordinates F (0 < alpha_i < C).
 
     With R = yx[F] and G = R^T R, the dual restricted to the face is a
@@ -207,13 +193,15 @@ def _subspace_step(yx: np.ndarray, alpha: list, w: list, C: float) -> tuple[list
     R^T 1, reached within range(G)) through the least alpha_F change,
     R G^+ G^+ (R^T 1 - G w).  Then the flat direction u = (I - R G^+ R^T) 1,
     along which w stays put and the dual rises by ||u||^2 per unit.  Each
-    move stops at the first box bound, which it sets exactly, and is kept
+    move stops at the first box bound, which it sets exactly, and is taken
     only if the dual rises.  Only (k + 1)-square systems are solved.
+    Returns the new alpha, or `a` itself if no move helps, with its dual.
     """
-    a = np.array(alpha)
+    w_now = yx.T @ a
+    best = a.sum() - 0.5 * (w_now @ w_now)
     free = np.flatnonzero((a > 0.0) & (a < C))
     if free.size == 0:
-        return alpha, w
+        return a, best
     R = yx[free]
     G = R.T @ R
     lam, V = np.linalg.eigh(G)
@@ -224,12 +212,9 @@ def _subspace_step(yx: np.ndarray, alpha: list, w: list, C: float) -> tuple[list
         return V @ ((V.T @ v) / lam)
 
     s = R.sum(axis=0)
-    w_now = yx.T @ a
-    best = a.sum() - 0.5 * (w_now @ w_now)
     moves = [(R @ g_pinv(g_pinv(s - G @ w_now)), 1.0)]
     if lam.size < free.size:  # rank(R) < |F|: R^T has a null space, the face a flat direction
         moves.append((1.0 - R @ g_pinv(s), math.inf))
-    improved = False
     for d, cap in moves:
         a_free = a[free]
         t = np.full(d.shape, math.inf)
@@ -247,8 +232,8 @@ def _subspace_step(yx: np.ndarray, alpha: list, w: list, C: float) -> tuple[list
         w_trial = yx.T @ trial
         dual = trial.sum() - 0.5 * (w_trial @ w_trial)
         if dual > best:
-            a, w_now, best, improved = trial, w_trial, dual, True
-    return (a.tolist(), w_now.tolist()) if improved else (alpha, w)
+            a, best = trial, dual
+    return a, best
 
 
 def kkt_check(model: SvmModel, alpha: np.ndarray, dataset: LabeledDataset,
@@ -266,6 +251,8 @@ def kkt_check(model: SvmModel, alpha: np.ndarray, dataset: LabeledDataset,
     alpha = np.asarray(alpha, dtype=np.float64)
     if alpha.shape != (dataset.n,):
         raise ValueError(f"alpha has shape {alpha.shape}, expected ({dataset.n},)")
+    if not np.all(np.isfinite(alpha)):
+        raise ValueError("alpha must be finite")
 
     margins = dataset.y * decision_values(model, dataset.X)
     xi = np.where(alpha > 0.0, np.maximum(1.0 - margins, 0.0), 0.0)
@@ -274,7 +261,8 @@ def kkt_check(model: SvmModel, alpha: np.ndarray, dataset: LabeledDataset,
     dual_balance = float(abs(np.sum(alpha * dataset.y)))
     complementarity = float(np.max(np.abs(alpha * (margins - 1.0 + xi))))
     feasibility = float(np.max(np.maximum(1.0 - xi - margins, 0.0)))
-    box = float(max(np.max(-alpha), np.max(alpha - C), 0.0))
+    # 0.0 first: max keeps the first of equal values, and -alpha reads -0.0 at alpha = 0.
+    box = float(max(0.0, np.max(-alpha), np.max(alpha - C)))
     return KktReport(
         stationarity_residual=stationarity,
         dual_balance_residual=dual_balance,

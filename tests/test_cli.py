@@ -598,7 +598,8 @@ def test_train_divergence_at_start_exits_1(tmp_path, toy_csv, capsys):
     assert "objective diverged at iteration 0" in capsys.readouterr().err
 
 
-def test_bad_c_list_exits_2():
+@pytest.mark.parametrize("c_list", ["a,b", "1,,2", "1,2,"])
+def test_bad_c_list_exits_2(c_list):
     with pytest.raises(SystemExit) as exc:
-        main(["compare", "--data", "x.csv", "--c-list", "a,b"])
+        main(["compare", "--data", "x.csv", "--c-list", c_list])
     assert exc.value.code == 2

@@ -235,6 +235,7 @@ ENTRY_POINTS = [
     ("threshold", lambda v: run_comparison(_DS, TrainConfig(max_iter=5), TrainConfig(max_iter=5),
                                            2, sv_threshold=v), ">= 0"),
     ("threshold", lambda v: figure_data(SvmModel([1.0, 1.0], 0.0), _DS_2D, v), ">= 0"),
+    ("max_sweeps", lambda v: dual_cd_train(_DS, 1.0, max_sweeps=v), int),
 ]
 _BAD = [("True", True), ("str", "1"), ("None", None), ("nan", float("nan")),
         ("inf", float("inf")), ("zero", 0), ("int-beyond-float", 10**400), ("half", 2.5),

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -186,8 +188,8 @@ def kkt_max(sol, dataset, C):
 
 def best_coordinate_improvement(sol, dataset, C):
     """The dual improvement of the best exact single-coordinate step at the
-    returned alpha.  The certificate is a full pass, so no coordinate,
-    shrunk or not, may have a step left worth more than about 1e-15."""
+    returned alpha.  The certificate tests all n coordinates there, so none
+    may have a step left worth 1e-15 or more."""
     yx = dataset.y[:, None] * augment(dataset).matrix
     q = np.einsum("ij,ij->i", yx, yx)
     g = yx @ sol.model.w_aug - 1.0
@@ -199,7 +201,7 @@ def best_coordinate_improvement(sol, dataset, C):
 # clipped step is 0 at a bound): before the subspace step, four free
 # coordinates in three dimensions slid along a flat direction and the solver
 # stopped at the pass cap with a wrong model.  The subspace step solves that
-# face, so the sign rule must converge there.
+# face, so the solver must converge there.
 @pytest.mark.parametrize("seed, C", [
     *[(seed, C) for seed in (0, 1, 3, 4) for C in (1.0, 10.0)],
     (2, 1.0),
@@ -262,6 +264,18 @@ def test_dual_cd_pass_count_toy_seed3_scaled_by_100():
     assert kkt_max(sol, ds, 1.0) <= 1e-9
 
 
+# The step test at the start of each pass picks the coordinates and certifies
+# the returned alpha.  The sign-rule shrinking it replaced took 43-74 passes here.
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("C", [50.0, 100.0])
+def test_dual_cd_pass_count_toy_at_large_C(seed, C):
+    ds = gen_toy(ToySpec(seed=seed))
+    sol = dual_cd_train(ds, C)
+    assert sol.converged
+    assert sol.n_sweeps <= 60
+    assert best_coordinate_improvement(sol, ds, C) < 1e-15
+
+
 # -------------------------------------------------------------- kkt_check
 
 def test_kkt_exact_two_point_optimum():
@@ -295,6 +309,21 @@ def test_kkt_residuals_of_converged_dual_solutions():
             assert report.complementarity_residual <= 1e-6
             assert report.feasibility_violation <= 1e-6
             assert report.box_violation <= 1e-6
+
+
+def test_kkt_box_violation_is_plus_zero_at_a_feasible_alpha():
+    ds = gen_toy(ToySpec(seed=0))
+    sol = dual_cd_train(ds, C=1.0)
+    box = kkt_check(sol.model, sol.alpha, ds, C=1.0).box_violation
+    assert box == 0.0 and math.copysign(1.0, box) == 1.0
+
+
+def test_kkt_rejects_non_finite_alpha():
+    ds = two_point_dataset()
+    sol = dual_cd_train(ds, C=1.0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="^alpha"):
+            kkt_check(sol.model, np.array([0.5, bad]), ds, C=1.0)
 
 
 def test_kkt_rejects_size_mismatch():
