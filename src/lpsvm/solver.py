@@ -21,11 +21,13 @@ Maechler 2012 recommends), so they all round alike; `objective` and
 
 `train` runs momentum descent with a monotone safeguard: a trial step that
 would raise the objective is rejected, the momentum restarts and the step
-halves; an accepted step grows the step by 5 %.  It evaluates the objective
-and the gradient together, from one margin pass per trial over the signed
-design matrix y_i x'_i built once per fit; `objective` and `gradient` are the
-public single-point forms of the same elementwise code and give bit-identical
-values.
+halves; an accepted step grows the step by 5 %.  Each trial costs one margin
+pass over the signed design matrix y_i x'_i built once per fit, which gives
+the objective; the gradient is finished from the same pass only when the
+trial is accepted.  At p = 1 the coefficient is exp(-softplus(-t)) and the
+value drops the power, with the same bits as the general forms.
+`objective` and `gradient` are the public single-point forms of the same
+elementwise code and give bit-identical values.
 """
 
 import math
@@ -219,18 +221,39 @@ def _coeff(t: np.ndarray, sp: np.ndarray, sp_neg: np.ndarray, cfg: TrainConfig) 
     return np.exp((cfg.p - 1.0) * log_n - sp_neg)
 
 
-def _value_and_grad(w_aug: np.ndarray, yX: np.ndarray, d: np.ndarray,
-                    cfg: TrainConfig) -> tuple[float, np.ndarray]:
-    """J(w') and grad J(w') over the signed design matrix yX = y [X, 1].
+def _value_pass(w_aug: np.ndarray, yX: np.ndarray, d: np.ndarray,
+                cfg: TrainConfig) -> tuple[float, tuple]:
+    """J(w') over the signed design matrix yX = y [X, 1], and the margin state
+    (t, sp, sp_neg, D w') that `_grad_pass` turns into grad J(w').
 
     Bit-identical to `objective` and `gradient`: y = +-1 makes every product
     with y exact.  Non-finite results are returned as they are, for the
-    caller to report; call it under `_QUIET`.
+    caller to report; call both under `_QUIET`.
     """
-    t = cfg.s * (1.0 - yX @ w_aug)
+    t = yX @ w_aug
+    np.subtract(1.0, t, out=t)
+    t *= cfg.s
     sp, sp_neg = _softplus_pair(t)
     dw = d * w_aug
-    return _value(w_aug, dw, sp, cfg), dw - cfg.p * cfg.C * (yX.T @ _coeff(t, sp, sp_neg, cfg))
+    if cfg.p == 1.0:  # x ** 1.0 == x
+        value = 0.5 * float(w_aug @ dw) + cfg.C * float((sp / cfg.s).sum())
+    else:
+        value = _value(w_aug, dw, sp, cfg)
+    return value, (t, sp, sp_neg, dw)
+
+
+def _grad_pass(state: tuple, yX: np.ndarray, cfg: TrainConfig) -> np.ndarray:
+    """grad J(w') from `_value_pass`'s margin state, which it overwrites."""
+    t, sp, sp_neg, dw = state
+    if cfg.p == 1.0:
+        # _coeff's exponent (p - 1) log n is +-0 where t is finite and NaN
+        # where it is not, and so is 0 * t.
+        coeff = np.multiply(t, 0.0, out=t)
+        coeff -= sp_neg
+        np.exp(coeff, out=coeff)
+    else:
+        coeff = _coeff(t, sp, sp_neg, cfg)
+    return dw - cfg.p * cfg.C * (yX.T @ coeff)
 
 
 def objective(w_aug: np.ndarray, X_aug: np.ndarray, y: np.ndarray, cfg: TrainConfig) -> float:
@@ -284,8 +307,9 @@ def train(dataset: LabeledDataset, cfg: TrainConfig) -> tuple[SvmModel, TrainTra
     kept.  The objective therefore never increases.  The fit stops when an
     accepted step lowers J by a relative amount below `tol_obj`, when the
     gradient norm at the point stepped from is below `tol_grad`, or at the
-    iteration cap.  J and grad J at each trial come from one margin pass
-    over the signed design matrix y [X, 1].  Deterministic: identical inputs
+    iteration cap.  Each trial's J comes from one margin pass over the
+    signed design matrix y [X, 1], and its gradient is finished from that
+    pass only if the trial is accepted.  Deterministic: identical inputs
     give bit-identical results.
 
     Raises DivergenceError (naming the iteration, 0 for the start point) if
@@ -302,9 +326,10 @@ def train(dataset: LabeledDataset, cfg: TrainConfig) -> tuple[SvmModel, TrainTra
     step = cfg.eta
     restarts = 0
     with np.errstate(**_QUIET):
-        value, g = _value_and_grad(w, yX, d, cfg)
+        value, state = _value_pass(w, yX, d, cfg)
         if not math.isfinite(value):
             raise DivergenceError("objective diverged at iteration 0")
+        g = _grad_pass(state, yX, cfg)
         obj_hist = [value]
         grad_hist: list[float] = []
         stop_reason = STOP_ITERATION_CAP
@@ -319,13 +344,13 @@ def train(dataset: LabeledDataset, cfg: TrainConfig) -> tuple[SvmModel, TrainTra
                 raise DivergenceError(f"gradient diverged at iteration {it}")
             v_trial = cfg.eps * v - step * g
             w_trial = w + v_trial
-            value_trial, g_trial = _value_and_grad(w_trial, yX, d, cfg)
+            value_trial, state = _value_pass(w_trial, yX, d, cfg)
             if not math.isfinite(value_trial):
                 raise DivergenceError(f"objective diverged at iteration {it}")
             grad_hist.append(grad_norm)
             if value_trial <= value:
                 decrease = (value - value_trial) / max(1.0, abs(value))
-                w, v, value, g = w_trial, v_trial, value_trial, g_trial
+                w, v, value, g = w_trial, v_trial, value_trial, _grad_pass(state, yX, cfg)
                 step *= _STEP_GROW
                 obj_hist.append(value)
                 if decrease < cfg.tol_obj:

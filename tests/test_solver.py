@@ -17,7 +17,11 @@ from lpsvm.solver import (
     TrainConfig,
     gradient,
     objective,
+    _grad_pass,
+    _reg_diag,
+    _signed_design,
     _softplus_pair,
+    _value_pass,
     smoothed_plus,
     train,
 )
@@ -372,23 +376,11 @@ def _grid_cfg(C, p, regularize_bias):
                        regularize_bias=regularize_bias)
 
 
-@pytest.mark.parametrize("cfg, negate, stop", [
-    (_grid_cfg(1.0, 1.0, False), False, STOP_OBJECTIVE),
-    (_grid_cfg(1.0, 1.0, True), False, STOP_OBJECTIVE),
-    (_grid_cfg(1.0, 0.5, False), False, STOP_OBJECTIVE),
-    (_grid_cfg(1.0, 0.5, True), False, STOP_OBJECTIVE),
-    (_grid_cfg(50.0, 0.5, False), False, STOP_OBJECTIVE),
-    (_grid_cfg(50.0, 0.5, False), True, STOP_OBJECTIVE),
-    (_grid_cfg(50.0, 1.0, True), False, STOP_OBJECTIVE),
-    (TrainConfig(C=1.0, p=1.0, eta=5e-3, tol_obj=1e-300, tol_grad=1e-2), False, STOP_GRADIENT),
-])
-def test_train_matches_reference_loop_bitwise(cfg, negate, stop):
-    ds = gen_toy(ToySpec(seed=0, n_per_class=20))
-    if negate:
-        ds = LabeledDataset(ds.X, -ds.y)
+def _assert_matches_reference(ds, cfg):
+    """Train on ds and check every output against `reference_train`, bit for bit."""
     model, trace = train(ds, cfg)
     w, obj_hist, grad_hist, stop_reason, evaluations, rejected = reference_train(ds, cfg)
-    assert trace.stop_reason == stop_reason == stop
+    assert trace.stop_reason == stop_reason
     assert np.array_equal(model.w, w[:-1]) and model.b == w[-1]
     assert np.array_equal(trace.objective_history, obj_hist)
     assert np.array_equal(trace.grad_norm_history, grad_hist)
@@ -399,6 +391,92 @@ def test_train_matches_reference_loop_bitwise(cfg, negate, stop):
     assert np.all(np.diff(trace.objective_history) <= 0.0)
     assert trace.objective_history[-1] == objective(model.w_aug, X_aug, ds.y, cfg)
     assert trace.final_grad_norm == float(np.linalg.norm(gradient(model.w_aug, X_aug, ds.y, cfg)))
+    return model, trace
+
+
+@pytest.mark.parametrize("cfg, negate, stop", [
+    (_grid_cfg(1.0, 1.0, False), False, STOP_OBJECTIVE),
+    (_grid_cfg(1.0, 1.0, True), False, STOP_OBJECTIVE),
+    (_grid_cfg(1.0, 0.5, False), False, STOP_OBJECTIVE),
+    (_grid_cfg(1.0, 0.5, True), False, STOP_OBJECTIVE),
+    (_grid_cfg(50.0, 0.5, False), False, STOP_OBJECTIVE),
+    (_grid_cfg(50.0, 0.5, False), True, STOP_OBJECTIVE),
+    (_grid_cfg(50.0, 1.0, True), False, STOP_OBJECTIVE),
+    (TrainConfig(C=1.0, p=1.0, eta=5e-3, tol_obj=1e-300, tol_grad=1e-2), False, STOP_GRADIENT),
+    (_grid_cfg(1.0, 0.3, False), False, STOP_OBJECTIVE),
+    (_grid_cfg(50.0, 0.3, True), False, STOP_OBJECTIVE),
+])
+def test_train_matches_reference_loop_bitwise(cfg, negate, stop):
+    ds = gen_toy(ToySpec(seed=0, n_per_class=20))
+    if negate:
+        ds = LabeledDataset(ds.X, -ds.y)
+    _, trace = _assert_matches_reference(ds, cfg)
+    assert trace.stop_reason == stop
+
+
+@pytest.mark.parametrize("p", [1.0, 0.3])
+def test_train_matches_reference_loop_with_rejected_trials(p):
+    ds = gen_toy(ToySpec(seed=0, n_per_class=20))
+    _, trace = _assert_matches_reference(ds, TrainConfig(C=1.0, p=p, eta=1e6, max_iter=2000))
+    assert trace.restarts > 0 and trace.converged
+
+
+@pytest.mark.parametrize("p", [1.0, 0.3])
+def test_train_matches_reference_loop_at_extreme_margins(p):
+    # Features x 1e4 at s = 1000: at the returned point some scaled margins
+    # t = s (1 - y w'.x') lie below the log-softplus cut, where the
+    # coefficient takes log(sp) = t, and some above 745, where
+    # softplus(-t) underflows to 0.
+    toy = gen_toy(ToySpec(seed=0, n_per_class=20))
+    ds = LabeledDataset(toy.X * 1e4, toy.y)
+    cfg = TrainConfig(C=1.0, p=p, s=1000.0, max_iter=1500, tol_obj=1e-10, tol_grad=1e-6)
+    model, trace = _assert_matches_reference(ds, cfg)
+    t = cfg.s * (1.0 - ds.y * (ds.X @ model.w + model.b))
+    assert (t < -33.0).any() and (t > 745.0).any()
+    assert trace.restarts > 0 and trace.converged
+
+
+@pytest.mark.parametrize("scale, C, eta, message", [
+    (1.0, 1.0, 1e300, "objective diverged at iteration 1$"),
+    (1e300, 1e10, 1.0, "gradient diverged at iteration 1$"),
+    (1.0, 1e308, None, "objective diverged at iteration 0$"),
+])
+def test_train_overflow_at_p1_names_the_iteration(scale, C, eta, message):
+    toy = gen_toy(ToySpec(seed=7, n_per_class=10))
+    ds = LabeledDataset(toy.X * scale, toy.y)
+    with pytest.raises(DivergenceError, match=message):
+        train(ds, TrainConfig(C=C, p=1.0, eta=eta, max_iter=5000))
+
+
+@pytest.mark.parametrize("p", [1.0, 0.5, 0.3])
+@pytest.mark.parametrize("regularize_bias", [False, True])
+def test_kernel_passes_match_objective_and_gradient_bitwise(p, regularize_bias):
+    # Margins in every regime, up to products that overflow to +-inf or NaN:
+    # where `objective` or `gradient` raises, the passes return a non-finite
+    # value or gradient for `train` to report.
+    ds = gen_toy(ToySpec(seed=1, n_per_class=10))
+    X_aug, y = augment(ds).matrix, ds.y
+    cfg = TrainConfig(C=2.0, p=p, s=100.0, regularize_bias=regularize_bias)
+    yX, d = _signed_design(ds), _reg_diag(ds.k + 1, regularize_bias)
+    rng = np.random.default_rng(5)
+    points = [np.zeros(ds.k + 1)] + [rng.normal(0.0, 10.0 ** e, ds.k + 1)
+                                     for e in (-3, -1, 0, 1, 2, 4, 150, 307, 308) for _ in range(3)]
+    infinite = 0
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for w in points:
+            value, state = _value_pass(w, yX, d, cfg)
+            t = state[0].copy()
+            g = _grad_pass(state, yX, cfg)
+            infinite += not np.isfinite(t).all()
+            try:
+                assert value == objective(w, X_aug, y, cfg)
+            except DivergenceError:
+                assert not math.isfinite(value)
+            try:
+                assert np.array_equal(g, gradient(w, X_aug, y, cfg))
+            except DivergenceError:
+                assert not np.isfinite(g).all()
+    assert infinite > 0
 
 
 def test_sv_count_shrinks_with_C_at_small_p():
