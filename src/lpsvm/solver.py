@@ -105,7 +105,8 @@ class TrainConfig:
     eps: float = _knob(0.9, "momentum coefficient in [0, 1)")
     tol_obj: float = _knob(1e-8, "stop when an accepted step lowers the objective J by "
                                  "less than this times max(1, |J|)", positive=True)
-    tol_grad: float = _knob(1e-5, "stop when the gradient norm drops below this", positive=True)
+    tol_grad: float = _knob(1e-5, "stop, before the next step, at a point whose gradient norm "
+                                  "is below this; that point is returned", positive=True)
     max_iter: int = _knob(5000, "iteration cap; rejected trial steps count too", positive=True)
     regularize_bias: bool = _knob(False, "include the bias in the quadratic term, as the "
                                          "dual oracle does")
@@ -132,9 +133,11 @@ class TrainTrace:
     start point, then the objective at the current (accepted) point after
     each iteration.  It never increases, and its last entry is the returned
     model's objective.  `grad_norm_history` has one entry per iteration, the
-    gradient norm at the point the trial stepped from.  `final_grad_norm` is
-    the gradient norm at the returned model, its stationarity certificate;
-    `restarts` counts the rejected trials.
+    gradient norm at the point the trial stepped from; each is at least
+    `tol_grad`, since the gradient stop is tested there before the trial.
+    `final_grad_norm` is the gradient norm at the returned model, its
+    stationarity certificate, and is below `tol_grad` when the fit stopped
+    on it; `restarts` counts the rejected trials.
     """
 
     objective_history: np.ndarray
@@ -306,8 +309,9 @@ def train(dataset: LabeledDataset, cfg: TrainConfig) -> tuple[SvmModel, TrainTra
     zero and the step halves, and the current point and its gradient are
     kept.  The objective therefore never increases.  The fit stops when an
     accepted step lowers J by a relative amount below `tol_obj`, when the
-    gradient norm at the point stepped from is below `tol_grad`, or at the
-    iteration cap.  Each trial's J comes from one margin pass over the
+    gradient norm at the current point is below `tol_grad` (tested before
+    the trial, so that point is the one returned), or at the iteration
+    cap.  Each trial's J comes from one margin pass over the
     signed design matrix y [X, 1], and its gradient is finished from that
     pass only if the trial is accepted.  Deterministic: identical inputs
     give bit-identical results.
@@ -342,6 +346,9 @@ def train(dataset: LabeledDataset, cfg: TrainConfig) -> tuple[SvmModel, TrainTra
             grad_norm = math.sqrt(g.dot(g))
             if not math.isfinite(grad_norm) and not np.isfinite(g).all():
                 raise DivergenceError(f"gradient diverged at iteration {it}")
+            if grad_norm < cfg.tol_grad:
+                stop_reason = STOP_GRADIENT
+                break
             v_trial = cfg.eps * v - step * g
             w_trial = w + v_trial
             value_trial, state = _value_pass(w_trial, yX, d, cfg)
@@ -361,9 +368,6 @@ def train(dataset: LabeledDataset, cfg: TrainConfig) -> tuple[SvmModel, TrainTra
                 step *= _STEP_SHRINK
                 restarts += 1
                 obj_hist.append(value)
-            if grad_norm < cfg.tol_grad:
-                stop_reason = STOP_GRADIENT
-                break
         final_grad_norm = math.sqrt(g.dot(g))
 
     model = SvmModel(w=w[:-1].copy(), b=float(w[-1]), meta=cfg)

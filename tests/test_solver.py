@@ -315,15 +315,42 @@ def test_train_recovers_from_oversized_step():
 
 
 def test_train_accepts_a_trial_that_ties():
-    # identical samples with opposite labels: grad J(0) = 0, so the first
-    # trial is the start point itself; a tie counts as accepted, and an
-    # accepted step that lowers J by nothing stops on the objective tolerance
+    # the first step, 5e-324 * grad J(0), rounds to 0, so the first trial is
+    # the start point itself; a tie counts as accepted, and an accepted step
+    # that lowers J by nothing stops on the objective tolerance
+    ds = LabeledDataset([[1.0], [0.5]], [1.0, -1.0])
+    cfg = TrainConfig(C=0.5, eta=5e-324, tol_obj=1e-300)
+    model, trace = train(ds, cfg)
+    assert trace.stop_reason == STOP_OBJECTIVE
+    assert trace.iterations == 1 and trace.restarts == 0
+    assert trace.final_grad_norm == trace.grad_norm_history[0] > cfg.tol_grad
+    assert np.array_equal(trace.objective_history, [1.0, 1.0])
+    assert np.array_equal(model.w, [0.0]) and model.b == 0.0
+
+
+def test_train_stops_at_a_stationary_start_before_any_trial():
+    # identical samples with opposite labels: grad J(0) = 0 passes any
+    # gradient tolerance, so the start point is returned after no iteration
     ds = LabeledDataset([[1.0], [1.0]], [1.0, -1.0])
     model, trace = train(ds, TrainConfig(tol_obj=1e-300, tol_grad=1e-300))
-    assert trace.stop_reason == STOP_OBJECTIVE
-    assert trace.iterations == 1 and trace.restarts == 0 and trace.final_grad_norm == 0.0
-    assert np.array_equal(trace.objective_history, [2.0, 2.0])
+    assert trace.stop_reason == STOP_GRADIENT
+    assert trace.iterations == 0 and trace.restarts == 0 and trace.final_grad_norm == 0.0
+    assert np.array_equal(trace.objective_history, [2.0])
     assert np.array_equal(model.w, [0.0]) and model.b == 0.0
+
+
+@pytest.mark.parametrize("p", [1.0, 0.5])
+def test_train_gradient_stop_returns_the_point_it_tested(p):
+    # the gradient tolerance is tested at the point the fit would step from,
+    # so a fit that stops on it returns a point below it
+    for seed in range(10):
+        ds = gen_toy(ToySpec(seed=seed))
+        for tol_grad in (1e-1, 3e-2, 1e-2, 1e-3):
+            for C in (1.0, 10.0):
+                _, trace = train(ds, TrainConfig(C=C, p=p, tol_obj=1e-300, tol_grad=tol_grad))
+                assert trace.stop_reason == STOP_GRADIENT
+                assert trace.final_grad_norm < tol_grad
+                assert np.all(trace.grad_norm_history >= tol_grad)
 
 
 def test_train_divergence_at_start_names_iteration_0():
@@ -346,7 +373,11 @@ def reference_train(dataset, cfg):
     evaluations = rejected = 0
     stop_reason = STOP_ITERATION_CAP
     for _ in range(cfg.max_iter):
-        grad_hist.append(float(np.linalg.norm(g)))
+        grad_norm = float(np.linalg.norm(g))
+        if grad_norm < cfg.tol_grad:
+            stop_reason = STOP_GRADIENT
+            break
+        grad_hist.append(grad_norm)
         v_trial = cfg.eps * v - step * g
         w_trial = w + v_trial
         trial = objective(w_trial, X_aug, y, cfg)
@@ -365,9 +396,6 @@ def reference_train(dataset, cfg):
             step *= 0.5
             rejected += 1
             obj_hist.append(value)
-        if grad_hist[-1] < cfg.tol_grad:
-            stop_reason = STOP_GRADIENT
-            break
     return w, np.array(obj_hist), np.array(grad_hist), stop_reason, evaluations, rejected
 
 
