@@ -22,12 +22,10 @@ Maechler 2012 recommends), so they all round alike; `objective` and
 `train` runs momentum descent with a monotone safeguard: a trial step that
 would raise the objective is rejected, the momentum restarts and the step
 halves; an accepted step grows the step by 5 %.  Each trial costs one margin
-pass over the signed design matrix y_i x'_i built once per fit, which gives
-the objective; the gradient is finished from the same pass only when the
-trial is accepted.  At p = 1 the coefficient is exp(-softplus(-t)) and the
-value drops the power, with the same bits as the general forms.
-`objective` and `gradient` are the public single-point forms of the same
-elementwise code and give bit-identical values.
+pass over the signed design matrix y_i x'_i built once per fit, and only an
+accepted trial's gradient is finished from it; `objective` and `gradient` are
+the public single-point forms of the same elementwise code and give
+bit-identical values.
 """
 
 import math
@@ -133,11 +131,10 @@ class TrainTrace:
     start point, then the objective at the current (accepted) point after
     each iteration.  It never increases, and its last entry is the returned
     model's objective.  `grad_norm_history` has one entry per iteration, the
-    gradient norm at the point the trial stepped from; each is at least
-    `tol_grad`, since the gradient stop is tested there before the trial.
+    gradient norm (at least `tol_grad`) at the point the trial stepped from.
     `final_grad_norm` is the gradient norm at the returned model, its
-    stationarity certificate, and is below `tol_grad` when the fit stopped
-    on it; `restarts` counts the rejected trials.
+    stationarity certificate, below `tol_grad` after a gradient stop;
+    `restarts` counts the rejected trials.
     """
 
     objective_history: np.ndarray
@@ -227,33 +224,27 @@ def _coeff(t: np.ndarray, sp: np.ndarray, sp_neg: np.ndarray, cfg: TrainConfig) 
 def _value_pass(w_aug: np.ndarray, yX: np.ndarray, d: np.ndarray,
                 cfg: TrainConfig) -> tuple[float, tuple]:
     """J(w') over the signed design matrix yX = y [X, 1], and the margin state
-    (t, sp, sp_neg, D w') that `_grad_pass` turns into grad J(w').
+    (t, sp, sp_neg, D w') from which `_grad_pass` finishes grad J(w').
 
     Bit-identical to `objective` and `gradient`: y = +-1 makes every product
-    with y exact.  Non-finite results are returned as they are, for the
-    caller to report; call both under `_QUIET`.
+    with y exact, and x ** 1.0 == x.  Non-finite results are returned as they
+    are, for `train` to report.
     """
     t = yX @ w_aug
     np.subtract(1.0, t, out=t)
     t *= cfg.s
     sp, sp_neg = _softplus_pair(t)
     dw = d * w_aug
-    if cfg.p == 1.0:  # x ** 1.0 == x
-        value = 0.5 * float(w_aug @ dw) + cfg.C * float((sp / cfg.s).sum())
-    else:
-        value = _value(w_aug, dw, sp, cfg)
+    value = (0.5 * float(w_aug @ dw) + cfg.C * float((sp / cfg.s).sum()) if cfg.p == 1.0
+             else _value(w_aug, dw, sp, cfg))
     return value, (t, sp, sp_neg, dw)
 
 
 def _grad_pass(state: tuple, yX: np.ndarray, cfg: TrainConfig) -> np.ndarray:
     """grad J(w') from `_value_pass`'s margin state, which it overwrites."""
     t, sp, sp_neg, dw = state
-    if cfg.p == 1.0:
-        # _coeff's exponent (p - 1) log n is +-0 where t is finite and NaN
-        # where it is not, and so is 0 * t.
-        coeff = np.multiply(t, 0.0, out=t)
-        coeff -= sp_neg
-        np.exp(coeff, out=coeff)
+    if cfg.p == 1.0:  # 0 t has the bits of _coeff's (p - 1) log n: +-0, or NaN at t = +-inf
+        coeff = np.exp(np.subtract(np.multiply(t, 0.0, out=t), sp_neg, out=t), out=t)
     else:
         coeff = _coeff(t, sp, sp_neg, cfg)
     return dw - cfg.p * cfg.C * (yX.T @ coeff)
@@ -310,11 +301,10 @@ def train(dataset: LabeledDataset, cfg: TrainConfig) -> tuple[SvmModel, TrainTra
     kept.  The objective therefore never increases.  The fit stops when an
     accepted step lowers J by a relative amount below `tol_obj`, when the
     gradient norm at the current point is below `tol_grad` (tested before
-    the trial, so that point is the one returned), or at the iteration
-    cap.  Each trial's J comes from one margin pass over the
-    signed design matrix y [X, 1], and its gradient is finished from that
-    pass only if the trial is accepted.  Deterministic: identical inputs
-    give bit-identical results.
+    the trial, so the tested point is returned), or at the iteration cap.
+    Each trial's J comes from one margin pass over the signed design matrix
+    y [X, 1]; only an accepted trial's gradient is finished from it.
+    Deterministic: identical inputs give bit-identical results.
 
     Raises DivergenceError (naming the iteration, 0 for the start point) if
     a trial objective or an accepted gradient is non-finite, and ValueError
