@@ -5,9 +5,12 @@ newlines (the loader also reads CRLF and CR), blank lines and lines starting
 with '#' ignored, optional single header row; the first data column is the
 label (+1/-1, a bare 1 also accepted), remaining columns are finite floats
 in Python `float` syntax, with whitespace around any field allowed.  The
-loader reads a file once, in order, checks each line where it parses it
-(valid UTF-8, label, column count, well-formed and finite values), and
-stops at the first bad line.
+loader reads a file once, in order, in blocks of about `_BLOCK` bytes of
+lines.  numpy's C reader parses a block in one call when every line of it
+is a well-formed, finite data row; any other block goes through a per-line
+loop that checks each line where it parses it (valid UTF-8, label, column
+count, well-formed and finite values) and stops at the first bad line, so
+that loop alone decides every error and the line it names.
 """
 
 from __future__ import annotations
@@ -31,6 +34,10 @@ __all__ = [
 ]
 
 _LABELS = {"+1": 1.0, "1": 1.0, "-1": -1.0, "−1": -1.0}
+
+# Text read per block, in bytes: a hint to `readlines`, which ends a block
+# at the first line end past it.
+_BLOCK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -80,61 +87,100 @@ def gen_toy(spec: ToySpec) -> LabeledDataset:
     return LabeledDataset(X, y)
 
 
+def _label(field: str) -> float:
+    return _LABELS[field.strip()]
+
+
+def _read_block(lines: list[str], width: int | None) -> np.ndarray | None:
+    """The block's rows, label first, from numpy's C reader; None when the
+    per-line loop must read the block instead.
+
+    The reader converts floats as Python's `float` does on every string it
+    accepts (numpy hands `PyOS_string_to_double` the ASCII field with its
+    whitespace stripped); it rejects what `float` alone takes (`1_0`,
+    non-ASCII digits) and every comment, header, whitespace-only or
+    undecodable line, by the label converter.  A block is taken only if it
+    has a row, a feature column, the width set so far and finite values.
+    """
+    if not any(map(str.strip, lines)):
+        return None  # only blank lines: the reader would warn of no data
+    try:
+        block = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, encoding=None,
+                           converters={0: _label})
+    except ValueError:
+        return None
+    if block.shape[1] >= 2 and width in (None, block.shape[1]) and np.isfinite(block).all():
+        return block
+    return None
+
+
 def load_csv(path, has_header: bool = False) -> LabeledDataset:
     """Parse a labeled dataset from `path`; errors name the offending line.
 
     Feature fields take Python `float` syntax, with whitespace around them
     allowed; a non-finite value is an error, and so is a line that is not
-    valid UTF-8.  The file is opened and read once, line by line, with
-    undecodable bytes arriving as lone surrogates (`surrogateescape`) for
-    the parse to reject.  Each row is checked as soon as it is parsed, so
-    the first bad line is the one named.  Values are collected in flat
-    double buffers rather than a list of rows, which keeps the peak memory
-    near twice the size of the final matrix.
+    valid UTF-8.  The file is opened and read once, in blocks of lines,
+    with undecodable bytes arriving as lone surrogates (`surrogateescape`)
+    for the parse to reject.  numpy's C reader parses a block of clean data
+    rows in one call (`_read_block`).  Every other block, and one read while
+    the header is pending, goes through the per-line loop below, which
+    checks each row as soon as it is parsed: it alone words an error and
+    names the first bad line, with line numbers counted across blocks.
+    Values are collected in flat double buffers rather than a list of rows,
+    which keeps the peak memory near twice the size of the final matrix.
     """
     values = array("d")
     labels = array("d")
     width: int | None = None
     header_pending = has_header
+    lineno = 0
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.isascii():
-                try:
-                    line.encode("utf-8")  # fails on an escaped undecodable byte
-                except UnicodeEncodeError:
-                    raise ValueError(f"{path}: line {lineno}: not valid UTF-8") from None
-            fields = line.split(",")
-            head = fields[0].strip()
-            label = _LABELS.get(head)
-            if label is None or header_pending:
-                # Only a data row starts with a valid label; this is a
-                # blank or comment line, the header, or a bad label.
-                stripped = line.strip()
-                if not stripped or stripped[0] == "#":
-                    continue
-                if header_pending:
-                    header_pending = False
-                    continue
-                raise ValueError(
-                    f"{path}: line {lineno}: label must be +1 or -1, got {head!r}")
-            if width is None:
-                width = len(fields)
-                if width < 2:
+        while lines := fh.readlines(_BLOCK):
+            block = None if header_pending else _read_block(lines, width)
+            if block is not None:
+                width = block.shape[1]
+                labels.frombytes(block[:, 0].tobytes())
+                values.frombytes(block[:, 1:].tobytes())
+                lineno += len(lines)
+                continue
+            for lineno, line in enumerate(lines, start=lineno + 1):
+                if not line.isascii():
+                    try:
+                        line.encode("utf-8")  # fails on an escaped undecodable byte
+                    except UnicodeEncodeError:
+                        raise ValueError(f"{path}: line {lineno}: not valid UTF-8") from None
+                fields = line.split(",")
+                head = fields[0].strip()
+                label = _LABELS.get(head)
+                if label is None or header_pending:
+                    # Only a data row starts with a valid label; this is a
+                    # blank or comment line, the header, or a bad label.
+                    stripped = line.strip()
+                    if not stripped or stripped[0] == "#":
+                        continue
+                    if header_pending:
+                        header_pending = False
+                        continue
                     raise ValueError(
-                        f"{path}: line {lineno}: expected at least one feature column")
-            elif len(fields) != width:
-                raise ValueError(
-                    f"{path}: line {lineno}: expected {width} columns, got {len(fields)}")
-            try:
-                row = list(map(float, fields[1:]))  # float strips whitespace
-            except ValueError:
-                raise ValueError(f"{path}: line {lineno}: malformed feature value") from None
-            # A finite sum proves every value finite; the exact test runs
-            # only on an inf or NaN, or on finite values whose sum overflowed.
-            if not math.isfinite(sum(row)) and not all(map(math.isfinite, row)):
-                raise ValueError(f"{path}: line {lineno}: non-finite feature value")
-            values.extend(row)
-            labels.append(label)
+                        f"{path}: line {lineno}: label must be +1 or -1, got {head!r}")
+                if width is None:
+                    width = len(fields)
+                    if width < 2:
+                        raise ValueError(
+                            f"{path}: line {lineno}: expected at least one feature column")
+                elif len(fields) != width:
+                    raise ValueError(
+                        f"{path}: line {lineno}: expected {width} columns, got {len(fields)}")
+                try:
+                    row = list(map(float, fields[1:]))  # float strips whitespace
+                except ValueError:
+                    raise ValueError(f"{path}: line {lineno}: malformed feature value") from None
+                # A finite sum proves every value finite; the exact test runs
+                # only on an inf or NaN, or on finite values whose sum overflowed.
+                if not math.isfinite(sum(row)) and not all(map(math.isfinite, row)):
+                    raise ValueError(f"{path}: line {lineno}: non-finite feature value")
+                values.extend(row)
+                labels.append(label)
     if not labels:
         raise ValueError(f"{path}: no data rows")
     X = np.frombuffer(values, dtype=np.float64).reshape(len(labels), width - 1)

@@ -1,7 +1,9 @@
 import contextlib
 import io
 import math
+import warnings
 from array import array
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import lpsvm.data
 from lpsvm.cli import main, save_model
 from lpsvm.core import LabeledDataset, slack
 from lpsvm.data import FoldSplit, ToySpec, gen_toy, kfold, load_csv, save_csv, standardize
@@ -361,6 +364,80 @@ def test_load_csv_matches_reference_loop(tmp_path_factory, model_file, data, has
             with contextlib.redirect_stderr(io.StringIO()) as err:
                 code = main([*map(str, argv), "--data", str(path), *header])
             assert code == 2, err.getvalue()
+    # Blocks of a line or a few lines mix numpy's reader and the per-line
+    # loop in one file: a width set by either is checked by the other, and
+    # line numbers run on across both.
+    for block in (1, 64):
+        with mock.patch.object(lpsvm.data, "_BLOCK", block), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _outcome(load_csv, path, has_header) == outcome, block
+
+
+@pytest.fixture(scope="module")
+def multiblock_csv(tmp_path_factory):
+    """A clean file of about 3.4 MB, four of the loader's blocks."""
+    rng = np.random.default_rng(17)
+    ds = LabeledDataset(rng.normal(0.0, 1.0, (20_000, 8)),
+                        np.where(rng.random(20_000) < 0.5, 1.0, -1.0))
+    path = tmp_path_factory.mktemp("blocks") / "d.csv"
+    save_csv(ds, path)
+    return path, ds
+
+
+def test_load_csv_reads_every_clean_block_with_numpys_reader(multiblock_csv, monkeypatch):
+    # A numpy that handed the label converter bytes (numpy 1.x without
+    # encoding=None) would send every block to the per-line loop, silently.
+    path, ds = multiblock_csv
+    taken = []
+
+    def spy(lines, width, read_block=lpsvm.data._read_block):
+        block = read_block(lines, width)
+        taken.append(block is not None)
+        return block
+
+    monkeypatch.setattr(lpsvm.data, "_read_block", spy)
+    back = load_csv(path)
+    assert len(taken) >= 3 and all(taken)
+    assert np.array_equal(back.X, ds.X) and np.array_equal(back.y, ds.y)
+
+
+@pytest.mark.parametrize("bad, message", [
+    ("-1" + ",0.5" * 7 + ",nan", "non-finite feature value"),
+    ("+1" + ",0.5" * 7, "expected 9 columns, got 8"),
+    ("x" + ",0.5" * 8, "label must be"),
+])
+def test_load_csv_names_a_bad_line_in_the_last_block(tmp_path, multiblock_csv, bad, message):
+    # The blocks before it go through numpy's reader, so the line number
+    # must run on across them.
+    lines = multiblock_csv[0].read_text().splitlines(keepends=True)
+    lines.insert(len(lines) - 3, bad + "\n")
+    path = tmp_path / "d.csv"
+    path.write_text("".join(lines))
+    with pytest.raises(ValueError, match=f"line {len(lines) - 3}: {message}"):
+        load_csv(path)
+
+
+@pytest.mark.parametrize("text", [
+    "+1,1,2\n-1,3\n",  # numpy's reader sets the width and checks it
+    "+1,1_0,2\n-1,3\n",  # the per-line loop sets it, the reader checks it
+    "+1,1,2\n-1,3_0\n",  # the reader sets it, the loop checks it
+])
+def test_load_csv_checks_the_width_across_blocks(tmp_path, text):
+    path = tmp_path / "d.csv"
+    path.write_text(text)
+    with mock.patch.object(lpsvm.data, "_BLOCK", 1):  # a block per line
+        with pytest.raises(ValueError, match="line 2: expected 3 columns, got 2"):
+            load_csv(path)
+
+
+def test_load_csv_of_blank_lines_warns_nothing(tmp_path):
+    # numpy's reader skips empty lines and warns when it finds no row
+    path = tmp_path / "d.csv"
+    path.write_text("\n\n\r\n\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="no data rows"):
+            load_csv(path)
 
 
 def test_load_csv_reports_first_of_several_bad_lines(tmp_path):
