@@ -287,6 +287,16 @@ def gradient(w_aug: np.ndarray, X_aug: np.ndarray, y: np.ndarray, cfg: TrainConf
     return grad
 
 
+def _norm(g: np.ndarray) -> float:
+    """||g||, computed as np.linalg.norm does, sqrt(g.g); where g.g overflows
+    for a finite g, from `math.hypot`, which scales and stays finite.  A
+    non-finite g gives a non-finite norm."""
+    norm = math.sqrt(g.dot(g))
+    if not math.isfinite(norm) and np.isfinite(g).all():
+        norm = math.hypot(*g)
+    return norm
+
+
 def train(dataset: LabeledDataset, cfg: TrainConfig) -> tuple[SvmModel, TrainTrace]:
     """Minimize the smoothed objective by safeguarded momentum descent.
 
@@ -301,7 +311,8 @@ def train(dataset: LabeledDataset, cfg: TrainConfig) -> tuple[SvmModel, TrainTra
     kept.  The objective therefore never increases.  The fit stops when an
     accepted step lowers J by a relative amount below `tol_obj`, when the
     gradient norm at the current point is below `tol_grad` (tested before
-    the trial, so the tested point is returned), or at the iteration cap.
+    the trial, so the tested point is returned, and once more at the point
+    the last iteration leaves), or at the iteration cap.
     Each trial's J comes from one margin pass over the signed design matrix
     y [X, 1]; only an accepted trial's gradient is finished from it.
     Deterministic: identical inputs give bit-identical results.
@@ -330,10 +341,8 @@ def train(dataset: LabeledDataset, cfg: TrainConfig) -> tuple[SvmModel, TrainTra
 
         for it in range(1, cfg.max_iter + 1):
             # g is the gradient at the current point; it only counts as
-            # diverged if a step is taken from it.  The norm is computed as
-            # np.linalg.norm does; it also overflows for a large finite g, so
-            # only an infinite norm needs the elementwise check.
-            grad_norm = math.sqrt(g.dot(g))
+            # diverged if a step is taken from it.
+            grad_norm = _norm(g)
             if not math.isfinite(grad_norm) and not np.isfinite(g).all():
                 raise DivergenceError(f"gradient diverged at iteration {it}")
             if grad_norm < cfg.tol_grad:
@@ -358,7 +367,10 @@ def train(dataset: LabeledDataset, cfg: TrainConfig) -> tuple[SvmModel, TrainTra
                 step *= _STEP_SHRINK
                 restarts += 1
                 obj_hist.append(value)
-        final_grad_norm = math.sqrt(g.dot(g))
+        final_grad_norm = _norm(g)
+        # No iteration follows the last one to test the point it leaves.
+        if stop_reason == STOP_ITERATION_CAP and final_grad_norm < cfg.tol_grad:
+            stop_reason = STOP_GRADIENT
 
     model = SvmModel(w=w[:-1].copy(), b=float(w[-1]), meta=cfg)
     trace = TrainTrace(

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from decimal import Decimal, localcontext
 
@@ -353,6 +354,38 @@ def test_train_gradient_stop_returns_the_point_it_tested(p):
                 assert np.all(trace.grad_norm_history >= tol_grad)
 
 
+def test_train_tests_the_gradient_at_the_point_the_cap_leaves():
+    # Uncapped, this fit stops on the gradient at the top of iteration 65,
+    # before any trial; capped at 64 it returns the same point, which passes
+    # the same test, while at 63 the point it returns does not.
+    ds = gen_toy(ToySpec(seed=0))
+    cfg = TrainConfig(C=1.0, p=1.0, tol_obj=1e-300, tol_grad=1e-2)
+    free_model, free = train(ds, cfg)
+    assert free.stop_reason == STOP_GRADIENT and free.iterations == 64
+    model, trace = _assert_matches_reference(ds, dataclasses.replace(cfg, max_iter=64))
+    assert trace.stop_reason == STOP_GRADIENT and trace.converged
+    assert trace.iterations == 64 and trace.final_grad_norm == free.final_grad_norm < 1e-2
+    assert np.array_equal(model.w, free_model.w) and model.b == free_model.b
+    _, trace = _assert_matches_reference(ds, dataclasses.replace(cfg, max_iter=63))
+    assert trace.stop_reason == STOP_ITERATION_CAP and trace.final_grad_norm >= 1e-2
+
+
+def test_train_gradient_norm_is_finite_where_g_dot_g_overflows():
+    # grad J(0) is about 7e200, so g.g overflows; the norm comes from hypot,
+    # and a gradient tolerance above it can fire.
+    ds = LabeledDataset([[1e200], [2e200], [-1e200], [-3e200]], [1.0, 1.0, -1.0, -1.0])
+    cfg = TrainConfig(C=1.0, p=1.0, eta=1e-92, max_iter=50)
+    g0 = gradient(np.zeros(2), augment(ds).matrix, ds.y, cfg)
+    with np.errstate(over="ignore"):
+        assert np.isfinite(g0).all() and math.isinf(np.linalg.norm(g0))
+    _, trace = train(ds, cfg)
+    assert trace.grad_norm_history[0] == math.hypot(*g0)
+    assert np.isfinite(trace.grad_norm_history).all() and math.isfinite(trace.final_grad_norm)
+    _, trace = train(ds, dataclasses.replace(cfg, tol_grad=1e201))
+    assert trace.stop_reason == STOP_GRADIENT and trace.iterations == 0
+    assert trace.final_grad_norm == math.hypot(*g0)
+
+
 def test_train_divergence_at_start_names_iteration_0():
     ds = gen_toy(ToySpec(seed=7, n_per_class=10))
     # J(0) = C * n overflows
@@ -396,6 +429,9 @@ def reference_train(dataset, cfg):
             step *= 0.5
             rejected += 1
             obj_hist.append(value)
+    else:  # the cap: the point the last iteration leaves gets the gradient test too
+        if float(np.linalg.norm(g)) < cfg.tol_grad:
+            stop_reason = STOP_GRADIENT
     return w, np.array(obj_hist), np.array(grad_hist), stop_reason, evaluations, rejected
 
 
