@@ -5,12 +5,11 @@ newlines (the loader also reads CRLF and CR), blank lines and lines starting
 with '#' ignored, optional single header row; the first data column is the
 label (+1/-1, a bare 1 also accepted), remaining columns are finite floats
 in Python `float` syntax, with whitespace around any field allowed.  The
-loader reads a file once, in order, in blocks of about `_BLOCK` bytes of
-lines.  numpy's C reader parses a block in one call when every line of it
-is a well-formed, finite data row; any other block goes through a per-line
-loop that checks each line where it parses it (valid UTF-8, label, column
-count, well-formed and finite values) and stops at the first bad line, so
-that loop alone decides every error and the line it names.
+loader reads a file once, in order, a block of lines at a time, checks
+every line (valid UTF-8, label, column count, well-formed and finite
+values), and stops at the first bad line: numpy's C reader takes a block of
+clean data rows, and a per-line loop reads every other block and words
+every error.
 """
 
 from __future__ import annotations
@@ -92,15 +91,15 @@ def _label(field: str) -> float:
 
 
 def _read_block(lines: list[str], width: int | None) -> np.ndarray | None:
-    """The block's rows, label first, from numpy's C reader; None when the
-    per-line loop must read the block instead.
+    """The block's rows, label first, parsed by numpy's C reader; None when
+    the per-line loop must read the block instead.
 
-    The reader converts floats as Python's `float` does on every string it
-    accepts (numpy hands `PyOS_string_to_double` the ASCII field with its
-    whitespace stripped); it rejects what `float` alone takes (`1_0`,
-    non-ASCII digits) and every comment, header, whitespace-only or
-    undecodable line, by the label converter.  A block is taken only if it
-    has a row, a feature column, the width set so far and finite values.
+    numpy strips a field's whitespace and hands the ASCII rest to
+    `PyOS_string_to_double`, as `float` does, so every value it accepts has
+    `float`'s bits; what only `float` takes (`1_0`, non-ASCII digits) it
+    rejects.  The label converter rejects comment, header, whitespace-only
+    and undecodable lines.  The rows are taken only with a feature column,
+    the width set so far and finite values.
     """
     if not any(map(str.strip, lines)):
         return None  # only blank lines: the reader would warn of no data
@@ -128,9 +127,7 @@ def load_csv(path, has_header: bool = False) -> LabeledDataset:
     names the first bad line, with line numbers counted across blocks.
     Rows are collected, label first, in one flat double buffer rather than a
     list of rows, which keeps the peak memory near twice the size of the
-    final matrix.  A block joins it in one copy; split into label and
-    feature buffers, each block took two more, and a process that loads
-    repeatedly peaked about 10 MB higher.
+    final matrix.
     """
     rows = array("d")
     width: int | None = None
