@@ -8,8 +8,8 @@ in Python `float` syntax, with whitespace around any field allowed.  The
 loader reads a file once, in order, a block of lines at a time, checks
 every line (valid UTF-8, label, column count, well-formed and finite
 values), and stops at the first bad line: numpy's C reader takes a block of
-clean data rows, and a per-line loop reads every other block and words
-every error.
+clean data rows, and a plain per-line loop reads every block numpy does
+not take and words every error.
 """
 
 from __future__ import annotations
@@ -121,10 +121,10 @@ def load_csv(path, has_header: bool = False) -> LabeledDataset:
     valid UTF-8.  The file is opened and read once, in blocks of lines,
     with undecodable bytes arriving as lone surrogates (`surrogateescape`)
     for the parse to reject.  numpy's C reader parses a block of clean data
-    rows in one call (`_read_block`).  Every other block, and one read while
-    the header is pending, goes through the per-line loop below, which
-    checks each row as soon as it is parsed: it alone words an error and
-    names the first bad line, with line numbers counted across blocks.
+    rows in one call (`_read_block`).  Every block numpy does not take, and
+    one read while the header is pending, goes through the plain per-line
+    loop below, which checks each line in full as soon as it is read: it
+    alone words an error and names the first bad line, counted across blocks.
     Rows are collected, label first, in one flat double buffer rather than a
     list of rows, which keeps the peak memory near twice the size of the
     final matrix.
@@ -142,25 +142,21 @@ def load_csv(path, has_header: bool = False) -> LabeledDataset:
                 lineno += len(lines)
                 continue
             for lineno, line in enumerate(lines, start=lineno + 1):
-                if not line.isascii():
-                    try:
-                        line.encode("utf-8")  # fails on an escaped undecodable byte
-                    except UnicodeEncodeError:
-                        raise ValueError(f"{path}: line {lineno}: not valid UTF-8") from None
+                try:
+                    line.encode("utf-8")  # fails on an escaped undecodable byte
+                except UnicodeEncodeError:
+                    raise ValueError(f"{path}: line {lineno}: not valid UTF-8") from None
+                line = line.strip()
+                if not line or line[0] == "#":
+                    continue
+                if header_pending:
+                    header_pending = False
+                    continue
                 fields = line.split(",")
                 head = fields[0].strip()
                 label = _LABELS.get(head)
-                if label is None or header_pending:
-                    # Only a data row starts with a valid label; this is a
-                    # blank or comment line, the header, or a bad label.
-                    stripped = line.strip()
-                    if not stripped or stripped[0] == "#":
-                        continue
-                    if header_pending:
-                        header_pending = False
-                        continue
-                    raise ValueError(
-                        f"{path}: line {lineno}: label must be +1 or -1, got {head!r}")
+                if label is None:
+                    raise ValueError(f"{path}: line {lineno}: label must be +1 or -1, got {head!r}")
                 if width is None:
                     width = len(fields)
                     if width < 2:
@@ -173,9 +169,7 @@ def load_csv(path, has_header: bool = False) -> LabeledDataset:
                     row = list(map(float, fields[1:]))  # float strips whitespace
                 except ValueError:
                     raise ValueError(f"{path}: line {lineno}: malformed feature value") from None
-                # A finite sum proves every value finite; the exact test runs
-                # only on an inf or NaN, or on finite values whose sum overflowed.
-                if not math.isfinite(sum(row)) and not all(map(math.isfinite, row)):
+                if not all(map(math.isfinite, row)):
                     raise ValueError(f"{path}: line {lineno}: non-finite feature value")
                 rows.append(label)
                 rows.extend(row)

@@ -132,9 +132,9 @@ class TrainTrace:
     each iteration.  It never increases, and its last entry is the returned
     model's objective.  `grad_norm_history` has one entry per iteration, the
     gradient norm (at least `tol_grad`) at the point the trial stepped from.
-    `final_grad_norm` is the gradient norm at the returned model, its
-    stationarity certificate, below `tol_grad` after a gradient stop;
-    `restarts` counts the rejected trials.
+    `final_grad_norm` is the last norm the loop's stop test computed: at
+    the returned model, below `tol_grad` after a gradient stop, and never of
+    a non-finite gradient, which raises; `restarts` counts rejected trials.
     """
 
     objective_history: np.ndarray
@@ -311,8 +311,7 @@ def train(dataset: LabeledDataset, cfg: TrainConfig) -> tuple[SvmModel, TrainTra
     kept.  The objective therefore never increases.  The fit stops when an
     accepted step lowers J by a relative amount below `tol_obj`, when the
     gradient norm at the current point is below `tol_grad` (tested before
-    the trial, so the tested point is returned, and once more at the point
-    the last iteration leaves), or at the iteration cap.
+    the trial, so the tested point is returned), or at the iteration cap.
     Each trial's J comes from one margin pass over the signed design matrix
     y [X, 1]; only an accepted trial's gradient is finished from it.
     Deterministic: identical inputs give bit-identical results.
@@ -339,14 +338,16 @@ def train(dataset: LabeledDataset, cfg: TrainConfig) -> tuple[SvmModel, TrainTra
         grad_hist: list[float] = []
         stop_reason = STOP_ITERATION_CAP
 
-        for it in range(1, cfg.max_iter + 1):
-            # g is the gradient at the current point; it only counts as
-            # diverged if a step is taken from it.
+        # Each round first tests the current point, which is returned if the
+        # fit stops there: the start point, each accepted trial, and, in
+        # round max_iter + 1, the point the cap leaves.
+        for it in range(1, cfg.max_iter + 2):
             grad_norm = _norm(g)
             if not math.isfinite(grad_norm) and not np.isfinite(g).all():
                 raise DivergenceError(f"gradient diverged at iteration {it}")
-            if grad_norm < cfg.tol_grad:
+            if grad_norm < cfg.tol_grad and stop_reason == STOP_ITERATION_CAP:
                 stop_reason = STOP_GRADIENT
+            if stop_reason != STOP_ITERATION_CAP or it > cfg.max_iter:
                 break
             v_trial = cfg.eps * v - step * g
             w_trial = w + v_trial
@@ -360,24 +361,19 @@ def train(dataset: LabeledDataset, cfg: TrainConfig) -> tuple[SvmModel, TrainTra
                 step *= _STEP_GROW
                 obj_hist.append(value)
                 if decrease < cfg.tol_obj:
-                    stop_reason = STOP_OBJECTIVE
-                    break
+                    stop_reason = STOP_OBJECTIVE  # the next round tests the point, then stops
             else:
                 v = np.zeros_like(v)
                 step *= _STEP_SHRINK
                 restarts += 1
                 obj_hist.append(value)
-        final_grad_norm = _norm(g)
-        # No iteration follows the last one to test the point it leaves.
-        if stop_reason == STOP_ITERATION_CAP and final_grad_norm < cfg.tol_grad:
-            stop_reason = STOP_GRADIENT
 
     model = SvmModel(w=w[:-1].copy(), b=float(w[-1]), meta=cfg)
     trace = TrainTrace(
         objective_history=np.array(obj_hist),
         grad_norm_history=np.array(grad_hist),
         stop_reason=stop_reason,
-        final_grad_norm=final_grad_norm,
+        final_grad_norm=grad_norm,
         restarts=restarts,
     )
     return model, trace

@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -289,13 +289,14 @@ _BAD_BYTES = [b"\xff", b"\xe2", b"\xe2\x82", b"\xc3", b"\xed\xa0\x80", b"\xf4\x9
 
 @st.composite
 def csv_files(draw):
-    """Loader input: data rows of one width mixed with comment, blank and
-    header lines, CRLF and CR line ends, padded and malformed fields, bad
-    labels, ragged rows, comments long enough to carry the lines after them
-    past the decoder's first block, and lines of any kind with a byte
-    sequence that is not UTF-8.  About half the files are clean, so that
-    most of those load: good labels and values, at least one feature, no
-    ragged rows or bad bytes, and a header line only at the top."""
+    """Loader input: data rows of one width mixed with comment, header and
+    runs of blank lines, CRLF and CR line ends, padded and malformed fields,
+    bad labels, ragged rows, comments long enough to carry the lines after
+    them past the decoder's first block, and lines of any kind with a byte
+    sequence that is not UTF-8.  About half the files are clean: good labels
+    and values, at least one feature, no bad bytes, and a header line only
+    at the top.  Most of those load; the rest stop at a ragged row of clean
+    fields, which only the width check tells from a row of a new width."""
     clean = draw(st.booleans())
     width = draw(st.sampled_from([1, 2, 3] if clean else [0, 1, 2, 2, 3, 3]))
     number = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
@@ -305,8 +306,8 @@ def csv_files(draw):
     value = st.integers(0, 99).flatmap(
         lambda r: st.sampled_from(_ODD_VALUES) if r < odd else number)
     label = st.sampled_from(_GOOD_LABELS if clean else _GOOD_LABELS * 6 + _BAD_LABELS)
-    kinds = ["row"] * 12 + ["comment", "long comment", "blank"]
-    kinds += [] if clean else ["ragged", "header"]
+    kinds = ["row"] * 12 + ["comment", "long comment", "blank", "ragged"]
+    kinds += [] if clean else ["header"]
     lines = []
     if clean and draw(st.booleans()):
         lines.append(",".join(["label"] + [f"x{j}" for j in range(width)]))
@@ -320,8 +321,9 @@ def csv_files(draw):
             lines.append(draw(st.sampled_from(["#", "# x,1", "  #+1,2", "\t# comment"])))
         elif kind == "long comment":
             lines.append("# " + "\u2212" * draw(st.integers(2600, 2800)))
-        elif kind == "blank":
-            lines.append(draw(st.sampled_from(["", " ", "\t ", "\u00a0"])))
+        elif kind == "blank":  # a run of empty lines makes a block of its own
+            blank = draw(st.sampled_from(["", " ", "\t ", "\u00a0"]))
+            lines += [blank] * draw(st.integers(1, 3))
         else:
             lines.append(",".join(["label"] + [f"x{j}" for j in range(width)]))
     raws = [line.encode("utf-8") for line in lines]
@@ -352,6 +354,8 @@ def model_file(tmp_path_factory):
 
 @settings(max_examples=200)
 @given(data=csv_files(), has_header=st.booleans())
+@example(data=b"+1,1\n\n\n-1,2\n", has_header=False)  # a block of empty lines alone
+@example(data=b"+1,1,2\n-1,3\n", has_header=False)  # a ragged row numpy's reader can parse
 def test_load_csv_matches_reference_loop(tmp_path_factory, model_file, data, has_header):
     path = tmp_path_factory.mktemp("fuzz") / "d.csv"
     path.write_bytes(data)

@@ -512,6 +512,29 @@ def test_train_overflow_at_p1_names_the_iteration(scale, C, eta, message):
         train(ds, TrainConfig(C=C, p=1.0, eta=eta, max_iter=5000))
 
 
+# At the first trial the scaled margins t = s (1 - y w'.x') overflow to -inf.
+# J stays finite there and the trial is accepted, but the p = 1 coefficient
+# exp(0 t - softplus(-t)) is NaN, and so is the gradient at the point returned.
+_FAR_PAIR = [[1e306], [-1e306]], [1.0, -1.0], dict(C=1.0, p=1.0, eta=1e-306)
+_FAR_FOUR = ([[4.7212316105270436e306], [-2.567109112680582e306],
+              [1.2830803694248833e306], [-4.587196161864749e306]], [1.0, -1.0, 1.0, -1.0],
+             dict(C=1.0, p=1.0, s=305.1225723255686, eta=4.609655319991794e-308))
+
+
+@pytest.mark.parametrize("case, max_iter", [
+    (_FAR_PAIR, 1),  # the trial ties J(0) = 2: an objective stop at the cap
+    (_FAR_PAIR, 5000),  # the same objective stop, well before the cap
+    (_FAR_FOUR, 1),  # the trial lowers J from 4 to 0.18: a stop at the cap
+])
+def test_train_raises_on_a_non_finite_gradient_at_the_returned_point(case, max_iter):
+    X, y, kwargs = case
+    ds, cfg = LabeledDataset(X, y), TrainConfig(max_iter=max_iter, **kwargs)
+    with pytest.raises(DivergenceError, match="gradient diverged at iteration 2$"):
+        train(ds, cfg)
+    with pytest.raises(DivergenceError), np.errstate(over="ignore"):  # in ||grad J(0)||
+        reference_train(ds, cfg)
+
+
 @pytest.mark.parametrize("p", [1.0, 0.5, 0.3])
 @pytest.mark.parametrize("regularize_bias", [False, True])
 def test_kernel_passes_match_objective_and_gradient_bitwise(p, regularize_bias):
