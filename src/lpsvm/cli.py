@@ -43,6 +43,7 @@ def save_model(model: SvmModel, trace: TrainTrace, path) -> None:
             "converged": trace.converged,
             "stop_reason": trace.stop_reason,
             "final_grad_norm": trace.final_grad_norm,
+            "relative_grad_norm": trace.relative_grad_norm,
             "restarts": trace.restarts,
         },
     }
@@ -173,7 +174,8 @@ def cmd_train(args) -> int:
     print(f"trained on {dataset.n} samples: iterations={trace.iterations} "
           f"converged={trace.converged} stop_reason={trace.stop_reason} "
           f"final_objective={trace.objective_history[-1]:.6g} "
-          f"final_grad_norm={trace.final_grad_norm:.3g}")
+          f"final_grad_norm={trace.final_grad_norm:.3g} "
+          f"relative_grad_norm={trace.relative_grad_norm:.3g}")
     _warn_if_capped([trace], cfg.max_iter)
     return 0
 

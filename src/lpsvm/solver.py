@@ -1,4 +1,5 @@
-"""Smoothed hinge objective with an Lp slack penalty and its momentum descent solver.
+"""Smoothed hinge objective with an Lp slack penalty and its momentum descent solver,
+with a damped Newton finish at p = 1.
 
 The trained objective, over the augmented weight vector w' = [w, b], is
 
@@ -25,7 +26,10 @@ halves; an accepted step grows the step by 5 %.  Each trial costs one margin
 pass over the signed design matrix y_i x'_i built once per fit, and only an
 accepted trial's gradient is finished from it; `objective` and `gradient` are
 the public single-point forms of the same elementwise code and give
-bit-identical values.
+bit-identical values.  At p = 1, where J is convex, the fit hands off to
+damped Newton trials (Keerthi & DeCoste, JMLR 2005) once momentum slows:
+the Hessian D + C s yX^T diag(sigma(t) sigma(-t)) yX comes from the same
+margin state as the gradient, and each trial is still one margin pass.
 """
 
 import math
@@ -58,6 +62,15 @@ STOP_ITERATION_CAP = "iteration-cap"
 # one (the objective would rise) shrinks it and restarts the momentum.
 _STEP_GROW = 1.05
 _STEP_SHRINK = 0.5
+
+# At p = 1, where J is convex, the fit hands off from momentum to damped
+# Newton trials once an accepted momentum step lowers J by less than this,
+# relatively.  A Newton trial is accepted when J falls by at least _ARMIJO
+# of the decrease the slope g.d predicts, and its step halves otherwise.
+_NEWTON_HANDOFF = 1e-3
+_ARMIJO = 1e-4
+# H is summed over blocks of this many rows, so no n x (k+1) temporary is made.
+_HESSIAN_ROWS = 1024
 
 # Below this, log(softplus(t)) equals t to double precision.
 _LOG_SOFTPLUS_CUT = -33.0
@@ -98,8 +111,8 @@ class TrainConfig:
     # At p < 1 the initial step can decide which local minimum a fit reaches,
     # and a step that shrinks with C finds the lower one on the toy data at
     # C = 50 and 100.
-    eta: float | None = _knob(None, "initial step (> 0; default: 1e-2 / max(1, C/2))",
-                              positive=True)
+    eta: float | None = _knob(None, "initial step of the momentum phase (> 0; default: "
+                                    "1e-2 / max(1, C/2))", positive=True)
     eps: float = _knob(0.9, "momentum coefficient in [0, 1)")
     tol_obj: float = _knob(1e-8, "stop when an accepted step lowers the objective J by "
                                  "less than this times max(1, |J|)", positive=True)
@@ -131,7 +144,8 @@ class TrainTrace:
     start point, then the objective at the current (accepted) point after
     each iteration.  It never increases, and its last entry is the returned
     model's objective.  `grad_norm_history` has one entry per iteration, the
-    gradient norm (at least `tol_grad`) at the point the trial stepped from.
+    gradient norm (at least `tol_grad`) at the point the trial stepped from;
+    momentum and Newton trials alike.  `initial_grad_norm` is ||grad J(0)||.
     `final_grad_norm` is the last norm the loop's stop test computed: at
     the returned model, below `tol_grad` after a gradient stop, and never of
     a non-finite gradient, which raises; `restarts` counts rejected trials.
@@ -140,12 +154,19 @@ class TrainTrace:
     objective_history: np.ndarray
     grad_norm_history: np.ndarray
     stop_reason: str
+    initial_grad_norm: float
     final_grad_norm: float
     restarts: int
 
     @property
     def iterations(self) -> int:
         return len(self.grad_norm_history)
+
+    @property
+    def relative_grad_norm(self) -> float:
+        """final_grad_norm / initial_grad_norm, free of the data's scale; 0
+        for a fit that starts, and so ends, at a stationary point."""
+        return self.final_grad_norm / self.initial_grad_norm if self.initial_grad_norm else 0.0
 
     @property
     def converged(self) -> bool:
@@ -250,6 +271,34 @@ def _grad_pass(state: tuple, yX: np.ndarray, cfg: TrainConfig) -> np.ndarray:
     return dw - cfg.p * cfg.C * (yX.T @ coeff)
 
 
+def _hessian(state: tuple, yX: np.ndarray, d: np.ndarray, cfg: TrainConfig) -> np.ndarray:
+    """The p = 1 Hessian D + C s yX^T diag(sigma(t) sigma(-t)) yX, from
+    `_value_pass`'s margin state, before `_grad_pass` has used it.
+
+    sigma(t) sigma(-t) = exp(-softplus(t) - softplus(-t)) takes one exp
+    and no log, and is made one block of rows at a time.
+    """
+    _, sp, sp_neg, _ = state
+    gram = 0.0
+    for lo in range(0, len(sp), _HESSIAN_ROWS):
+        rows = slice(lo, lo + _HESSIAN_ROWS)
+        gram = gram + (yX[rows].T * np.exp(-(sp[rows] + sp_neg[rows]))) @ yX[rows]
+    return (cfg.C * cfg.s) * gram + np.diag(d)
+
+
+def _newton_direction(H: np.ndarray, g: np.ndarray) -> np.ndarray | None:
+    """The solution d of H d = -g, or None unless H and d are finite and d
+    is a descent direction (g.d < 0), as it is wherever H is positive
+    definite."""
+    if not np.isfinite(H).all():
+        return None
+    try:
+        direction = np.linalg.solve(H, -g)
+    except np.linalg.LinAlgError:  # H is singular
+        return None
+    return direction if np.isfinite(direction).all() and g @ direction < 0.0 else None
+
+
 def objective(w_aug: np.ndarray, X_aug: np.ndarray, y: np.ndarray, cfg: TrainConfig) -> float:
     """Smoothed penalized objective at the augmented weight vector, over the
     (n, k+1) augmented sample matrix X_aug = [X, 1].
@@ -298,7 +347,8 @@ def _norm(g: np.ndarray) -> float:
 
 
 def train(dataset: LabeledDataset, cfg: TrainConfig) -> tuple[SvmModel, TrainTrace]:
-    """Minimize the smoothed objective by safeguarded momentum descent.
+    """Minimize the smoothed objective by safeguarded momentum descent,
+    finished at p = 1 by damped Newton steps.
 
     Starts from w' = 0, v = 0, step = eta.  Each iteration evaluates one
     trial point
@@ -308,12 +358,24 @@ def train(dataset: LabeledDataset, cfg: TrainConfig) -> tuple[SvmModel, TrainTra
     and accepts it if J(w'') <= J(w'), growing the step by 5 %.  A trial
     that would raise the objective is discarded: the velocity restarts from
     zero and the step halves, and the current point and its gradient are
-    kept.  The objective therefore never increases.  The fit stops when an
-    accepted step lowers J by a relative amount below `tol_obj`, when the
-    gradient norm at the current point is below `tol_grad` (tested before
-    the trial, so the tested point is returned), or at the iteration cap.
-    Each trial's J comes from one margin pass over the signed design matrix
-    y [X, 1]; only an accepted trial's gradient is finished from it.
+    kept.  The objective therefore never increases.
+
+    At p = 1 only, once an accepted momentum step lowers J by less than
+    `_NEWTON_HANDOFF` relatively, every later trial is a damped Newton one,
+    w'' = w' + a d with H d = -grad J(w'): a starts at 1 at each accepted
+    point, the trial is accepted if J(w'') <= J(w') + `_ARMIJO` a g.d, and
+    a halves otherwise.  A Newton trial counts as an iteration, against
+    `max_iter`, and in `restarts` when rejected, as a momentum trial does;
+    `eta` and `eps` act on the momentum trials only.  Where H or d is not
+    finite, or d is not a descent direction, that point's trials stay on
+    momentum.  At p < 1 every trial is a momentum trial.
+
+    The fit stops when an accepted step lowers J by a relative amount below
+    `tol_obj`, when the gradient norm at the current point is below
+    `tol_grad` (tested before the trial, so the tested point is returned),
+    or at the iteration cap.  Each trial's J comes from one margin pass over
+    the signed design matrix y [X, 1]; only an accepted trial's gradient,
+    and in the Newton phase its Hessian, is finished from it.
     Deterministic: identical inputs give bit-identical results.
 
     Raises DivergenceError (naming the iteration, 0 for the start point) if
@@ -329,6 +391,8 @@ def train(dataset: LabeledDataset, cfg: TrainConfig) -> tuple[SvmModel, TrainTra
     v = np.zeros(dataset.k + 1)
     step = cfg.eta
     restarts = 0
+    newton = False  # set at the hand-off, at p = 1 only
+    direction = None  # the Newton direction at w, while one is finite
     with np.errstate(**_QUIET):
         value, state = _value_pass(w, yX, d, cfg)
         if not math.isfinite(value):
@@ -349,22 +413,38 @@ def train(dataset: LabeledDataset, cfg: TrainConfig) -> tuple[SvmModel, TrainTra
                 stop_reason = STOP_GRADIENT
             if stop_reason != STOP_ITERATION_CAP or it > cfg.max_iter:
                 break
-            v_trial = cfg.eps * v - step * g
-            w_trial = w + v_trial
+            if direction is None:
+                v_trial = cfg.eps * v - step * g
+                w_trial = w + v_trial
+                bound = value
+            else:
+                w_trial = w + a * direction
+                bound = value + _ARMIJO * a * slope
             value_trial, state = _value_pass(w_trial, yX, d, cfg)
             if not math.isfinite(value_trial):
                 raise DivergenceError(f"objective diverged at iteration {it}")
             grad_hist.append(grad_norm)
-            if value_trial <= value:
+            if value_trial <= bound:
                 decrease = (value - value_trial) / max(1.0, abs(value))
-                w, v, value, g = w_trial, v_trial, value_trial, _grad_pass(state, yX, cfg)
-                step *= _STEP_GROW
+                if direction is None:
+                    v, step = v_trial, step * _STEP_GROW
+                else:
+                    v = np.zeros_like(v)  # a momentum fallback starts at rest
+                newton = newton or (cfg.p == 1.0 and decrease < _NEWTON_HANDOFF)
+                H = _hessian(state, yX, d, cfg) if newton and decrease >= cfg.tol_obj else None
+                w, value, g = w_trial, value_trial, _grad_pass(state, yX, cfg)
+                direction = None if H is None else _newton_direction(H, g)
+                if direction is not None:
+                    a, slope = 1.0, float(g @ direction)
                 obj_hist.append(value)
                 if decrease < cfg.tol_obj:
                     stop_reason = STOP_OBJECTIVE  # the next round tests the point, then stops
             else:
-                v = np.zeros_like(v)
-                step *= _STEP_SHRINK
+                if direction is None:
+                    v = np.zeros_like(v)
+                    step *= _STEP_SHRINK
+                else:
+                    a *= _STEP_SHRINK
                 restarts += 1
                 obj_hist.append(value)
 
@@ -373,6 +453,7 @@ def train(dataset: LabeledDataset, cfg: TrainConfig) -> tuple[SvmModel, TrainTra
         objective_history=np.array(obj_hist),
         grad_norm_history=np.array(grad_hist),
         stop_reason=stop_reason,
+        initial_grad_norm=grad_hist[0] if grad_hist else grad_norm,
         final_grad_norm=grad_norm,
         restarts=restarts,
     )

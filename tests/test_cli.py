@@ -71,7 +71,8 @@ def test_train_writes_model_and_trace(tmp_path, toy_csv, capsys):
     assert set(doc["config"]) == {"C", "p", "s", "eta", "eps", "tol_obj",
                                   "tol_grad", "max_iter", "regularize_bias"}
     assert set(doc["trace"]) == {"iterations", "final_objective", "converged",
-                                 "stop_reason", "final_grad_norm", "restarts"}
+                                 "stop_reason", "final_grad_norm", "relative_grad_norm",
+                                 "restarts"}
     lines = trace_path.read_text().splitlines()
     assert lines[0] == "iter,objective,grad_norm"
     assert len(lines) - 1 == doc["trace"]["iterations"] + 1
@@ -84,10 +85,14 @@ def test_train_writes_model_and_trace(tmp_path, toy_csv, capsys):
 def test_train_model_trace_records_stationarity(tmp_path, toy_csv, capsys):
     model_path = tmp_path / "m.json"
     assert run("train", "--data", toy_csv, "--out", model_path) == 0
-    assert capsys.readouterr().err == ""
+    out, err = capsys.readouterr()
+    assert err == ""
     trace = json.loads(model_path.read_text())["trace"]
     _, expected = train(load_csv(toy_csv), TrainConfig())
     assert trace["final_grad_norm"] == expected.final_grad_norm
+    relative = expected.final_grad_norm / expected.initial_grad_norm
+    assert trace["relative_grad_norm"] == relative
+    assert out.rstrip().endswith(f" relative_grad_norm={relative:.3g}")
     assert trace["restarts"] == expected.restarts
     assert trace["converged"]
 
