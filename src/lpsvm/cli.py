@@ -37,15 +37,7 @@ def save_model(model: SvmModel, trace: TrainTrace, path) -> None:
         "w": [float(v) for v in model.w],
         "b": float(model.b),
         "config": dataclasses.asdict(model.meta),
-        "trace": {
-            "iterations": trace.iterations,
-            "final_objective": float(trace.objective_history[-1]),
-            "converged": trace.converged,
-            "stop_reason": trace.stop_reason,
-            "final_grad_norm": trace.final_grad_norm,
-            "relative_grad_norm": trace.relative_grad_norm,
-            "restarts": trace.restarts,
-        },
+        "trace": trace.summary(),
     }
     _write_json(doc, path)
 

@@ -130,10 +130,16 @@ class AugmentedView:
 
 
 def augment(dataset: LabeledDataset) -> AugmentedView:
-    """Append the constant-1 coordinate to every sample: x -> [x, 1]."""
-    n = dataset.n
-    aug = np.hstack([dataset.X, np.ones((n, 1))])
-    return AugmentedView(matrix=_frozen_array(aug))
+    """Append the constant-1 coordinate to every sample: x -> [x, 1].
+
+    The matrix is one (n, k+1) allocation, filled and frozen in place, so
+    the peak memory holds one copy of it, not two.
+    """
+    aug = np.empty((dataset.n, dataset.k + 1))
+    aug[:, :-1] = dataset.X
+    aug[:, -1] = 1.0
+    aug.setflags(write=False)
+    return AugmentedView(matrix=aug)
 
 
 @dataclass(frozen=True, eq=False)

@@ -171,11 +171,14 @@ def run_comparison(dataset: LabeledDataset, cfg_std: TrainConfig, cfg_min: Train
 
 
 def comparison_to_dict(report: ComparisonReport) -> dict:
-    """JSON-ready view of a comparison report (its traces are left out)."""
+    """JSON-ready view of a comparison report; each fold's two traces appear
+    as their `TrainTrace.summary`, under `traces`, in fold order."""
     return {
         "k": report.k,
         "seed": report.seed,
         "sv_threshold": report.sv_threshold,
         "folds": [asdict(f) for f in report.folds],
         "means": dict(report.means),
+        "traces": [{"fold": f.fold, "std": trace_std.summary(), "min": trace_min.summary()}
+                   for f, (trace_std, trace_min) in zip(report.folds, report.traces)],
     }

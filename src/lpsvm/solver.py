@@ -29,7 +29,8 @@ the public single-point forms of the same elementwise code and give
 bit-identical values.  At p = 1, where J is convex, the fit hands off to
 damped Newton trials (Keerthi & DeCoste, JMLR 2005) once momentum slows:
 the Hessian D + C s yX^T diag(sigma(t) sigma(-t)) yX comes from the same
-margin state as the gradient, and each trial is still one margin pass.
+margin state as the gradient, each trial is still one margin pass, and a
+rejected trial's J places the next step by quadratic interpolation.
 """
 
 import math
@@ -66,9 +67,12 @@ _STEP_SHRINK = 0.5
 # At p = 1, where J is convex, the fit hands off from momentum to damped
 # Newton trials once an accepted momentum step lowers J by less than this,
 # relatively.  A Newton trial is accepted when J falls by at least _ARMIJO
-# of the decrease the slope g.d predicts, and its step halves otherwise.
-_NEWTON_HANDOFF = 1e-3
+# of the decrease the slope g.d predicts; otherwise its step a moves to the
+# minimiser of the quadratic through J(0), J'(0) and J(a), kept within
+# [_BACKTRACK_FLOOR a, _STEP_SHRINK a].
+_NEWTON_HANDOFF = 2e-2
 _ARMIJO = 1e-4
+_BACKTRACK_FLOOR = 0.1
 # H is summed over blocks of this many rows, so no n x (k+1) temporary is made.
 _HESSIAN_ROWS = 1024
 
@@ -173,6 +177,19 @@ class TrainTrace:
         """True unless the fit stopped at the iteration cap."""
         return self.stop_reason != STOP_ITERATION_CAP
 
+    def summary(self) -> dict:
+        """How the fit ended, JSON-ready: the model file's `trace` block and
+        each fit's entry in the compare JSON."""
+        return {
+            "iterations": self.iterations,
+            "final_objective": float(self.objective_history[-1]),
+            "converged": self.converged,
+            "stop_reason": self.stop_reason,
+            "final_grad_norm": self.final_grad_norm,
+            "relative_grad_norm": self.relative_grad_norm,
+            "restarts": self.restarts,
+        }
+
 
 def _softplus_pair(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """softplus(t) = log(1 + e^t) and softplus(-t), elementwise, for an array
@@ -231,14 +248,16 @@ def _signed_design(dataset: LabeledDataset) -> np.ndarray:
 
 def _value(w_aug: np.ndarray, dw: np.ndarray, sp: np.ndarray, cfg: TrainConfig) -> float:
     # dw = D w'; softplus_s(z) = sp / s
-    return 0.5 * float(w_aug @ dw) + cfg.C * float(((sp / cfg.s) ** cfg.p).sum())
+    return 0.5 * float(w_aug.dot(dw)) + cfg.C * float(((sp / cfg.s) ** cfg.p).sum())
 
 
 def _coeff(t: np.ndarray, sp: np.ndarray, sp_neg: np.ndarray, cfg: TrainConfig) -> np.ndarray:
     # sigma(t) * n^(p-1) with n = sp / s, as exp(log sigma(t) + (p-1) log n),
     # where log sigma(t) = -sp_neg.  Below the cut sp underflows but equals
     # e^t to double precision, so log(sp) is just t there.
-    log_n = np.where(t >= _LOG_SOFTPLUS_CUT, np.log(sp), t) - math.log(cfg.s)
+    log_n = np.log(sp)
+    np.putmask(log_n, t < _LOG_SOFTPLUS_CUT, t)
+    log_n -= math.log(cfg.s)
     return np.exp((cfg.p - 1.0) * log_n - sp_neg)
 
 
@@ -251,12 +270,12 @@ def _value_pass(w_aug: np.ndarray, yX: np.ndarray, d: np.ndarray,
     with y exact, and x ** 1.0 == x.  Non-finite results are returned as they
     are, for `train` to report.
     """
-    t = yX @ w_aug
+    t = yX.dot(w_aug)
     np.subtract(1.0, t, out=t)
     t *= cfg.s
     sp, sp_neg = _softplus_pair(t)
     dw = d * w_aug
-    value = (0.5 * float(w_aug @ dw) + cfg.C * float((sp / cfg.s).sum()) if cfg.p == 1.0
+    value = (0.5 * float(w_aug.dot(dw)) + cfg.C * float((sp / cfg.s).sum()) if cfg.p == 1.0
              else _value(w_aug, dw, sp, cfg))
     return value, (t, sp, sp_neg, dw)
 
@@ -268,7 +287,7 @@ def _grad_pass(state: tuple, yX: np.ndarray, cfg: TrainConfig) -> np.ndarray:
         coeff = np.exp(np.subtract(np.multiply(t, 0.0, out=t), sp_neg, out=t), out=t)
     else:
         coeff = _coeff(t, sp, sp_neg, cfg)
-    return dw - cfg.p * cfg.C * (yX.T @ coeff)
+    return dw - cfg.p * cfg.C * yX.T.dot(coeff)
 
 
 def _hessian(state: tuple, yX: np.ndarray, d: np.ndarray, cfg: TrainConfig) -> np.ndarray:
@@ -288,15 +307,29 @@ def _hessian(state: tuple, yX: np.ndarray, d: np.ndarray, cfg: TrainConfig) -> n
 
 def _newton_direction(H: np.ndarray, g: np.ndarray) -> np.ndarray | None:
     """The solution d of H d = -g, or None unless H and d are finite and d
-    is a descent direction (g.d < 0), as it is wherever H is positive
-    definite."""
+    is a descent direction with a finite slope (-inf < g.d < 0), as it is
+    wherever H is positive definite and g.d does not overflow."""
     if not np.isfinite(H).all():
         return None
     try:
         direction = np.linalg.solve(H, -g)
     except np.linalg.LinAlgError:  # H is singular
         return None
-    return direction if np.isfinite(direction).all() and g @ direction < 0.0 else None
+    return direction if np.isfinite(direction).all() and -math.inf < g @ direction < 0.0 else None
+
+
+def _backtrack(a: float, slope: float, value: float, value_trial: float) -> float:
+    """The next Newton step after a trial at step a is rejected: the
+    minimiser -slope a^2 / (2 (J(a) - J(0) - a slope)) of the quadratic
+    through J(0) = value, J'(0) = slope and J(a) = value_trial, clipped to
+    [_BACKTRACK_FLOOR a, _STEP_SHRINK a] (Nocedal & Wright, section 3.5).
+
+    A rejected Armijo trial has J(a) > J(0) + _ARMIJO a slope with slope < 0,
+    so the denominator is positive.  An overflowed J(a) = inf gives the
+    minimiser 0, and a NaN one a NaN minimiser; both take the floor.
+    """
+    minimiser = -slope * a * a / (2.0 * (value_trial - value - a * slope))
+    return min(_STEP_SHRINK * a, max(_BACKTRACK_FLOOR * a, minimiser))
 
 
 def objective(w_aug: np.ndarray, X_aug: np.ndarray, y: np.ndarray, cfg: TrainConfig) -> float:
@@ -363,12 +396,15 @@ def train(dataset: LabeledDataset, cfg: TrainConfig) -> tuple[SvmModel, TrainTra
     At p = 1 only, once an accepted momentum step lowers J by less than
     `_NEWTON_HANDOFF` relatively, every later trial is a damped Newton one,
     w'' = w' + a d with H d = -grad J(w'): a starts at 1 at each accepted
-    point, the trial is accepted if J(w'') <= J(w') + `_ARMIJO` a g.d, and
-    a halves otherwise.  A Newton trial counts as an iteration, against
-    `max_iter`, and in `restarts` when rejected, as a momentum trial does;
-    `eta` and `eps` act on the momentum trials only.  Where H or d is not
-    finite, or d is not a descent direction, that point's trials stay on
-    momentum.  At p < 1 every trial is a momentum trial.
+    point, and the trial is accepted if J(w'') <= J(w') + `_ARMIJO` a g.d.
+    Otherwise, also when J(w'') is not finite, a moves to the minimiser of
+    the quadratic through J(w'), the slope g.d and J(w''), kept within
+    [`_BACKTRACK_FLOOR` a, a / 2] (`_backtrack`).  A Newton trial counts as
+    an iteration, against `max_iter`, and in `restarts` when rejected, as a
+    momentum trial does; `eta` and `eps` act on the momentum trials only.
+    Where H or d is not finite, or d is not a descent direction with a
+    finite slope, that point's trials stay on momentum.  At p < 1 every
+    trial is a momentum trial.
 
     The fit stops when an accepted step lowers J by a relative amount below
     `tol_obj`, when the gradient norm at the current point is below
@@ -379,8 +415,8 @@ def train(dataset: LabeledDataset, cfg: TrainConfig) -> tuple[SvmModel, TrainTra
     Deterministic: identical inputs give bit-identical results.
 
     Raises DivergenceError (naming the iteration, 0 for the start point) if
-    a trial objective or an accepted gradient is non-finite, and ValueError
-    if the dataset has only one class.
+    the start point's objective, a momentum trial's objective or an accepted
+    gradient is non-finite, and ValueError if the dataset has only one class.
     """
     if not dataset.has_both_classes:
         raise ValueError("training requires samples from both classes")
@@ -421,7 +457,9 @@ def train(dataset: LabeledDataset, cfg: TrainConfig) -> tuple[SvmModel, TrainTra
                 w_trial = w + a * direction
                 bound = value + _ARMIJO * a * slope
             value_trial, state = _value_pass(w_trial, yX, d, cfg)
-            if not math.isfinite(value_trial):
+            # A Newton trial whose J is not finite is only a step too long:
+            # it is rejected below, and the next step takes the floor.
+            if not math.isfinite(value_trial) and direction is None:
                 raise DivergenceError(f"objective diverged at iteration {it}")
             grad_hist.append(grad_norm)
             if value_trial <= bound:
@@ -444,7 +482,7 @@ def train(dataset: LabeledDataset, cfg: TrainConfig) -> tuple[SvmModel, TrainTra
                     v = np.zeros_like(v)
                     step *= _STEP_SHRINK
                 else:
-                    a *= _STEP_SHRINK
+                    a = _backtrack(a, slope, value, value_trial)
                 restarts += 1
                 obj_hist.append(value)
 

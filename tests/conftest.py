@@ -8,4 +8,15 @@ settings.register_profile(
     derandomize=True,
     suppress_health_check=[HealthCheck.too_slow],
 )
+# The default profile never meets a new example, so CI also runs the suite
+# with `--hypothesis-profile=explore`: random examples, five times as many,
+# different on every run.  A failure prints a `@reproduce_failure` line that
+# replays it.
+settings.register_profile(
+    "explore",
+    settings.get_profile("default"),
+    derandomize=False,
+    max_examples=500,
+    print_blob=True,
+)
 settings.load_profile("default")

@@ -418,6 +418,13 @@ def test_compare_blocks_and_tsv_shape(tmp_path, toy_csv, capsys):
         assert len(block["folds"]) == 2
         assert block["config_std"]["p"] == 1.0
         assert block["config_min"]["p"] == 0.5
+        # each fold's two fits say how they ended, as the model file's trace block does
+        assert [entry["fold"] for entry in block["traces"]] == [0, 1]
+        for entry in block["traces"]:
+            for fit in (entry["std"], entry["min"]):
+                assert {"iterations", "restarts", "stop_reason",
+                        "relative_grad_norm"} <= set(fit)
+                assert fit["iterations"] >= fit["restarts"] >= 0
     rows = out_tsv.read_text().splitlines()
     # header + per config: k fold rows and one mean row
     assert len(rows) == 1 + 3 * (2 + 1)

@@ -104,6 +104,8 @@ def test_augment_shapes():
     aug = augment(ds).matrix
     assert aug.shape == (2, 4)
     assert np.all(aug[:, -1] == 1.0)
+    # read-only, and a copy: the dataset's X is not shared
+    assert not aug.flags.writeable and not np.shares_memory(aug, ds.X)
 
 
 @given(small_dataset())

@@ -154,7 +154,12 @@ def test_run_comparison_keeps_every_fits_trace():
         _, want_min = train(train_ds, CV_CONFIGS[1])
         assert trace_std.stop_reason == want_std.stop_reason == STOP_ITERATION_CAP
         assert trace_min.stop_reason == want_min.stop_reason != STOP_ITERATION_CAP
-    assert "traces" not in comparison_to_dict(report)
+    doc = comparison_to_dict(report)
+    assert [entry["fold"] for entry in doc["traces"]] == [0, 1, 2]
+    for entry, (trace_std, trace_min) in zip(doc["traces"], report.traces):
+        assert entry["std"] == trace_std.summary() and entry["min"] == trace_min.summary()
+        assert entry["std"]["stop_reason"] == STOP_ITERATION_CAP
+        assert entry["min"]["iterations"] == trace_min.iterations
 
 
 # ----------------------------------------------------------- run_comparison
@@ -220,3 +225,4 @@ def test_comparison_to_dict_round_trips_fields():
     assert len(doc["folds"]) == 2
     assert set(doc["folds"][0]) == {"fold", *REPORT_FIELDS}
     assert set(doc["means"]) == set(REPORT_FIELDS)
+    assert len(doc["traces"]) == 2 and set(doc["traces"][0]) == {"fold", "std", "min"}

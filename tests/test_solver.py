@@ -13,6 +13,7 @@ from lpsvm.data import ToySpec, gen_toy
 from lpsvm.oracle import fd_gradient
 from lpsvm.solver import (
     _ARMIJO,
+    _BACKTRACK_FLOOR,
     _NEWTON_HANDOFF,
     STOP_GRADIENT,
     STOP_ITERATION_CAP,
@@ -21,6 +22,7 @@ from lpsvm.solver import (
     TrainConfig,
     gradient,
     objective,
+    _backtrack,
     _grad_pass,
     _hessian,
     _newton_direction,
@@ -292,6 +294,25 @@ def test_newton_direction_solves_or_declines():
     assert _newton_direction(np.array([[np.inf, 0.0], [0.0, 1.0]]), g) is None
     assert _newton_direction(np.zeros((2, 2)), g) is None
     assert _newton_direction(-H, g) is None
+    # d = -g is finite, but g.d overflows to -inf
+    with np.errstate(over="ignore"):
+        assert _newton_direction(np.eye(2), np.array([1e200, 1e200])) is None
+
+
+@pytest.mark.parametrize("value_trial, want", [
+    (1.5, 0.5 / 1.5),  # the minimiser 1/3 lies inside [0.1, 0.5]
+    (0.99995, 0.5),  # the minimiser 1 / 1.9999 lies above it
+    (21.0, 0.1),  # the minimiser 0.025 lies below it
+    (math.inf, 0.1),  # a trial whose J overflowed
+    (math.nan, 0.1),
+])
+def test_backtrack_takes_the_quadratic_minimiser_within_its_bounds(value_trial, want):
+    # J(0) = 1 and J'(0) = -1, so a rejected trial at a = 1 gives the
+    # quadratic 1 - x + J(1) x^2, minimised at 1 / (2 J(1)).
+    assert _backtrack(1.0, -1.0, 1.0, value_trial) == pytest.approx(want, rel=1e-15)
+    # the rule scales with a: a trial at a = 4 with the same quadratic in x / 4
+    assert _backtrack(4.0, -0.25, 1.0, value_trial) == pytest.approx(4.0 * want, rel=1e-15)
+    assert _backtrack(1.0, -math.inf, 1.0, value_trial) == _BACKTRACK_FLOOR
 
 
 # -------------------------------------------------------------------- train
@@ -443,19 +464,19 @@ def test_train_gradient_stop_returns_the_point_it_tested(p):
 
 
 def test_train_tests_the_gradient_at_the_point_the_cap_leaves():
-    # Uncapped, this fit stops on the gradient at the top of iteration 35,
-    # before any trial, after a Newton step; capped at 34 it returns the same
-    # point, which passes the same test, while at 33 the point it returns
+    # Uncapped, this fit stops on the gradient at the top of iteration 26,
+    # before any trial, after a Newton step; capped at 25 it returns the same
+    # point, which passes the same test, while at 24 the point it returns
     # does not.
     ds = gen_toy(ToySpec(seed=0))
     cfg = TrainConfig(C=1.0, p=1.0, tol_obj=1e-300, tol_grad=1e-2)
     free_model, free = train(ds, cfg)
-    assert free.stop_reason == STOP_GRADIENT and free.iterations == 34
-    model, trace = _assert_matches_reference(ds, dataclasses.replace(cfg, max_iter=34))
+    assert free.stop_reason == STOP_GRADIENT and free.iterations == 25
+    model, trace = _assert_matches_reference(ds, dataclasses.replace(cfg, max_iter=25))
     assert trace.stop_reason == STOP_GRADIENT and trace.converged
-    assert trace.iterations == 34 and trace.final_grad_norm == free.final_grad_norm < 1e-2
+    assert trace.iterations == 25 and trace.final_grad_norm == free.final_grad_norm < 1e-2
     assert np.array_equal(model.w, free_model.w) and model.b == free_model.b
-    _, trace = _assert_matches_reference(ds, dataclasses.replace(cfg, max_iter=33))
+    _, trace = _assert_matches_reference(ds, dataclasses.replace(cfg, max_iter=24))
     assert trace.stop_reason == STOP_ITERATION_CAP and trace.final_grad_norm >= 1e-2
 
 
@@ -510,7 +531,7 @@ def reference_newton_direction(w_aug, g, X_aug, y, cfg):
         direction = np.linalg.solve(H, -g)
     except np.linalg.LinAlgError:
         return None
-    return direction if np.isfinite(direction).all() and g @ direction < 0.0 else None
+    return direction if np.isfinite(direction).all() and -math.inf < g @ direction < 0.0 else None
 
 
 def reference_train(dataset, cfg):
@@ -518,9 +539,10 @@ def reference_train(dataset, cfg):
     and the Hessian above: safeguarded momentum, then, at p = 1 from the first
     accepted step that lowers J by less than _NEWTON_HANDOFF relatively,
     damped Newton trials (each a momentum trial where the direction is not
-    finite).  The fused kernel must reproduce it bit for bit.  Also returns
-    the number of objective evaluations after the start point and the number
-    of rejected trials."""
+    finite), whose step backtracks by quadratic interpolation and whose
+    non-finite J is a rejection.  The fused kernel must reproduce it bit for
+    bit.  Also returns the number of objective evaluations after the start
+    point and the number of rejected trials."""
     X_aug, y = augment(dataset).matrix, dataset.y
     w = v = np.zeros(dataset.k + 1)
     step = cfg.eta
@@ -542,7 +564,12 @@ def reference_train(dataset, cfg):
         else:
             w_trial = w + a * direction
             bound = value + _ARMIJO * a * float(g @ direction)
-        trial = objective(w_trial, X_aug, y, cfg)
+        try:
+            trial = objective(w_trial, X_aug, y, cfg)
+        except DivergenceError:
+            if direction is None:
+                raise
+            trial = math.inf
         evaluations += 1
         if trial <= bound:
             decrease = (value - trial) / max(1.0, abs(value))
@@ -563,8 +590,10 @@ def reference_train(dataset, cfg):
             if direction is None:
                 v = np.zeros_like(w)
                 step *= 0.5
-            else:
-                a *= 0.5
+            else:  # the minimiser of the quadratic through J(0), J'(0) and J(a)
+                slope = float(g @ direction)
+                minimiser = -slope * a * a / (2.0 * (trial - value - a * slope))
+                a = min(0.5 * a, max(0.1 * a, minimiser))
             rejected += 1
             obj_hist.append(value)
     else:  # the cap: the point the last iteration leaves gets the gradient test too
@@ -648,6 +677,30 @@ def test_train_matches_reference_loop_where_the_hessian_overflows():
     assert trace.converged
     X_aug = augment(ds).matrix
     assert not np.isfinite(reference_hessian(model.w_aug, X_aug, ds.y, cfg)).all()
+
+
+def test_train_rejects_a_newton_trial_whose_objective_overflows(monkeypatch):
+    # Nine samples, one feature, a small C and a sharp softplus, with the bias
+    # unregularized: Newton directions are so long that a trial's J
+    # overflows.  That trial is rejected and the step backtracks, and the fit
+    # reaches a stationary point.
+    ds = LabeledDataset([[-5.0], [-44.0], [87.0], [-53.0], [-16.0], [48.0], [-55.0], [-22.0],
+                         [-8.0]], [1.0, -1.0, 1.0, -1.0, 1.0, 1.0, 1.0, 1.0, 1.0])
+    cfg = TrainConfig(C=0.0144, p=1.0, s=836.6, eta=6.7e-8)
+    values = []
+    real_value_pass = solver._value_pass
+
+    def recording_value_pass(*args):
+        value, state = real_value_pass(*args)
+        values.append(value)
+        return value, state
+
+    monkeypatch.setattr(solver, "_value_pass", recording_value_pass)
+    _, trace = train(ds, cfg)
+    monkeypatch.undo()
+    assert not np.isfinite(values).all()
+    assert trace.converged and trace.relative_grad_norm < 1e-6
+    _assert_matches_reference(ds, cfg)
 
 
 # test_train_divergence_names_iteration covers an objective overflow at p = 1
