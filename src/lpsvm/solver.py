@@ -26,10 +26,9 @@ halves; an accepted step grows the step by 5 %.  Each trial costs one margin
 pass over the signed design matrix y_i x'_i built once per fit, and only an
 accepted trial's gradient is finished from it; `objective` and `gradient` are
 the public single-point forms of the same elementwise code and give
-bit-identical values.  At p = 1, where J is convex, the fit hands off to
-damped Newton trials (Keerthi & DeCoste, JMLR 2005) once momentum slows:
-the Hessian D + C s yX^T diag(sigma(t) sigma(-t)) yX comes from the same
-margin state as the gradient, each trial is still one margin pass, and a
+bit-identical values.  At p = 1, where J is convex, every trial after the
+first accepted one is a damped Newton trial (Keerthi & DeCoste, JMLR 2005)
+along -(H + ||g|| I)^-1 g, with H from the gradient's margin state; a
 rejected trial's J places the next step by quadratic interpolation.
 """
 
@@ -64,13 +63,10 @@ STOP_ITERATION_CAP = "iteration-cap"
 _STEP_GROW = 1.05
 _STEP_SHRINK = 0.5
 
-# At p = 1, where J is convex, the fit hands off from momentum to damped
-# Newton trials once an accepted momentum step lowers J by less than this,
-# relatively.  A Newton trial is accepted when J falls by at least _ARMIJO
-# of the decrease the slope g.d predicts; otherwise its step a moves to the
+# At p = 1 a Newton trial is accepted when J falls by at least _ARMIJO of
+# the decrease the slope g.d predicts; otherwise its step a moves to the
 # minimiser of the quadratic through J(0), J'(0) and J(a), kept within
 # [_BACKTRACK_FLOOR a, _STEP_SHRINK a].
-_NEWTON_HANDOFF = 2e-2
 _ARMIJO = 1e-4
 _BACKTRACK_FLOOR = 0.1
 # H is summed over blocks of this many rows, so no n x (k+1) temporary is made.
@@ -158,13 +154,16 @@ class TrainTrace:
     objective_history: np.ndarray
     grad_norm_history: np.ndarray
     stop_reason: str
-    initial_grad_norm: float
     final_grad_norm: float
     restarts: int
 
     @property
     def iterations(self) -> int:
         return len(self.grad_norm_history)
+
+    @property
+    def initial_grad_norm(self) -> float:
+        return float(self.grad_norm_history[0]) if self.iterations else self.final_grad_norm
 
     @property
     def relative_grad_norm(self) -> float:
@@ -306,9 +305,10 @@ def _hessian(state: tuple, yX: np.ndarray, d: np.ndarray, cfg: TrainConfig) -> n
 
 
 def _newton_direction(H: np.ndarray, g: np.ndarray) -> np.ndarray | None:
-    """The solution d of H d = -g, or None unless H and d are finite and d
-    is a descent direction with a finite slope (-inf < g.d < 0), as it is
-    wherever H is positive definite and g.d does not overflow."""
+    """The damped Newton direction d = -(H + ||g|| I)^-1 g (Li, Fukushima, Qi &
+    Yamashita, Comput. Optim. Appl. 2004), or None unless H + ||g|| I and d
+    are finite and -inf < g.d < 0, as wherever H is PSD, g != 0 and g.d is finite."""
+    H = H + _norm(g) * np.eye(len(g))
     if not np.isfinite(H).all():
         return None
     try:
@@ -393,10 +393,10 @@ def train(dataset: LabeledDataset, cfg: TrainConfig) -> tuple[SvmModel, TrainTra
     zero and the step halves, and the current point and its gradient are
     kept.  The objective therefore never increases.
 
-    At p = 1 only, once an accepted momentum step lowers J by less than
-    `_NEWTON_HANDOFF` relatively, every later trial is a damped Newton one,
-    w'' = w' + a d with H d = -grad J(w'): a starts at 1 at each accepted
-    point, and the trial is accepted if J(w'') <= J(w') + `_ARMIJO` a g.d.
+    At p = 1 only, every trial after the first accepted one is a damped
+    Newton trial, w'' = w' + a d with (H + ||g|| I) d = -g and g = grad J(w')
+    (`_newton_direction`): a starts at 1 at each accepted point, and the
+    trial is accepted if J(w'') <= J(w') + `_ARMIJO` a g.d.
     Otherwise, also when J(w'') is not finite, a moves to the minimiser of
     the quadratic through J(w'), the slope g.d and J(w''), kept within
     [`_BACKTRACK_FLOOR` a, a / 2] (`_backtrack`).  A Newton trial counts as
@@ -411,7 +411,7 @@ def train(dataset: LabeledDataset, cfg: TrainConfig) -> tuple[SvmModel, TrainTra
     `tol_grad` (tested before the trial, so the tested point is returned),
     or at the iteration cap.  Each trial's J comes from one margin pass over
     the signed design matrix y [X, 1]; only an accepted trial's gradient,
-    and in the Newton phase its Hessian, is finished from it.
+    and at p = 1 its Hessian, is finished from it.
     Deterministic: identical inputs give bit-identical results.
 
     Raises DivergenceError (naming the iteration, 0 for the start point) if
@@ -427,7 +427,6 @@ def train(dataset: LabeledDataset, cfg: TrainConfig) -> tuple[SvmModel, TrainTra
     v = np.zeros(dataset.k + 1)
     step = cfg.eta
     restarts = 0
-    newton = False  # set at the hand-off, at p = 1 only
     direction = None  # the Newton direction at w, while one is finite
     with np.errstate(**_QUIET):
         value, state = _value_pass(w, yX, d, cfg)
@@ -468,8 +467,8 @@ def train(dataset: LabeledDataset, cfg: TrainConfig) -> tuple[SvmModel, TrainTra
                     v, step = v_trial, step * _STEP_GROW
                 else:
                     v = np.zeros_like(v)  # a momentum fallback starts at rest
-                newton = newton or (cfg.p == 1.0 and decrease < _NEWTON_HANDOFF)
-                H = _hessian(state, yX, d, cfg) if newton and decrease >= cfg.tol_obj else None
+                H = (_hessian(state, yX, d, cfg) if cfg.p == 1.0 and decrease >= cfg.tol_obj
+                     else None)
                 w, value, g = w_trial, value_trial, _grad_pass(state, yX, cfg)
                 direction = None if H is None else _newton_direction(H, g)
                 if direction is not None:
@@ -491,7 +490,6 @@ def train(dataset: LabeledDataset, cfg: TrainConfig) -> tuple[SvmModel, TrainTra
         objective_history=np.array(obj_hist),
         grad_norm_history=np.array(grad_hist),
         stop_reason=stop_reason,
-        initial_grad_norm=grad_hist[0] if grad_hist else grad_norm,
         final_grad_norm=grad_norm,
         restarts=restarts,
     )
