@@ -1,9 +1,9 @@
 """Linear SVM training with an Lp-norm (0 < p <= 1) penalty on slack variables.
 
-The solver minimizes a softplus-smoothed hinge objective by gradient descent
-with momentum; p < 1 shrinks the support-vector set.  Independent oracles
-(finite differences, a dual coordinate-descent reference solver, a KKT
-residual checker) verify it.
+The solver minimizes a softplus-smoothed hinge objective by damped Newton
+steps at p = 1 and momentum descent at p < 1; p < 1 shrinks the
+support-vector set.  Independent oracles (finite differences, a dual
+coordinate-descent reference solver, a KKT residual checker) verify it.
 """
 
 from .core import (

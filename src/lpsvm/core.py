@@ -28,6 +28,7 @@ __all__ = [
     "predict",
     "slack",
     "margin_width",
+    "norm",
     "number",
     "nonnegative",
     "DEFAULT_SV_THRESHOLD",
@@ -188,7 +189,9 @@ def decision_values(model: SvmModel, X: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected a 2-d sample matrix, got shape {X.shape}")
     if model.k != X.shape[1]:
         raise ValueError(f"dimension mismatch: model has k={model.k}, input has k={X.shape[1]}")
-    return X @ model.w + model.b
+    # A score beyond double range is +-inf, and NaN where such terms cancel.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return X @ model.w + model.b
 
 
 def predict(model: SvmModel, X: np.ndarray) -> np.ndarray:
@@ -214,7 +217,19 @@ def slack(model: SvmModel, dataset: LabeledDataset,
 
 def margin_width(model: SvmModel) -> float:
     """The gap 2/||w|| between the two unit-margin loci (bias excluded)."""
-    norm = float(np.linalg.norm(model.w))
-    if norm == 0.0:
+    with np.errstate(over="ignore"):
+        norm_w = norm(model.w)
+    if norm_w == 0.0:
         raise ValueError("margin width is undefined for a zero weight vector")
-    return 2.0 / norm
+    return 2.0 / norm_w
+
+
+def norm(v: np.ndarray) -> float:
+    """||v||, computed as np.linalg.norm does, sqrt(v.v); where v.v overflows
+    for a finite v, from `math.hypot`, which scales and stays finite.  A
+    non-finite v gives a non-finite norm.  Call it under
+    np.errstate(over="ignore"): the overflow is expected."""
+    norm_v = math.sqrt(v.dot(v))
+    if not math.isfinite(norm_v) and np.isfinite(v).all():
+        norm_v = math.hypot(*v)
+    return norm_v

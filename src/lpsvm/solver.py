@@ -1,5 +1,5 @@
-"""Smoothed hinge objective with an Lp slack penalty and its momentum descent solver,
-with a damped Newton finish at p = 1.
+"""Smoothed hinge objective with an Lp slack penalty and its solver: damped
+Newton at p = 1, momentum descent at p < 1.
 
 The trained objective, over the augmented weight vector w' = [w, b], is
 
@@ -20,16 +20,16 @@ max(t, 0) + l and l - min(t, 0) with l = log1p(exp(-|t|)) (the split
 Maechler 2012 recommends), so they all round alike; `objective` and
 `gradient` are the reference the solver's iterates are tested against.
 
-`train` runs momentum descent with a monotone safeguard: a trial step that
-would raise the objective is rejected, the momentum restarts and the step
-halves; an accepted step grows the step by 5 %.  Each trial costs one margin
-pass over the signed design matrix y_i x'_i built once per fit, and only an
-accepted trial's gradient is finished from it; `objective` and `gradient` are
-the public single-point forms of the same elementwise code and give
-bit-identical values.  At p = 1, where J is convex, every trial after the
-first accepted one is a damped Newton trial (Keerthi & DeCoste, JMLR 2005)
-along -(H + ||g|| I)^-1 g, with H from the gradient's margin state; a
-rejected trial's J places the next step by quadratic interpolation.
+`train` never lets the objective rise.  At p = 1, where J is convex, every
+point, w' = 0 included, takes damped Newton trials (Keerthi & DeCoste, JMLR
+2005) along -(H + ||g|| I)^-1 g, with H from the point's margin state, and a
+rejected trial's J places the next step by quadratic interpolation.  At
+p < 1, and where no Newton direction is finite, it runs momentum descent: a
+rejected trial restarts the momentum and halves the step, an accepted one
+grows it by 5 %.  Each trial costs one margin pass over the signed design
+matrix y_i x'_i built once per fit, and only an accepted trial's gradient
+is finished from it; `objective` and `gradient` are the public single-point
+forms of the same elementwise code and give bit-identical values.
 """
 
 import math
@@ -38,7 +38,7 @@ from dataclasses import Field, dataclass, field, fields
 
 import numpy as np
 
-from .core import LabeledDataset, SvmModel, number
+from .core import LabeledDataset, SvmModel, norm, number
 
 __all__ = [
     "TrainConfig",
@@ -111,9 +111,10 @@ class TrainConfig:
     # At p < 1 the initial step can decide which local minimum a fit reaches,
     # and a step that shrinks with C finds the lower one on the toy data at
     # C = 50 and 100.
-    eta: float | None = _knob(None, "initial step of the momentum phase (> 0; default: "
+    eta: float | None = _knob(None, "initial momentum step, used at p < 1 and where a p = 1 "
+                                    "point has no Newton direction (> 0; default: "
                                     "1e-2 / max(1, C/2))", positive=True)
-    eps: float = _knob(0.9, "momentum coefficient in [0, 1)")
+    eps: float = _knob(0.9, "momentum coefficient in [0, 1), used where eta is")
     tol_obj: float = _knob(1e-8, "stop when an accepted step lowers the objective J by "
                                  "less than this times max(1, |J|)", positive=True)
     tol_grad: float = _knob(1e-5, "stop, before the next step, at a point whose gradient norm "
@@ -246,8 +247,9 @@ def _signed_design(dataset: LabeledDataset) -> np.ndarray:
 # exp/log1p pass serve both the value and the gradient.
 
 def _value(w_aug: np.ndarray, dw: np.ndarray, sp: np.ndarray, cfg: TrainConfig) -> float:
-    # dw = D w'; softplus_s(z) = sp / s
-    return 0.5 * float(w_aug.dot(dw)) + cfg.C * float(((sp / cfg.s) ** cfg.p).sum())
+    # dw = D w'; softplus_s(z) = n = sp / s, and p = 1 skips n ** 1.0, which is n
+    n = sp / cfg.s
+    return 0.5 * float(w_aug.dot(dw)) + cfg.C * float((n if cfg.p == 1.0 else n ** cfg.p).sum())
 
 
 def _coeff(t: np.ndarray, sp: np.ndarray, sp_neg: np.ndarray, cfg: TrainConfig) -> np.ndarray:
@@ -266,17 +268,15 @@ def _value_pass(w_aug: np.ndarray, yX: np.ndarray, d: np.ndarray,
     (t, sp, sp_neg, D w') from which `_grad_pass` finishes grad J(w').
 
     Bit-identical to `objective` and `gradient`: y = +-1 makes every product
-    with y exact, and x ** 1.0 == x.  Non-finite results are returned as they
-    are, for `train` to report.
+    with y exact.  Non-finite results are returned as they are, for `train`
+    to report.
     """
     t = yX.dot(w_aug)
     np.subtract(1.0, t, out=t)
     t *= cfg.s
     sp, sp_neg = _softplus_pair(t)
     dw = d * w_aug
-    value = (0.5 * float(w_aug.dot(dw)) + cfg.C * float((sp / cfg.s).sum()) if cfg.p == 1.0
-             else _value(w_aug, dw, sp, cfg))
-    return value, (t, sp, sp_neg, dw)
+    return _value(w_aug, dw, sp, cfg), (t, sp, sp_neg, dw)
 
 
 def _grad_pass(state: tuple, yX: np.ndarray, cfg: TrainConfig) -> np.ndarray:
@@ -291,7 +291,8 @@ def _grad_pass(state: tuple, yX: np.ndarray, cfg: TrainConfig) -> np.ndarray:
 
 def _hessian(state: tuple, yX: np.ndarray, d: np.ndarray, cfg: TrainConfig) -> np.ndarray:
     """The p = 1 Hessian D + C s yX^T diag(sigma(t) sigma(-t)) yX, from
-    `_value_pass`'s margin state, before `_grad_pass` has used it.
+    `_value_pass`'s margin state; it reads only sp and sp_neg, so it may run
+    after `_grad_pass`, which at p = 1 overwrites only t.
 
     sigma(t) sigma(-t) = exp(-softplus(t) - softplus(-t)) takes one exp
     and no log, and is made one block of rows at a time.
@@ -308,7 +309,7 @@ def _newton_direction(H: np.ndarray, g: np.ndarray) -> np.ndarray | None:
     """The damped Newton direction d = -(H + ||g|| I)^-1 g (Li, Fukushima, Qi &
     Yamashita, Comput. Optim. Appl. 2004), or None unless H + ||g|| I and d
     are finite and -inf < g.d < 0, as wherever H is PSD, g != 0 and g.d is finite."""
-    H = H + _norm(g) * np.eye(len(g))
+    H = H + norm(g) * np.eye(len(g))
     if not np.isfinite(H).all():
         return None
     try:
@@ -369,42 +370,27 @@ def gradient(w_aug: np.ndarray, X_aug: np.ndarray, y: np.ndarray, cfg: TrainConf
     return grad
 
 
-def _norm(g: np.ndarray) -> float:
-    """||g||, computed as np.linalg.norm does, sqrt(g.g); where g.g overflows
-    for a finite g, from `math.hypot`, which scales and stays finite.  A
-    non-finite g gives a non-finite norm."""
-    norm = math.sqrt(g.dot(g))
-    if not math.isfinite(norm) and np.isfinite(g).all():
-        norm = math.hypot(*g)
-    return norm
-
-
 def train(dataset: LabeledDataset, cfg: TrainConfig) -> tuple[SvmModel, TrainTrace]:
-    """Minimize the smoothed objective by safeguarded momentum descent,
-    finished at p = 1 by damped Newton steps.
+    """Minimize the smoothed objective from w' = 0, never letting it rise.
 
-    Starts from w' = 0, v = 0, step = eta.  Each iteration evaluates one
-    trial point
+    At p = 1 every point the fit reaches, w' = 0 and each accepted trial,
+    gets one damped Newton direction d, (H + ||g|| I) d = -g with
+    g = grad J(w') (`_newton_direction`).  Its trials are w' + a d, from
+    a = 1, each accepted if J falls by at least `_ARMIJO` a g.d; otherwise,
+    also when the trial's J is not finite, a moves to the minimiser of the
+    quadratic through J(w'), the slope g.d and the trial's J, kept within
+    [`_BACKTRACK_FLOOR` a, a / 2] (`_backtrack`).
+
+    At p < 1, and at a p = 1 point where H or d is not finite or d is not a
+    descent direction with a finite slope, the trials are momentum trials,
+    from v = 0 and step = eta at w' = 0:
 
         v' = eps * v - step * grad J(w'),    w'' = w' + v'
 
-    and accepts it if J(w'') <= J(w'), growing the step by 5 %.  A trial
-    that would raise the objective is discarded: the velocity restarts from
-    zero and the step halves, and the current point and its gradient are
-    kept.  The objective therefore never increases.
-
-    At p = 1 only, every trial after the first accepted one is a damped
-    Newton trial, w'' = w' + a d with (H + ||g|| I) d = -g and g = grad J(w')
-    (`_newton_direction`): a starts at 1 at each accepted point, and the
-    trial is accepted if J(w'') <= J(w') + `_ARMIJO` a g.d.
-    Otherwise, also when J(w'') is not finite, a moves to the minimiser of
-    the quadratic through J(w'), the slope g.d and J(w''), kept within
-    [`_BACKTRACK_FLOOR` a, a / 2] (`_backtrack`).  A Newton trial counts as
-    an iteration, against `max_iter`, and in `restarts` when rejected, as a
-    momentum trial does; `eta` and `eps` act on the momentum trials only.
-    Where H or d is not finite, or d is not a descent direction with a
-    finite slope, that point's trials stay on momentum.  At p < 1 every
-    trial is a momentum trial.
+    accepted if J(w'') <= J(w'), growing the step by 5 %; a rejected one
+    restarts v from zero and halves the step.  So `eta` and `eps` act on a
+    p = 1 fit only at such points.  Every trial is an iteration, against
+    `max_iter`, and counts in `restarts` when rejected.
 
     The fit stops when an accepted step lowers J by a relative amount below
     `tol_obj`, when the gradient norm at the current point is below
@@ -427,7 +413,6 @@ def train(dataset: LabeledDataset, cfg: TrainConfig) -> tuple[SvmModel, TrainTra
     v = np.zeros(dataset.k + 1)
     step = cfg.eta
     restarts = 0
-    direction = None  # the Newton direction at w, while one is finite
     with np.errstate(**_QUIET):
         value, state = _value_pass(w, yX, d, cfg)
         if not math.isfinite(value):
@@ -441,13 +426,19 @@ def train(dataset: LabeledDataset, cfg: TrainConfig) -> tuple[SvmModel, TrainTra
         # fit stops there: the start point, each accepted trial, and, in
         # round max_iter + 1, the point the cap leaves.
         for it in range(1, cfg.max_iter + 2):
-            grad_norm = _norm(g)
+            grad_norm = norm(g)
             if not math.isfinite(grad_norm) and not np.isfinite(g).all():
                 raise DivergenceError(f"gradient diverged at iteration {it}")
             if grad_norm < cfg.tol_grad and stop_reason == STOP_ITERATION_CAP:
                 stop_reason = STOP_GRADIENT
             if stop_reason != STOP_ITERATION_CAP or it > cfg.max_iter:
                 break
+            if state is not None:  # a new point: at p = 1, its damped Newton direction
+                direction = (_newton_direction(_hessian(state, yX, d, cfg), g) if cfg.p == 1.0
+                             else None)
+                if direction is not None:
+                    a, slope = 1.0, float(g @ direction)
+                state = None
             if direction is None:
                 v_trial = cfg.eps * v - step * g
                 w_trial = w + v_trial
@@ -455,9 +446,8 @@ def train(dataset: LabeledDataset, cfg: TrainConfig) -> tuple[SvmModel, TrainTra
             else:
                 w_trial = w + a * direction
                 bound = value + _ARMIJO * a * slope
-            value_trial, state = _value_pass(w_trial, yX, d, cfg)
-            # A Newton trial whose J is not finite is only a step too long:
-            # it is rejected below, and the next step takes the floor.
+            value_trial, trial = _value_pass(w_trial, yX, d, cfg)
+            # A Newton trial's non-finite J is a step too long, rejected below.
             if not math.isfinite(value_trial) and direction is None:
                 raise DivergenceError(f"objective diverged at iteration {it}")
             grad_hist.append(grad_norm)
@@ -467,12 +457,7 @@ def train(dataset: LabeledDataset, cfg: TrainConfig) -> tuple[SvmModel, TrainTra
                     v, step = v_trial, step * _STEP_GROW
                 else:
                     v = np.zeros_like(v)  # a momentum fallback starts at rest
-                H = (_hessian(state, yX, d, cfg) if cfg.p == 1.0 and decrease >= cfg.tol_obj
-                     else None)
-                w, value, g = w_trial, value_trial, _grad_pass(state, yX, cfg)
-                direction = None if H is None else _newton_direction(H, g)
-                if direction is not None:
-                    a, slope = 1.0, float(g @ direction)
+                w, value, g, state = w_trial, value_trial, _grad_pass(trial, yX, cfg), trial
                 obj_hist.append(value)
                 if decrease < cfg.tol_obj:
                     stop_reason = STOP_OBJECTIVE  # the next round tests the point, then stops

@@ -125,7 +125,7 @@ def test_train_p1_is_standard_configuration(tmp_path, toy_csv):
 
 
 def test_train_divergence_exits_1(tmp_path, toy_csv, capsys):
-    assert run("train", "--data", toy_csv, "--p", 1, "--eta", 1e300,
+    assert run("train", "--data", toy_csv, "--p", 0.5, "--eta", 1e300,
                "--out", tmp_path / "m.json") == 1
     assert "objective diverged at iteration 1" in capsys.readouterr().err
 

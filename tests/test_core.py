@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -207,6 +209,16 @@ def test_margin_width_examples():
 def test_margin_width_zero_weights_rejected():
     with pytest.raises(ValueError, match="zero weight"):
         margin_width(SvmModel([0.0, 0.0], 1.0))
+
+
+def test_model_ops_at_the_top_of_double_range_do_not_warn():
+    # w.w and the scores overflow; the suite turns a RuntimeWarning into an
+    # error, so each result here comes without one
+    model = SvmModel([0.0, 1.3407807929942597e154], 1e308)
+    assert margin_width(model) == 2.0 / 1.3407807929942597e154
+    ds = LabeledDataset([[1.0, 1e155], [1.0, -1e155], [-1.0, 2e154]], [1.0, 1.0, -1.0])
+    assert decision_values(model, ds.X).tolist() == [math.inf, -math.inf, math.inf]
+    assert slack(model, ds).sv_indices.tolist() == [1, 2]
 
 
 # ------------------------------------------------ values from outside

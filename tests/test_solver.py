@@ -339,7 +339,7 @@ def test_train_two_point_symmetric_instance():
 
 
 def test_train_label_negation_is_exact():
-    # at p = 1 the Newton phase mirrors too: H is unchanged and d negates
+    # at p = 1 the Newton trials mirror too: H is unchanged and d negates
     ds = gen_toy(ToySpec(seed=3, n_per_class=15))
     flipped = LabeledDataset(ds.X, -ds.y)
     for p in (0.5, 1.0):
@@ -439,7 +439,10 @@ def _near_singular_start():
     (_near_singular_start, 10),
     (lambda: _sweep_draw(159), 5000),  # undamped: J = 1.86 against momentum's 7.0e-6
     (lambda: _sweep_draw(401), 5000),  # undamped: J = 39.47 against momentum's 7.80
-], ids=["near-singular-start", "sweep-draw-159", "sweep-draw-401"])
+    # eta = 1.2e-14: a first momentum step stopped on the objective tolerance
+    # after 1 iteration, at J = 5.85608092 and relative ||grad J|| 1
+    (lambda: _sweep_draw(2), 50),
+], ids=["near-singular-start", "sweep-draw-159", "sweep-draw-401", "sweep-draw-2"])
 def test_p1_fit_ends_stationary_at_or_below_momentum(case, max_trials, monkeypatch):
     ds, cfg = case()
     _, trace = train(ds, cfg)
@@ -447,6 +450,24 @@ def test_p1_fit_ends_stationary_at_or_below_momentum(case, max_trials, monkeypat
     _, momentum = train(ds, cfg)
     assert trace.objective_history[-1] <= momentum.objective_history[-1]
     assert trace.relative_grad_norm < 1e-6 and trace.iterations <= max_trials
+
+
+@pytest.mark.parametrize("regularize_bias", [False, True])
+def test_p1_fit_does_not_depend_on_eta_or_eps(regularize_bias):
+    # Every point of a p = 1 fit, w' = 0 included, takes a damped Newton
+    # trial wherever the direction is finite, as it is throughout this fit:
+    # the momentum knobs never act, and the fit is the same bit for bit.
+    ds = gen_toy(ToySpec(seed=0))
+    fits = [train(ds, TrainConfig(C=50.0, p=1.0, eta=eta, eps=eps,
+                                  regularize_bias=regularize_bias))
+            for eta in (1e-14, 1e-2, 1e6) for eps in (0.0, 0.9)]
+    (model, trace), *others = fits
+    assert trace.stop_reason != STOP_ITERATION_CAP
+    for other_model, other in others:
+        assert np.array_equal(other_model.w, model.w) and other_model.b == model.b
+        assert np.array_equal(other.objective_history, trace.objective_history)
+        assert np.array_equal(other.grad_norm_history, trace.grad_norm_history)
+        assert other.restarts == trace.restarts
 
 
 def test_train_rejects_single_class():
@@ -459,12 +480,12 @@ def test_train_divergence_names_iteration():
     ds = gen_toy(ToySpec(seed=7, n_per_class=10))
     # the first trial lands near 1e300, where J overflows
     with pytest.raises(DivergenceError, match="objective diverged at iteration 1$"):
-        train(ds, TrainConfig(C=1.0, p=1.0, eta=1e300, max_iter=5000))
+        train(ds, TrainConfig(C=1.0, p=0.5, eta=1e300, max_iter=5000))
 
 
 def test_train_recovers_from_oversized_step():
     ds = gen_toy(ToySpec(seed=7, n_per_class=10))
-    model, trace = train(ds, TrainConfig(C=1.0, p=1.0, eta=1e6, max_iter=5000))
+    model, trace = train(ds, TrainConfig(C=1.0, p=0.5, eta=1e6, max_iter=5000))
     assert trace.stop_reason != STOP_ITERATION_CAP and trace.converged
     assert trace.restarts > 0
     assert np.all(np.isfinite(model.w)) and math.isfinite(model.b)
@@ -511,19 +532,19 @@ def test_train_gradient_stop_returns_the_point_it_tested(p):
 
 
 def test_train_tests_the_gradient_at_the_point_the_cap_leaves():
-    # Uncapped, this fit stops on the gradient at the top of iteration 29,
-    # before any trial, after a Newton step; capped at 28 it returns the same
-    # point, which passes the same test, while at 27 the point it returns
+    # Uncapped, this fit stops on the gradient at the top of iteration 20,
+    # before any trial, after a Newton step; capped at 19 it returns the same
+    # point, which passes the same test, while at 18 the point it returns
     # does not.
     ds = gen_toy(ToySpec(seed=0))
     cfg = TrainConfig(C=1.0, p=1.0, tol_obj=1e-300, tol_grad=1e-2)
     free_model, free = train(ds, cfg)
-    assert free.stop_reason == STOP_GRADIENT and free.iterations == 28
-    model, trace = _assert_matches_reference(ds, dataclasses.replace(cfg, max_iter=28))
+    assert free.stop_reason == STOP_GRADIENT and free.iterations == 19
+    model, trace = _assert_matches_reference(ds, dataclasses.replace(cfg, max_iter=19))
     assert trace.stop_reason == STOP_GRADIENT and trace.converged
-    assert trace.iterations == 28 and trace.final_grad_norm == free.final_grad_norm < 1e-2
+    assert trace.iterations == 19 and trace.final_grad_norm == free.final_grad_norm < 1e-2
     assert np.array_equal(model.w, free_model.w) and model.b == free_model.b
-    _, trace = _assert_matches_reference(ds, dataclasses.replace(cfg, max_iter=27))
+    _, trace = _assert_matches_reference(ds, dataclasses.replace(cfg, max_iter=18))
     assert trace.stop_reason == STOP_ITERATION_CAP and trace.final_grad_norm >= 1e-2
 
 
@@ -584,12 +605,12 @@ def reference_newton_direction(w_aug, g, X_aug, y, cfg):
 
 def reference_train(dataset, cfg):
     """The loop of `train`, written against the public objective and gradient
-    and the Hessian above: safeguarded momentum, then, at p = 1 from the first
-    accepted step on, damped Newton trials (each a momentum trial where the
+    and the Hessian above: safeguarded momentum at p < 1, and at p = 1, from
+    the start point on, damped Newton trials (each a momentum trial where the
     direction is not finite), whose step backtracks by quadratic
     interpolation and whose non-finite J is a rejection.  The fused kernel
-    must reproduce it bit for bit.  Also returns the number of objective evaluations after the start
-    point and the number of rejected trials."""
+    must reproduce it bit for bit.  Also returns the number of objective
+    evaluations after the start point and the number of rejected trials."""
     X_aug, y = augment(dataset).matrix, dataset.y
     w = v = np.zeros(dataset.k + 1)
     step = cfg.eta
@@ -597,7 +618,8 @@ def reference_train(dataset, cfg):
     obj_hist, grad_hist = [value], []
     evaluations = rejected = 0
     stop_reason = STOP_ITERATION_CAP
-    direction = None
+    direction = reference_newton_direction(w, g, X_aug, y, cfg) if cfg.p == 1.0 else None
+    a = 1.0
     for _ in range(cfg.max_iter):
         grad_norm = reference_norm(g)
         if grad_norm < cfg.tol_grad:
@@ -715,7 +737,7 @@ def test_train_matches_reference_loop_at_extreme_margins(p):
 
 def test_train_matches_reference_loop_where_the_hessian_overflows():
     # Features x 1e154: x'^2 overflows, so H is not finite at most points of
-    # the Newton phase, and their trials stay on momentum.
+    # the fit, and their trials fall back to momentum.
     toy = gen_toy(ToySpec(seed=0, n_per_class=20))
     ds = LabeledDataset(toy.X * 1e154, toy.y)
     cfg = TrainConfig(C=1.0, p=1.0, eta=1e-3 / 1e154 / 1e154, max_iter=5000)
@@ -750,7 +772,9 @@ def test_train_rejects_a_newton_trial_whose_objective_overflows(monkeypatch):
     _assert_matches_reference(ds, cfg)
 
 
-# test_train_divergence_names_iteration covers an objective overflow at p = 1
+# At p = 1 a trial whose objective overflows is a Newton trial, which is
+# rejected (test_train_rejects_a_newton_trial_whose_objective_overflows);
+# test_train_divergence_names_iteration covers a momentum trial's, at p = 0.5.
 @pytest.mark.parametrize("scale, C, eta, message", [
     (1e300, 1e10, 1.0, "gradient diverged at iteration 1$"),
     (1.0, 1e308, None, "objective diverged at iteration 0$"),
