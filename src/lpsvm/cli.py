@@ -204,10 +204,12 @@ def cmd_cv(args) -> int:
     for f in folds:
         print(f"{f['fold']:>4}  {f['train_acc']:>9.4f}  {f['test_acc']:>8.4f}  {f['n_sv']:>4}")
     print(f"mean  {means['train_acc']:>9.4f}  {means['test_acc']:>8.4f}  {means['n_sv']:>6.1f}")
-    _warn_if_capped([trace for _, _, [(_, trace)] in results], cfg.max_iter)
+    traces = [trace for _, _, [(_, trace)] in results]
+    _warn_if_capped(traces, cfg.max_iter)
     if args.out_json:
         doc = {"k": args.k, "seed": args.seed, "sv_threshold": args.sv_threshold,
-               "config": dataclasses.asdict(cfg), "folds": folds, "means": means}
+               "config": dataclasses.asdict(cfg), "folds": folds, "means": means,
+               "traces": [trace.summary() for trace in traces]}
         _write_json(doc, args.out_json)
     return 0
 

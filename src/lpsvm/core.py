@@ -216,20 +216,15 @@ def slack(model: SvmModel, dataset: LabeledDataset,
 
 
 def margin_width(model: SvmModel) -> float:
-    """The gap 2/||w|| between the two unit-margin loci (bias excluded)."""
-    with np.errstate(over="ignore"):
-        norm_w = norm(model.w)
+    """The gap 2/||w|| between the two unit-margin loci (bias excluded); inf
+    where ||w|| is below 2/max-double, as for a subnormal w."""
+    norm_w = norm(model.w)
     if norm_w == 0.0:
         raise ValueError("margin width is undefined for a zero weight vector")
     return 2.0 / norm_w
 
 
 def norm(v: np.ndarray) -> float:
-    """||v||, computed as np.linalg.norm does, sqrt(v.v); where v.v overflows
-    for a finite v, from `math.hypot`, which scales and stays finite.  A
-    non-finite v gives a non-finite norm.  Call it under
-    np.errstate(over="ignore"): the overflow is expected."""
-    norm_v = math.sqrt(v.dot(v))
-    if not math.isfinite(norm_v) and np.isfinite(v).all():
-        norm_v = math.hypot(*v)
-    return norm_v
+    """||v|| of a 1-d array from `math.hypot`, which scales its arguments: finite
+    for a finite v whose norm is within double range, else inf or NaN."""
+    return math.hypot(*v.tolist())

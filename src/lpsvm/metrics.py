@@ -8,7 +8,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .core import DEFAULT_SV_THRESHOLD, LabeledDataset, SvmModel, predict, slack
+from .core import DEFAULT_SV_THRESHOLD, LabeledDataset, SvmModel, norm, predict, slack
 from .data import kfold
 from .data import standardize as standardize_features
 from .solver import TrainConfig, TrainTrace, train
@@ -74,6 +74,17 @@ def fold_scores(model: SvmModel, train_ds: LabeledDataset, test_ds: LabeledDatas
             "n_sv": slack(model, train_ds, sv_threshold).n_sv}
 
 
+def _weight_pair(w1, w2) -> tuple[np.ndarray, np.ndarray]:
+    """Two weight vectors as float arrays; ValueError unless they are 1-d, of
+    one shape and finite."""
+    w1, w2 = np.asarray(w1, dtype=np.float64), np.asarray(w2, dtype=np.float64)
+    if w1.ndim != 1 or w1.shape != w2.shape:
+        raise ValueError(f"weight vectors must be 1-d of one shape, got {w1.shape} and {w2.shape}")
+    if not (np.isfinite(w1).all() and np.isfinite(w2).all()):
+        raise ValueError("weight vectors must be finite (found NaN or Inf)")
+    return w1, w2
+
+
 def angle_theta(w1: np.ndarray, w2: np.ndarray) -> float:
     """Angle in degrees between two weight vectors (bias excluded by the caller).
 
@@ -82,30 +93,21 @@ def angle_theta(w1: np.ndarray, w2: np.ndarray) -> float:
     two agree everywhere, but the atan2 form cannot produce NaN and returns
     exactly 0 for identical inputs and exactly 180 for exact negations.
     """
-    w1 = np.asarray(w1, dtype=np.float64)
-    w2 = np.asarray(w2, dtype=np.float64)
-    if w1.shape != w2.shape:
-        raise ValueError(f"shape mismatch: {w1.shape} vs {w2.shape}")
-    n1 = float(np.linalg.norm(w1))
-    n2 = float(np.linalg.norm(w2))
+    w1, w2 = _weight_pair(w1, w2)
+    n1, n2 = norm(w1), norm(w2)
     if n1 == 0.0 or n2 == 0.0:
         raise ValueError("angle is undefined for a zero weight vector")
-    u = w1 / n1
-    v = w2 / n2
-    radians = 2.0 * math.atan2(float(np.linalg.norm(u - v)), float(np.linalg.norm(u + v)))
-    return math.degrees(radians)
+    u, v = w1 / n1, w2 / n2
+    return math.degrees(2.0 * math.atan2(norm(u - v), norm(u + v)))
 
 
 def dist_d(w1: np.ndarray, w2: np.ndarray) -> float:
     """Euclidean distance between weight vectors, normalized by ||w1||."""
-    w1 = np.asarray(w1, dtype=np.float64)
-    w2 = np.asarray(w2, dtype=np.float64)
-    if w1.shape != w2.shape:
-        raise ValueError(f"shape mismatch: {w1.shape} vs {w2.shape}")
-    n1 = float(np.linalg.norm(w1))
+    w1, w2 = _weight_pair(w1, w2)
+    n1 = norm(w1)
     if n1 == 0.0:
         raise ValueError("distance is undefined for a zero reference vector")
-    return float(np.linalg.norm(w1 - w2)) / n1
+    return norm(w1 - w2) / n1
 
 
 def cross_validate(

@@ -22,7 +22,7 @@ from operator import mul
 
 import numpy as np
 
-from .core import LabeledDataset, SvmModel, augment, decision_values, number
+from .core import LabeledDataset, SvmModel, augment, decision_values, norm, number
 from .solver import TrainConfig, objective
 
 __all__ = [
@@ -257,7 +257,7 @@ def kkt_check(model: SvmModel, alpha: np.ndarray, dataset: LabeledDataset,
     margins = dataset.y * decision_values(model, dataset.X)
     xi = np.where(alpha > 0.0, np.maximum(1.0 - margins, 0.0), 0.0)
 
-    stationarity = float(np.linalg.norm(model.w - dataset.X.T @ (alpha * dataset.y)))
+    stationarity = norm(model.w - dataset.X.T @ (alpha * dataset.y))
     dual_balance = float(abs(np.sum(alpha * dataset.y)))
     complementarity = float(np.max(np.abs(alpha * (margins - 1.0 + xi))))
     feasibility = float(np.max(np.maximum(1.0 - xi - margins, 0.0)))

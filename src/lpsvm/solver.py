@@ -179,7 +179,7 @@ class TrainTrace:
 
     def summary(self) -> dict:
         """How the fit ended, JSON-ready: the model file's `trace` block and
-        each fit's entry in the compare JSON."""
+        each fit's entry in the cv and compare JSON."""
         return {
             "iterations": self.iterations,
             "final_objective": float(self.objective_history[-1]),

@@ -15,7 +15,7 @@ from lpsvm import cli
 from lpsvm.cli import figure_data, load_model, main, save_model
 from lpsvm.core import SvmModel, margin_width
 from lpsvm.data import ToySpec, gen_toy, load_csv, save_csv
-from lpsvm.metrics import run_comparison
+from lpsvm.metrics import cross_validate, run_comparison
 from lpsvm.solver import TrainConfig, TrainTrace, train
 
 FAST_FLAGS = ["--eta", "1e-3", "--max-iter", "600"]
@@ -386,6 +386,20 @@ def test_cv_prints_folds_and_means(tmp_path, toy_csv, capsys):
     assert doc["config"]["p"] == 0.5
 
 
+def test_cv_json_lists_each_folds_trace(tmp_path, toy_csv):
+    out_json = tmp_path / "cv.json"
+    assert run("cv", "--data", toy_csv, "--k", 3, "--seed", 2,
+               "--out-json", out_json, *FAST_FLAGS) == 0
+    doc = json.loads(out_json.read_text())
+    fits = [fit for _, _, [fit] in
+            cross_validate(load_csv(toy_csv), [TrainConfig(**doc["config"])], 3, seed=2)]
+    assert len(doc["traces"]) == 3
+    for entry, (_, trace) in zip(doc["traces"], fits):
+        assert entry == trace.summary()
+        assert (entry["iterations"], entry["stop_reason"]) == (trace.iterations,
+                                                                trace.stop_reason)
+
+
 def test_cv_warns_when_folds_stop_at_iteration_cap(tmp_path, toy_csv, capsys):
     out_json = tmp_path / "cv.json"
     assert run("cv", "--data", toy_csv, "--k", 3, "--max-iter", 3, "--out-json", out_json) == 0
@@ -393,7 +407,7 @@ def test_cv_warns_when_folds_stop_at_iteration_cap(tmp_path, toy_csv, capsys):
     assert captured.err == "warning: 3 of 3 fits stopped at the iteration cap (3)\n"
     assert captured.out.splitlines()[0].split() == ["fold", "train_acc", "test_acc", "n_sv"]
     assert set(json.loads(out_json.read_text())) == {"k", "seed", "sv_threshold", "config",
-                                                     "folds", "means"}
+                                                     "folds", "means", "traces"}
     # folds that stop on tolerance print no warning
     assert run("cv", "--data", toy_csv, "--k", 3) == 0
     assert capsys.readouterr().err == ""

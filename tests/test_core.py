@@ -211,6 +211,11 @@ def test_margin_width_zero_weights_rejected():
         margin_width(SvmModel([0.0, 0.0], 1.0))
 
 
+def test_margin_width_of_a_subnormal_w_is_inf():
+    # w.w underflows to 0, yet ||w|| = 5e-324 is not 0
+    assert margin_width(SvmModel([5e-324, 0.0], 0.0)) == 2.0 / 5e-324 == math.inf
+
+
 def test_model_ops_at_the_top_of_double_range_do_not_warn():
     # w.w and the scores overflow; the suite turns a RuntimeWarning into an
     # error, so each result here comes without one

@@ -58,7 +58,7 @@ def test_angle_clamps_instead_of_nan():
     assert np.isfinite(theta) and theta >= 0.0
 
 
-@given(nonzero_w, nonzero_w, st.floats(1e-3, 1e3), st.floats(1e-3, 1e3))
+@given(nonzero_w, nonzero_w, st.floats(1e-300, 1e300), st.floats(1e-300, 1e300))
 def test_angle_symmetric_and_scale_invariant(w1, w2, a, b):
     t1 = angle_theta(w1, w2)
     assert t1 == angle_theta(w2, w1)
@@ -98,6 +98,30 @@ def test_dist_simultaneous_scaling_invariance(w1, w2, c):
 def test_dist_rejects_zero_reference():
     with pytest.raises(ValueError, match="zero"):
         dist_d([0.0, 0.0], [1.0, 0.0])
+
+
+# ----------------------------------------------------- angle and distance
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_angle_and_dist_where_the_squared_norms_leave_double_range(scale):
+    # w.w overflows at 1e200 and underflows to 0 at 1e-200
+    w1, w2 = [scale, 0.0], [0.0, scale]
+    assert angle_theta(w1, w2) == pytest.approx(90.0)
+    assert dist_d(w1, w2) == pytest.approx(2.0 ** 0.5)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("metric", [angle_theta, dist_d])
+def test_angle_and_dist_reject_a_non_finite_entry(metric, bad):
+    for w1, w2 in (([bad, 1.0], [1.0, 0.0]), ([1.0, 0.0], [1.0, bad])):
+        with pytest.raises(ValueError, match="finite"):
+            metric(w1, w2)
+
+
+@pytest.mark.parametrize("metric", [angle_theta, dist_d])
+def test_angle_and_dist_reject_arrays_that_are_not_1d(metric):
+    with pytest.raises(ValueError, match="1-d"):
+        metric([[1.0, 0.0]], [[0.0, 1.0]])
 
 
 # ----------------------------------------------------------- cross_validate

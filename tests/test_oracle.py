@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from lpsvm.core import LabeledDataset, augment
+from lpsvm.core import LabeledDataset, SvmModel, augment
 from lpsvm.data import ToySpec, gen_toy
 from lpsvm.oracle import dual_cd_train, fd_gradient, hinge_objective, kkt_check
 from lpsvm.solver import TrainConfig, gradient, objective, train
@@ -316,6 +316,20 @@ def test_kkt_box_violation_is_plus_zero_at_a_feasible_alpha():
     sol = dual_cd_train(ds, C=1.0)
     box = kkt_check(sol.model, sol.alpha, ds, C=1.0).box_violation
     assert box == 0.0 and math.copysign(1.0, box) == 1.0
+
+
+def test_kkt_stationarity_is_finite_where_its_square_overflows():
+    # features x 1e-200 and w x 1e200 keep every margin, so the residual
+    # w - X^T (alpha y) is about 1e200 w, whose squared norm overflows
+    ds = gen_toy(ToySpec(seed=0))
+    sol = dual_cd_train(ds, C=1.0)
+    tiny = LabeledDataset(ds.X * 1e-200, ds.y)
+    report = kkt_check(SvmModel(sol.model.w * 1e200, sol.model.b), sol.alpha, tiny, C=1.0)
+    assert report.stationarity_residual == pytest.approx(1e200 * math.hypot(*sol.model.w),
+                                                         rel=1e-12)
+    plain = kkt_check(sol.model, sol.alpha, ds, C=1.0)
+    assert report.complementarity_residual == pytest.approx(plain.complementarity_residual,
+                                                            abs=1e-12)
 
 
 def test_kkt_rejects_non_finite_alpha():
