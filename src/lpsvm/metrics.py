@@ -94,20 +94,25 @@ def angle_theta(w1: np.ndarray, w2: np.ndarray) -> float:
     exactly 0 for identical inputs and exactly 180 for exact negations.
     """
     w1, w2 = _weight_pair(w1, w2)
-    n1, n2 = norm(w1), norm(w2)
-    if n1 == 0.0 or n2 == 0.0:
+    if not (w1.any() and w2.any()):
         raise ValueError("angle is undefined for a zero weight vector")
-    u, v = w1 / n1, w2 / n2
+    # Scaled to a largest |entry| of 1, a finite nonzero vector has a finite nonzero norm.
+    u, v = w1 / np.abs(w1).max(), w2 / np.abs(w2).max()
+    u, v = u / norm(u), v / norm(v)
     return math.degrees(2.0 * math.atan2(norm(u - v), norm(u + v)))
 
 
 def dist_d(w1: np.ndarray, w2: np.ndarray) -> float:
-    """Euclidean distance between weight vectors, normalized by ||w1||."""
+    """Euclidean distance between weight vectors, normalized by ||w1||; inf
+    where ||w1|| is too small beside w2 for the ratio to be a double."""
     w1, w2 = _weight_pair(w1, w2)
-    n1 = norm(w1)
-    if n1 == 0.0:
+    if not w1.any():
         raise ValueError("distance is undefined for a zero reference vector")
-    return norm(w1 - w2) / n1
+    # One common scale leaves the ratio as it is, and w1 - w2 cannot overflow.
+    scale = max(np.abs(w1).max(), np.abs(w2).max())
+    w1, w2 = w1 / scale, w2 / scale
+    n1 = norm(w1)
+    return norm(w1 - w2) / n1 if n1 else math.inf
 
 
 def cross_validate(

@@ -247,9 +247,8 @@ def _signed_design(dataset: LabeledDataset) -> np.ndarray:
 # exp/log1p pass serve both the value and the gradient.
 
 def _value(w_aug: np.ndarray, dw: np.ndarray, sp: np.ndarray, cfg: TrainConfig) -> float:
-    # dw = D w'; softplus_s(z) = n = sp / s, and p = 1 skips n ** 1.0, which is n
-    n = sp / cfg.s
-    return 0.5 * float(w_aug.dot(dw)) + cfg.C * float((n if cfg.p == 1.0 else n ** cfg.p).sum())
+    # dw = D w' and softplus_s(z) = sp / s
+    return 0.5 * float(w_aug.dot(dw)) + cfg.C * float(((sp / cfg.s) ** cfg.p).sum())
 
 
 def _coeff(t: np.ndarray, sp: np.ndarray, sp_neg: np.ndarray, cfg: TrainConfig) -> np.ndarray:
@@ -280,19 +279,14 @@ def _value_pass(w_aug: np.ndarray, yX: np.ndarray, d: np.ndarray,
 
 
 def _grad_pass(state: tuple, yX: np.ndarray, cfg: TrainConfig) -> np.ndarray:
-    """grad J(w') from `_value_pass`'s margin state, which it overwrites."""
+    """grad J(w') from `_value_pass`'s margin state."""
     t, sp, sp_neg, dw = state
-    if cfg.p == 1.0:  # 0 t has the bits of _coeff's (p - 1) log n: +-0, or NaN at t = +-inf
-        coeff = np.exp(np.subtract(np.multiply(t, 0.0, out=t), sp_neg, out=t), out=t)
-    else:
-        coeff = _coeff(t, sp, sp_neg, cfg)
-    return dw - cfg.p * cfg.C * yX.T.dot(coeff)
+    return dw - cfg.p * cfg.C * yX.T.dot(_coeff(t, sp, sp_neg, cfg))
 
 
 def _hessian(state: tuple, yX: np.ndarray, d: np.ndarray, cfg: TrainConfig) -> np.ndarray:
     """The p = 1 Hessian D + C s yX^T diag(sigma(t) sigma(-t)) yX, from
-    `_value_pass`'s margin state; it reads only sp and sp_neg, so it may run
-    after `_grad_pass`, which at p = 1 overwrites only t.
+    `_value_pass`'s margin state.
 
     sigma(t) sigma(-t) = exp(-softplus(t) - softplus(-t)) takes one exp
     and no log, and is made one block of rows at a time.

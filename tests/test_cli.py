@@ -238,8 +238,9 @@ def test_load_model_unknown_config_key_names_file(tmp_path, toy_csv, capsys):
     assert "m.json" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("payload", [b'{"b": 0.0, "w": [\xff]}', b"{b: 0.0}", b"[" * 100_000],
-                         ids=["not-utf8", "not-json", "nested-too-deep"])
+@pytest.mark.parametrize("payload", [b'{"b": 0.0, "w": [\xff]}', b"{b: 0.0}", b"[" * 100_000,
+                                     b"[1.0]"],
+                         ids=["not-utf8", "not-json", "nested-too-deep", "json-array"])
 def test_load_model_unreadable_file_names_file(tmp_path, toy_csv, capsys, payload):
     path = tmp_path / "m.json"
     path.write_bytes(payload)
@@ -632,6 +633,15 @@ def test_bad_sv_threshold_exits_2(command, threshold, capsys):
 def test_train_divergence_at_start_exits_1(tmp_path, toy_csv, capsys):
     assert run("train", "--data", toy_csv, "--C", 1e308, "--out", tmp_path / "m.json") == 1
     assert "objective diverged at iteration 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mean, message", [("1,2,3", "expected 'a,b'"),
+                                           ("a,b", "expected two floats")])
+def test_bad_mean_pos_exits_2(mean, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["gen-toy", "--mean-pos", mean, "--out", "x.csv"])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("c_list", ["a,b", "1,,2", "1,2,"])

@@ -56,6 +56,12 @@ def test_dataset_rejects_nonfinite_features():
         LabeledDataset([[np.inf], [1.0]], [1.0, -1.0])
 
 
+@pytest.mark.parametrize("X", [[1.0, 2.0], np.ones((2, 1, 1))], ids=["1-d", "3-d"])
+def test_dataset_rejects_samples_that_are_not_2d(X):
+    with pytest.raises(ValueError, match="samples must form a 2-d array"):
+        LabeledDataset(X, [1.0, -1.0])
+
+
 def test_dataset_rejects_empty_and_mismatched():
     with pytest.raises(ValueError):
         LabeledDataset(np.empty((0, 2)), np.empty(0))

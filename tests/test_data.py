@@ -559,3 +559,9 @@ def test_standardize_constant_feature():
     ds = LabeledDataset([[5.0, 1.0], [5.0, 3.0]], [1.0, -1.0])
     (out,) = standardize(ds)
     assert out.X[:, 0].tolist() == [0.0, 0.0]
+
+
+def test_standardize_rejects_datasets_of_another_dimension():
+    train_ds = LabeledDataset([[0.0, 1.0], [2.0, 3.0]], [1.0, -1.0])
+    with pytest.raises(ValueError, match="dimension mismatch: expected k=2, got k=1"):
+        standardize(train_ds, LabeledDataset([[3.0]], [1.0]))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -108,6 +110,15 @@ def test_angle_and_dist_where_the_squared_norms_leave_double_range(scale):
     w1, w2 = [scale, 0.0], [0.0, scale]
     assert angle_theta(w1, w2) == pytest.approx(90.0)
     assert dist_d(w1, w2) == pytest.approx(2.0 ** 0.5)
+
+
+@pytest.mark.parametrize("metric, w1, w2, expected", [
+    (angle_theta, [1.7e308, 1.7e308], [1.0, 0.0], 45.0),  # ||w1|| overflows
+    (dist_d, [1e308], [-1e308], 2.0),  # w1 - w2 overflows
+    (dist_d, [1e-300], [1e300], math.inf),  # ||w1 - w2|| / ||w1|| is past double range
+])
+def test_angle_and_dist_where_a_norm_or_the_difference_overflows(metric, w1, w2, expected):
+    assert metric(w1, w2) == pytest.approx(expected)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -276,6 +276,17 @@ def test_dual_cd_pass_count_toy_at_large_C(seed, C):
     assert best_coordinate_improvement(sol, ds, C) < 1e-15
 
 
+# At so small a C one pass takes every alpha to C, so the subspace step meets
+# an empty face: no coordinate is free.
+@pytest.mark.parametrize("C", [1e-4, 1e-3])
+def test_dual_cd_where_one_pass_leaves_no_free_coordinate(C):
+    ds = gen_toy(ToySpec(seed=0))
+    sol = dual_cd_train(ds, C)
+    assert sol.converged and sol.n_sweeps == 1
+    assert np.all(sol.alpha == C)
+    assert kkt_max(sol, ds, C) < 1e-15  # the rounding of 1 - xi - margin
+
+
 # -------------------------------------------------------------- kkt_check
 
 def test_kkt_exact_two_point_optimum():

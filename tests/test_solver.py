@@ -824,9 +824,8 @@ def test_kernel_passes_match_objective_and_gradient_bitwise(p, regularize_bias):
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for w in points:
             value, state = _value_pass(w, yX, d, cfg)
-            t = state[0].copy()
             g = _grad_pass(state, yX, cfg)
-            infinite += not np.isfinite(t).all()
+            infinite += not np.isfinite(state[0]).all()
             try:
                 assert value == objective(w, X_aug, y, cfg)
             except DivergenceError:
@@ -836,6 +835,20 @@ def test_kernel_passes_match_objective_and_gradient_bitwise(p, regularize_bias):
             except DivergenceError:
                 assert not np.isfinite(g).all()
     assert infinite > 0
+
+
+@pytest.mark.parametrize("p", [1.0, 0.5])
+def test_grad_pass_leaves_the_margin_state_unchanged(p):
+    # `_hessian` and `train` read the state after `_grad_pass` has run on it.
+    ds = gen_toy(ToySpec(seed=1, n_per_class=10))
+    cfg = TrainConfig(C=2.0, p=p, s=100.0)
+    yX, d = _signed_design(ds), _reg_diag(ds.k + 1, False)
+    w = np.random.default_rng(5).normal(0.0, 0.1, ds.k + 1)
+    _, state = _value_pass(w, yX, d, cfg)
+    before = [a.copy() for a in state]
+    _grad_pass(state, yX, cfg)
+    for a, b in zip(state, before):
+        assert np.array_equal(a, b)
 
 
 def test_sv_count_shrinks_with_C_at_small_p():
