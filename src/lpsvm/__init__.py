@@ -18,7 +18,7 @@ from .core import (
     predict,
     slack,
 )
-from .data import FoldSplit, ToySpec, gen_toy, kfold, load_csv, save_csv, standardize
+from .data import ToySpec, gen_toy, kfold, load_csv, save_csv, standardize
 from .metrics import (
     ComparisonReport,
     FoldComparison,

@@ -173,13 +173,13 @@ class SvmModel:
 class SlackReport:
     """Per-sample margin violations and the resulting support-vector set.
 
-    `sv_indices` are exactly the indices with `xi > threshold`.
+    `sv_indices` are exactly the indices whose `xi` exceeds the threshold
+    given to `slack`.
     """
 
     xi: np.ndarray
     sv_indices: np.ndarray
     n_sv: int
-    threshold: float
 
 
 def decision_values(model: SvmModel, X: np.ndarray) -> np.ndarray:
@@ -211,7 +211,6 @@ def slack(model: SvmModel, dataset: LabeledDataset,
         xi=_frozen_array(xi),
         sv_indices=_frozen_array(sv_indices, dtype=np.intp),
         n_sv=int(sv_indices.size),
-        threshold=threshold,
     )
 
 

@@ -1,8 +1,9 @@
 """Seeded toy-data generation, CSV ingestion, standardization and stratified folds.
 
-The CSV format, shared by the loader and writer: UTF-8, comma-separated, LF
-newlines (the loader also reads CRLF and CR), blank lines and lines starting
-with '#' ignored, optional single header row; the first data column is the
+The CSV format, shared by the loader and writer: UTF-8 with an optional
+leading BOM (the writer writes none), comma-separated, LF newlines (the
+loader also reads CRLF and CR), blank lines and lines starting with '#'
+ignored, optional single header row; the first data column is the
 label (+1/-1, a bare 1 also accepted), remaining columns are finite floats
 in Python `float` syntax, with whitespace around any field allowed.  The
 loader reads a file once, in order, a block of lines at a time, checks
@@ -24,7 +25,6 @@ from .core import LabeledDataset, nonnegative, number
 
 __all__ = [
     "ToySpec",
-    "FoldSplit",
     "gen_toy",
     "load_csv",
     "save_csv",
@@ -118,13 +118,15 @@ def load_csv(path, has_header: bool = False) -> LabeledDataset:
 
     Feature fields take Python `float` syntax, with whitespace around them
     allowed; a non-finite value is an error, and so is a line that is not
-    valid UTF-8.  The file is opened and read once, in blocks of lines,
-    with undecodable bytes arriving as lone surrogates (`surrogateescape`)
-    for the parse to reject.  numpy's C reader parses a block of clean data
-    rows in one call (`_read_block`).  Every block numpy does not take, and
-    one read while the header is pending, goes through the plain per-line
-    loop below, which checks each line in full as soon as it is read: it
-    alone words an error and names the first bad line, counted across blocks.
+    valid UTF-8.  The file is opened and read once, in blocks of lines; an
+    optional leading BOM is dropped (`utf-8-sig`), so a BOM anywhere else is
+    an error of its line, and undecodable bytes arrive as lone surrogates
+    (`surrogateescape`) for the parse to reject.  numpy's C reader parses a
+    block of clean data rows in one call (`_read_block`).  Every block numpy
+    does not take, and one read while the header is pending, goes through the
+    plain per-line loop below, which checks each line in full as soon as it
+    is read: it alone words an error and names the first bad line, counted
+    across blocks.
     Rows are collected, label first, in one flat double buffer rather than a
     list of rows, which keeps the peak memory near twice the size of the
     final matrix.
@@ -133,7 +135,7 @@ def load_csv(path, has_header: bool = False) -> LabeledDataset:
     width: int | None = None
     header_pending = has_header
     lineno = 0
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+    with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as fh:
         while lines := fh.readlines(_BLOCK):
             block = None if header_pending else _read_block(lines, width)
             if block is not None:
@@ -191,23 +193,9 @@ def save_csv(dataset: LabeledDataset, path, header: bool = False) -> None:
             fh.write(f"{'+1' if label > 0 else '-1'},{','.join(map(repr, row.tolist()))}\n")
 
 
-@dataclass(frozen=True, eq=False)
-class FoldSplit:
-    """Stratified fold assignment: `assignments[i]` is sample i's fold index."""
-
-    k: int
-    assignments: np.ndarray
-    seed: int
-
-    def test_indices(self, fold: int) -> np.ndarray:
-        return np.flatnonzero(self.assignments == fold)
-
-    def train_indices(self, fold: int) -> np.ndarray:
-        return np.flatnonzero(self.assignments != fold)
-
-
-def kfold(dataset: LabeledDataset, k: int, seed: int = 0) -> FoldSplit:
-    """Stratified k-fold assignment, deterministic per seed.
+def kfold(dataset: LabeledDataset, k: int, seed: int = 0) -> np.ndarray:
+    """Stratified k-fold assignment, deterministic per seed: a read-only intp
+    array whose entry i is sample i's fold index.
 
     Within each class the samples are shuffled (PCG64) and dealt round-robin
     onto folds, so per-class fold sizes differ by at most one.
@@ -216,16 +204,16 @@ def kfold(dataset: LabeledDataset, k: int, seed: int = 0) -> FoldSplit:
         raise ValueError(f"k must be >= 2, got {k}")
     seed = nonnegative("seed", seed, int)
     rng = np.random.Generator(np.random.PCG64(seed))
-    assignments = np.full(dataset.n, -1, dtype=np.intp)
+    folds = np.full(dataset.n, -1, dtype=np.intp)
     for label in (-1.0, 1.0):
         idx = np.flatnonzero(dataset.y == label)
         if idx.size < k:
             raise ValueError(
                 f"class {int(label):+d} has {idx.size} samples, fewer than k={k} folds")
         shuffled = idx[rng.permutation(idx.size)]
-        assignments[shuffled] = np.arange(shuffled.size) % k
-    assignments.setflags(write=False)
-    return FoldSplit(k=k, assignments=assignments, seed=seed)
+        folds[shuffled] = np.arange(shuffled.size) % k
+    folds.setflags(write=False)
+    return folds
 
 
 def standardize(fit: LabeledDataset, *apply: LabeledDataset) -> tuple[LabeledDataset, ...]:

@@ -54,9 +54,6 @@ class ComparisonReport:
 
     folds: tuple[FoldComparison, ...]
     means: dict[str, float]
-    k: int
-    seed: int
-    sv_threshold: float
     traces: tuple[tuple[TrainTrace, TrainTrace], ...]
 
 
@@ -126,15 +123,15 @@ def cross_validate(
     order.  With `standardize`, both splits are rescaled with training-split
     statistics.  Deterministic given (dataset, configs, k, seed).
     """
-    split = kfold(dataset, k, seed)
-    folds = []
+    folds = kfold(dataset, k, seed)
+    results = []
     for fold in range(k):
-        train_ds = dataset.subset(split.train_indices(fold))
-        test_ds = dataset.subset(split.test_indices(fold))
+        train_ds = dataset.subset(np.flatnonzero(folds != fold))
+        test_ds = dataset.subset(np.flatnonzero(folds == fold))
         if standardize:
             train_ds, test_ds = standardize_features(train_ds, test_ds)
-        folds.append((train_ds, test_ds, [train(train_ds, cfg) for cfg in configs]))
-    return folds
+        results.append((train_ds, test_ds, [train(train_ds, cfg) for cfg in configs]))
+    return results
 
 
 def run_comparison(dataset: LabeledDataset, cfg_std: TrainConfig, cfg_min: TrainConfig,
@@ -167,23 +164,13 @@ def run_comparison(dataset: LabeledDataset, cfg_std: TrainConfig, cfg_min: Train
         field: float(np.mean([getattr(f, field) for f in folds]))
         for field in REPORT_FIELDS
     }
-    return ComparisonReport(
-        folds=tuple(folds),
-        means=means,
-        k=k,
-        seed=seed,
-        sv_threshold=float(sv_threshold),
-        traces=tuple(traces),
-    )
+    return ComparisonReport(folds=tuple(folds), means=means, traces=tuple(traces))
 
 
 def comparison_to_dict(report: ComparisonReport) -> dict:
     """JSON-ready view of a comparison report; each fold's two traces appear
     as their `TrainTrace.summary`, under `traces`, in fold order."""
     return {
-        "k": report.k,
-        "seed": report.seed,
-        "sv_threshold": report.sv_threshold,
         "folds": [asdict(f) for f in report.folds],
         "means": dict(report.means),
         "traces": [{"fold": f.fold, "std": trace_std.summary(), "min": trace_min.summary()}

@@ -423,8 +423,12 @@ def test_compare_blocks_and_tsv_shape(tmp_path, toy_csv, capsys):
                "--k", 2, "--seed", 7, "--out-json", out_json,
                "--out-tsv", out_tsv, *FAST_FLAGS) == 0
     doc = json.loads(out_json.read_text())
+    # the run's own settings are written once, at the top, not once per C
+    assert set(doc) == {"data", "k", "seed", "sv_threshold", "configs"}
+    assert (doc["k"], doc["seed"], doc["sv_threshold"]) == (2, 7, 1e-6)
     assert len(doc["configs"]) == 3
     for block in doc["configs"]:
+        assert set(block) == {"C", "config_std", "config_min", "folds", "means", "traces"}
         assert set(block["means"]) == {
             "test_acc_std", "train_acc_std", "n_sv_std",
             "test_acc_min", "train_acc_min", "n_sv_min",

@@ -180,7 +180,9 @@ def test_slack_support_vector_set():
     assert report.xi.tolist() == [0.0, 0.5, 0.0]
     assert report.sv_indices.tolist() == [1]
     assert report.n_sv == 1
-    assert report.threshold == 1e-6
+    # the default threshold is 1e-6: a slack of 2e-6 counts, one of 5e-7 does not
+    ds = LabeledDataset([[1.0 - 2e-6], [1.0 - 5e-7]], [1.0, 1.0])
+    assert slack(SvmModel([1.0], 0.0), ds).sv_indices.tolist() == [0]
 
 
 def test_slack_threshold_is_respected():
@@ -284,10 +286,12 @@ def test_entry_points_reject_bad_numbers_naming_the_parameter(name, call, value)
         call(value)
 
 
-def test_slack_threshold_takes_0_and_stores_a_float():
+def test_slack_threshold_takes_a_numpy_int_0():
     report = slack(SvmModel([1.0], 0.0), _DS, np.int64(0))
-    assert type(report.threshold) is float and report.threshold == 0.0
     assert report.sv_indices.tolist() == [0, 1]
+    # at 0 any positive slack counts, one below the default threshold too
+    tiny = LabeledDataset([[1.0], [1.0 - 5e-7]], [1.0, 1.0])
+    assert slack(SvmModel([1.0], 0.0), tiny, np.int64(0)).sv_indices.tolist() == [1]
 
 
 def test_int_beyond_int64_loads_in_w_and_b():
@@ -299,4 +303,3 @@ def test_entry_points_store_builtin_numbers():
     assert type(SvmModel(w=np.array([1, 2], dtype=np.int8), b=np.float32(0.5)).b) is float
     spec = ToySpec(n_per_class=np.int64(3), cov_scale=2)
     assert type(spec.n_per_class) is int and type(spec.cov_scale) is float
-    assert type(kfold(_DS, np.int64(2)).k) is int

@@ -1,6 +1,8 @@
+import codecs
 import contextlib
 import io
 import math
+import re
 import warnings
 from array import array
 from unittest import mock
@@ -14,7 +16,7 @@ from hypothesis.extra.numpy import arrays
 import lpsvm.data
 from lpsvm.cli import main, save_model
 from lpsvm.core import LabeledDataset, slack
-from lpsvm.data import FoldSplit, ToySpec, gen_toy, kfold, load_csv, save_csv, standardize
+from lpsvm.data import ToySpec, gen_toy, kfold, load_csv, save_csv, standardize
 from lpsvm.solver import TrainConfig, train
 
 
@@ -72,9 +74,8 @@ def test_seeds_take_numpy_ints_as_python_ints():
     spec = ToySpec(seed=np.int64(3))
     assert type(spec.seed) is int
     assert np.array_equal(gen_toy(spec).X, gen_toy(ToySpec(seed=3)).X)
-    split = kfold(gen_toy(spec), 2, seed=np.uint8(9))
-    assert type(split.seed) is int
-    assert np.array_equal(split.assignments, kfold(gen_toy(spec), 2, seed=9).assignments)
+    assert np.array_equal(kfold(gen_toy(spec), 2, seed=np.uint8(9)),
+                          kfold(gen_toy(spec), 2, seed=9))
 
 
 def test_gen_toy_cli_names_a_negative_seed(tmp_path):
@@ -413,6 +414,7 @@ def test_load_csv_reads_every_clean_block_with_numpys_reader(multiblock_csv, mon
     ("-1" + ",0.5" * 7 + ",nan", "non-finite feature value"),
     ("+1" + ",0.5" * 7, "expected 9 columns, got 8"),
     ("x" + ",0.5" * 8, "label must be"),
+    ("\ufeff+1" + ",0.5" * 8, "label must be"),  # a BOM is dropped only at the start
 ])
 def test_load_csv_names_a_bad_line_in_the_last_block(tmp_path, multiblock_csv, bad, message):
     # The blocks before it go through numpy's reader, so the line number
@@ -420,7 +422,7 @@ def test_load_csv_names_a_bad_line_in_the_last_block(tmp_path, multiblock_csv, b
     lines = multiblock_csv[0].read_text().splitlines(keepends=True)
     lines.insert(len(lines) - 3, bad + "\n")
     path = tmp_path / "d.csv"
-    path.write_text("".join(lines))
+    path.write_text("".join(lines), encoding="utf-8")
     with pytest.raises(ValueError, match=f"line {len(lines) - 3}: {message}"):
         load_csv(path)
 
@@ -485,26 +487,53 @@ def test_load_csv_undecodable_line_names_line(tmp_path, model_file):
         load_csv(path)
 
 
+@pytest.mark.parametrize("block", [1, lpsvm.data._BLOCK])
+@pytest.mark.parametrize("has_header", [False, True])
+def test_load_csv_skips_a_leading_bom(tmp_path, monkeypatch, has_header, block):
+    monkeypatch.setattr(lpsvm.data, "_BLOCK", block)
+    text = (b"label,x0,x1\n" if has_header else b"") + b"+1,0.5,1.25\r\n-1,2.0,0.0\n"
+    plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+    plain.write_bytes(text)
+    bom.write_bytes(codecs.BOM_UTF8 + text)
+    outcome = _outcome(load_csv, plain, has_header)
+    assert outcome[0] == "ok" and _outcome(load_csv, bom, has_header) == outcome
+
+
+@pytest.mark.parametrize("text, message", [
+    ("+1,1.0\n\ufeff-1,2.0\n", "line 2: label must be +1 or -1, got '\\ufeff-1'"),
+    ("+1,1.0\n-1,\ufeff2.0\n", "line 2: malformed feature value"),
+    ("\ufeff\ufeff+1,1.0\n", "line 1: label"),  # only the first BOM is dropped
+])
+def test_load_csv_names_the_line_of_a_bom_past_the_start(tmp_path, model_file, text, message):
+    path = tmp_path / "d.csv"
+    path.write_bytes(text.encode("utf-8"))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_csv(path)
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        assert main(["eval", "--model", str(model_file), "--data", str(path)]) == 2
+    assert message in err.getvalue()
+
+
 # ------------------------------------------------------------------ kfold
 
 def test_kfold_exact_division():
     ds = LabeledDataset(np.arange(20.0).reshape(10, 2),
                         [1.0, -1.0] * 5)
-    split = kfold(ds, k=5, seed=0)
+    folds = kfold(ds, k=5, seed=0)
     for fold in range(5):
-        test_idx = split.test_indices(fold)
+        test_idx = np.flatnonzero(folds == fold)
         assert test_idx.size == 2
         assert set(ds.y[test_idx]) == {-1.0, 1.0}
 
 
 def test_kfold_is_a_partition():
     ds = gen_toy(ToySpec(seed=4, n_per_class=13))
-    split = kfold(ds, k=4, seed=1)
-    seen = np.concatenate([split.test_indices(f) for f in range(4)])
+    folds = kfold(ds, k=4, seed=1)
+    seen = np.concatenate([np.flatnonzero(folds == f) for f in range(4)])
     assert sorted(seen.tolist()) == list(range(ds.n))
     for fold in range(4):
-        train_idx = set(split.train_indices(fold).tolist())
-        test_idx = set(split.test_indices(fold).tolist())
+        train_idx = set(np.flatnonzero(folds != fold).tolist())
+        test_idx = set(np.flatnonzero(folds == fold).tolist())
         assert not train_idx & test_idx
         assert len(train_idx | test_idx) == ds.n
 
@@ -514,9 +543,9 @@ def test_kfold_stratified_balance(k, seed, n_pos, n_neg):
     X = np.arange(float(n_pos + n_neg)).reshape(-1, 1)
     y = np.array([1.0] * n_pos + [-1.0] * n_neg)
     ds = LabeledDataset(X, y)
-    split = kfold(ds, k=k, seed=seed)
+    folds = kfold(ds, k=k, seed=seed)
     for label in (1.0, -1.0):
-        sizes = [int(np.sum((split.assignments == f) & (ds.y == label)))
+        sizes = [int(np.sum((folds == f) & (ds.y == label)))
                  for f in range(k)]
         assert max(sizes) - min(sizes) <= 1
         assert sum(sizes) == int(np.sum(ds.y == label))
@@ -527,8 +556,17 @@ def test_kfold_deterministic_per_seed():
     a = kfold(ds, k=3, seed=9)
     b = kfold(ds, k=3, seed=9)
     c = kfold(ds, k=3, seed=10)
-    assert np.array_equal(a.assignments, b.assignments)
-    assert not np.array_equal(a.assignments, c.assignments)
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
+
+
+def test_kfold_returns_a_read_only_intp_array():
+    ds = gen_toy(ToySpec(seed=6, n_per_class=10))
+    folds = kfold(ds, k=np.int64(3), seed=9)
+    assert folds.dtype == np.intp and folds.shape == (ds.n,)
+    assert np.array_equal(folds, kfold(ds, k=3, seed=9))
+    with pytest.raises(ValueError, match="read-only"):
+        folds[0] = 1
 
 
 def test_kfold_rejects_small_classes_and_k():
