@@ -2,9 +2,11 @@
 
 Everything here is a pure function over immutable inputs: datasets and models
 freeze their arrays on construction, so they can be shared across threads and
-reused between runs without defensive copies.  `predict` is the one place
-the decision rule sign(w.x + b), ties to +1, is applied, and `number` the one
-place a scalar from outside the package is checked (`nonnegative` adds >= 0).
+reused between runs without defensive copies.  A dataset keeps an array that
+is already read-only and owns its data as it is, and copies anything else.
+`predict` is the one place the decision rule sign(w.x + b), ties to +1, is
+applied, and `number` the one place a scalar from outside the package is
+checked (`nonnegative` adds >= 0).
 """
 
 from __future__ import annotations
@@ -68,6 +70,12 @@ def nonnegative(name: str, value, kind: type = float):
 
 
 def _frozen_array(values, dtype=np.float64) -> np.ndarray:
+    """`values` as a read-only array of `dtype`: `values` itself if it is
+    already one that owns its memory (an exact ndarray with no base), else a
+    frozen copy, which no later write to `values` reaches."""
+    if (type(values) is np.ndarray and values.dtype == dtype and values.base is None
+            and not values.flags.writeable):
+        return values
     arr = np.array(values, dtype=dtype)
     arr.setflags(write=False)
     return arr
@@ -80,6 +88,9 @@ class LabeledDataset:
     Arrays are validated and made read-only on construction; `X` has shape
     (n, k) and `y` has shape (n,) with entries exactly -1.0 or +1.0.  Both
     hold ints or floats: numpy would convert strings and bools, but not here.
+    A read-only float64 ndarray that owns its data is kept as it is; any
+    other input (writeable, a view, another dtype or an ndarray subclass) is
+    copied.
     """
 
     X: np.ndarray

@@ -220,7 +220,10 @@ def standardize(fit: LabeledDataset, *apply: LabeledDataset) -> tuple[LabeledDat
     """Zero-mean unit-variance transform fitted on `fit`, applied to all inputs.
 
     Constant features are left centered but unscaled.  Returns the transformed
-    `fit` followed by the transformed `apply` datasets.
+    `fit` followed by the transformed `apply` datasets.  Each matrix is built
+    in place and frozen, so its dataset keeps it without a copy (a dataset
+    keeps a read-only array that owns its data, and copies anything else),
+    and shares its input's frozen `y`.
     """
     mean = fit.X.mean(axis=0)
     std = fit.X.std(axis=0)
@@ -229,5 +232,8 @@ def standardize(fit: LabeledDataset, *apply: LabeledDataset) -> tuple[LabeledDat
     for ds in (fit, *apply):
         if ds.k != fit.k:
             raise ValueError(f"dimension mismatch: expected k={fit.k}, got k={ds.k}")
-        out.append(LabeledDataset((ds.X - mean) / std, ds.y))
+        Z = ds.X - mean
+        Z /= std
+        Z.setflags(write=False)
+        out.append(LabeledDataset(Z, ds.y))
     return tuple(out)

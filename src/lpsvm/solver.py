@@ -74,6 +74,7 @@ _HESSIAN_ROWS = 1024
 
 # Below this, log(softplus(t)) equals t to double precision.
 _LOG_SOFTPLUS_CUT = -33.0
+_MAX_DOUBLE = float(np.finfo(np.float64).max)
 
 # Overflow/NaN in the objective or gradient is the divergence signal, which
 # is reported rather than warned about; log(0) below the cut is discarded.
@@ -254,10 +255,14 @@ def _value(w_aug: np.ndarray, dw: np.ndarray, sp: np.ndarray, cfg: TrainConfig) 
 def _coeff(t: np.ndarray, sp: np.ndarray, sp_neg: np.ndarray, cfg: TrainConfig) -> np.ndarray:
     # sigma(t) * n^(p-1) with n = sp / s, as exp(log sigma(t) + (p-1) log n),
     # where log sigma(t) = -sp_neg.  Below the cut sp underflows but equals
-    # e^t to double precision, so log(sp) is just t there.
+    # e^t to double precision, so log(sp) is just t there.  log_n is +-inf
+    # only at t = +-inf; clipped to double range, (p-1) log_n is 0 there at
+    # p = 1, not 0 * inf, so the coefficient is sigma(t), and at p < 1 it is 0.
     log_n = np.log(sp)
     np.putmask(log_n, t < _LOG_SOFTPLUS_CUT, t)
     log_n -= math.log(cfg.s)
+    np.minimum(log_n, _MAX_DOUBLE, out=log_n)
+    np.maximum(log_n, -_MAX_DOUBLE, out=log_n)
     return np.exp((cfg.p - 1.0) * log_n - sp_neg)
 
 

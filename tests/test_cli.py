@@ -130,13 +130,15 @@ def test_train_divergence_exits_1(tmp_path, toy_csv, capsys):
     assert "objective diverged at iteration 1" in capsys.readouterr().err
 
 
-def test_train_nan_gradient_at_the_returned_point_exits_1(tmp_path, capsys):
-    # the first trial ties J(0), so the fit stops on the objective tolerance
-    # at a point whose gradient is NaN: no model is written
+def test_train_overflowing_gradient_at_the_returned_point_exits_1(tmp_path, capsys):
+    # the first trial is accepted at a point where the gradient's sum over
+    # samples overflows (test_solver's _SUM_OVERFLOW): no model is written
     data, out = tmp_path / "ovf.csv", tmp_path / "m.json"
-    data.write_text("+1,1e306\n-1,-1e306\n")
-    assert run("train", "--data", data, "--p", 1, "--eta", 1e-306, "--out", out) == 1
-    assert "gradient diverged" in capsys.readouterr().err
+    data.write_text("+1,1e308,-1.5e308\n-1,1e308,-1.5e308\n+1,1e308,-1.5e308\n"
+                    "+1,0,1.5e308\n-1,0,-1.5e308\n")
+    assert run("train", "--data", data, "--p", 1, "--C", 1e-308, "--eta", 1e-308,
+               "--out", out) == 1
+    assert "gradient diverged at iteration 2" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -95,6 +95,38 @@ def test_dataset_arrays_are_readonly():
         ds.X[0, 0] = 3.0
 
 
+def _frozen(arr):
+    arr.setflags(write=False)
+    return arr
+
+
+def test_dataset_keeps_a_readonly_float64_array_that_owns_its_data():
+    X, y = _frozen(np.array([[1.0, 2.0], [3.0, 4.0]])), _frozen(np.array([1.0, -1.0]))
+    ds = LabeledDataset(X, y)
+    assert ds.X is X and ds.y is y
+
+
+class _Subclass(np.ndarray):
+    pass
+
+
+@pytest.mark.parametrize("make", [
+    lambda X: X,  # writeable
+    lambda X: _frozen(X[:, :]),  # a read-only view of a writeable array
+    lambda X: _frozen(X.astype(np.float32)),  # another dtype
+    lambda X: _frozen(X.view(_Subclass).copy()),  # an ndarray subclass that owns its data
+], ids=["writeable", "view", "float32", "subclass"])
+def test_dataset_copies_any_other_array(make):
+    source = np.array([[1.0, 2.0], [3.0, 4.0]])
+    X = make(source)
+    ds = LabeledDataset(X, [1.0, -1.0])
+    assert type(ds.X) is np.ndarray and ds.X.dtype == np.float64
+    assert ds.X.base is None and not ds.X.flags.writeable
+    assert not np.shares_memory(ds.X, X) and not np.shares_memory(ds.X, source)
+    source[0, 0] = 9.0  # a write to the source does not reach the dataset
+    assert ds.X.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+
 # ------------------------------------------------------------ augmentation
 
 def test_augment_appends_one():

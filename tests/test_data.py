@@ -3,6 +3,7 @@ import contextlib
 import io
 import math
 import re
+import tracemalloc
 import warnings
 from array import array
 from unittest import mock
@@ -597,6 +598,36 @@ def test_standardize_constant_feature():
     ds = LabeledDataset([[5.0, 1.0], [5.0, 3.0]], [1.0, -1.0])
     (out,) = standardize(ds)
     assert out.X[:, 0].tolist() == [0.0, 0.0]
+
+
+def test_standardize_returns_frozen_copies_bitwise_equal_to_the_formula():
+    rng = np.random.default_rng(3)
+    X = rng.normal(3.0, 2.0, size=(40, 4))
+    X[:, 2] = 5.0  # a constant feature: std 0, divided by 1
+    labels = np.where(rng.random(40) < 0.5, 1.0, -1.0)
+    fit, other = LabeledDataset(X, labels), LabeledDataset(X[::-1] * 2.0, labels)
+    mean, std = fit.X.mean(axis=0), fit.X.std(axis=0)
+    std[std == 0.0] = 1.0
+    for ds, out in zip((fit, other), standardize(fit, other)):
+        assert out.X.tobytes() == ((ds.X - mean) / std).tobytes()
+        assert not out.X.flags.writeable and not out.y.flags.writeable
+        assert not np.shares_memory(out.X, ds.X)
+        assert out.y is ds.y  # read-only and owning: kept, not copied
+
+
+def test_standardize_peak_memory_is_one_matrix_and_its_finiteness_mask():
+    # X - mean is the one full-size temporary, divided in place and kept by
+    # the dataset; LabeledDataset's isfinite mask adds an eighth of it.
+    rng = np.random.default_rng(0)
+    ds = LabeledDataset(rng.normal(size=(20_000, 32)),
+                        np.where(rng.random(20_000) < 0.5, 1.0, -1.0))
+    tracemalloc.start()
+    try:
+        standardize(ds)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * ds.X.nbytes
 
 
 def test_standardize_rejects_datasets_of_another_dimension():

@@ -22,6 +22,7 @@ from lpsvm.solver import (
     gradient,
     objective,
     _backtrack,
+    _coeff,
     _grad_pass,
     _hessian,
     _newton_direction,
@@ -234,6 +235,20 @@ def test_gradient_finite_over_extreme_margins():
         for z in (-1e6, -10.0, 0.0, 10.0, 1e6):
             w = np.array([1.0 - z, 0.0])
             assert np.all(np.isfinite(gradient(w, X_aug, y, cfg)))
+
+
+@pytest.mark.parametrize("p", [0.3, 0.5, 1.0])
+def test_coeff_is_finite_at_infinite_margins(p):
+    # sigma(t) n^(p-1) is sigma(t) at p = 1, and 0 at t = -inf for any p and
+    # at t = +inf for p < 1; unclipped, log n = +-inf made it NaN at p = 1.
+    t = np.array([-math.inf, math.inf])
+    with np.errstate(divide="ignore"):  # log(0) at t = -inf, below the cut
+        coeff = _coeff(t, *_softplus_pair(t), TrainConfig(p=p))
+    assert np.array_equal(coeff, [0.0, 1.0 if p == 1.0 else 0.0])
+    # a margin that overflows to -inf adds nothing to the gradient
+    w = np.array([1e306, 0.0])
+    g = gradient(w, np.array([[1e306, 1.0]]), np.array([1.0]), TrainConfig(p=p))
+    assert np.array_equal(g, w)
 
 
 # ------------------------------------------------------------------ hessian
@@ -785,25 +800,51 @@ def test_train_overflow_at_p1_names_the_iteration(scale, C, eta, message):
 
 
 # At the first trial the scaled margins t = s (1 - y w'.x') overflow to -inf.
-# J stays finite there and the trial is accepted, but the p = 1 coefficient
-# exp(0 t - softplus(-t)) is NaN, and so is the gradient at the point returned.
+# J stays finite there and the trial is accepted; the p = 1 coefficient is
+# sigma(-inf) = 0, so the gradient at the point returned is finite too.
 _FAR_PAIR = [[1e306], [-1e306]], [1.0, -1.0], dict(C=1.0, p=1.0, eta=1e-306)
 _FAR_FOUR = ([[4.7212316105270436e306], [-2.567109112680582e306],
               [1.2830803694248833e306], [-4.587196161864749e306]], [1.0, -1.0, 1.0, -1.0],
              dict(C=1.0, p=1.0, s=305.1225723255686, eta=4.609655319991794e-308))
 
 
+@pytest.mark.parametrize("case, max_iter, stop", [
+    (_FAR_PAIR, 1, STOP_OBJECTIVE),  # the trial ties J(0) = 2
+    (_FAR_PAIR, 5000, STOP_OBJECTIVE),
+    (_FAR_FOUR, 1, STOP_ITERATION_CAP),  # the trial lowers J from 4 to 0.18
+])
+def test_train_returns_a_finite_gradient_where_margins_overflow_to_minus_inf(case, max_iter,
+                                                                              stop):
+    X, y, kwargs = case
+    ds, cfg = LabeledDataset(X, y), TrainConfig(max_iter=max_iter, **kwargs)
+    _, trace = _assert_matches_reference(ds, cfg)
+    assert trace.stop_reason == stop and trace.iterations == 1
+    assert 0.0 < trace.final_grad_norm < math.inf
+
+
+# Three copies of one point, labelled +1, -1, +1, put the terms +a, -a, +a
+# (a = 1e308) in the first feature's gradient sum, so grad J(0) is finite.
+# H(0) overflows, so the first trial is a momentum step; the two points on the
+# second axis turn it to raise the -1 copy's margin and lower the +1 copies'.
+# J falls, and with the -1 copy's coefficient near 0 (1.4e-11 at p = 1) the
+# sum overflows to a + a.
+_SUM_OVERFLOW = ([[1e308, -1.5e308], [1e308, -1.5e308], [1e308, -1.5e308],
+                  [0.0, 1.5e308], [0.0, -1.5e308]], [1.0, -1.0, 1.0, 1.0, -1.0],
+                 dict(C=1e-308, p=1.0, eta=1e-308))
+_SUM_OVERFLOW_P05 = (*_SUM_OVERFLOW[:2], {**_SUM_OVERFLOW[2], "p": 0.5})
+
+
 @pytest.mark.parametrize("case, max_iter", [
-    (_FAR_PAIR, 1),  # the trial ties J(0) = 2: an objective stop at the cap
-    (_FAR_PAIR, 5000),  # the same objective stop, well before the cap
-    (_FAR_FOUR, 1),  # the trial lowers J from 4 to 0.18: a stop at the cap
+    (_SUM_OVERFLOW, 1),  # the cap leaves the accepted trial
+    (_SUM_OVERFLOW, 5000),  # well before the cap
+    (_SUM_OVERFLOW_P05, 1),  # at p = 0.5 the second feature's sum overflows
 ])
 def test_train_raises_on_a_non_finite_gradient_at_the_returned_point(case, max_iter):
     X, y, kwargs = case
     ds, cfg = LabeledDataset(X, y), TrainConfig(max_iter=max_iter, **kwargs)
     with pytest.raises(DivergenceError, match="gradient diverged at iteration 2$"):
         train(ds, cfg)
-    with pytest.raises(DivergenceError), np.errstate(over="ignore"):  # in ||grad J(0)||
+    with pytest.raises(DivergenceError, match="gradient is not finite"):
         reference_train(ds, cfg)
 
 
