@@ -4,6 +4,9 @@ Everything here is a pure function over immutable inputs: datasets and models
 freeze their arrays on construction, so they can be shared across threads and
 reused between runs without defensive copies.  A dataset keeps an array that
 is already read-only and owns its data as it is, and copies anything else.
+Freezing guards against accidental writes only: numpy lets the owner of an
+array turn writing back on, so whoever holds a kept array, or a dataset's
+own, can still change the dataset.
 `predict` is the one place the decision rule sign(w.x + b), ties to +1, is
 applied, and `number` the one place a scalar from outside the package is
 checked (`nonnegative` adds >= 0).
@@ -88,9 +91,9 @@ class LabeledDataset:
     Arrays are validated and made read-only on construction; `X` has shape
     (n, k) and `y` has shape (n,) with entries exactly -1.0 or +1.0.  Both
     hold ints or floats: numpy would convert strings and bools, but not here.
-    A read-only float64 ndarray that owns its data is kept as it is; any
-    other input (writeable, a view, another dtype or an ndarray subclass) is
-    copied.
+    A read-only float64 ndarray that owns its data is kept as it is, so its
+    owner can turn writing back on and change the dataset; any other input
+    (writeable, a view, another dtype or an ndarray subclass) is copied.
     """
 
     X: np.ndarray
@@ -217,6 +220,7 @@ def slack(model: SvmModel, dataset: LabeledDataset,
     threshold = nonnegative("threshold", threshold)
     scores = decision_values(model, dataset.X)
     xi = np.maximum(0.0, 1.0 - dataset.y * scores)
+    xi.setflags(write=False)  # fresh and owning: `_frozen_array` keeps it
     sv_indices = np.flatnonzero(xi > threshold)
     return SlackReport(
         xi=_frozen_array(xi),
@@ -227,11 +231,9 @@ def slack(model: SvmModel, dataset: LabeledDataset,
 
 def margin_width(model: SvmModel) -> float:
     """The gap 2/||w|| between the two unit-margin loci (bias excluded); inf
-    where ||w|| is below 2/max-double, as for a subnormal w."""
+    where ||w|| is below 2/max-double, as for a subnormal or zero w."""
     norm_w = norm(model.w)
-    if norm_w == 0.0:
-        raise ValueError("margin width is undefined for a zero weight vector")
-    return 2.0 / norm_w
+    return 2.0 / norm_w if norm_w else math.inf
 
 
 def norm(v: np.ndarray) -> float:

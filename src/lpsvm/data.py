@@ -219,20 +219,33 @@ def kfold(dataset: LabeledDataset, k: int, seed: int = 0) -> np.ndarray:
 def standardize(fit: LabeledDataset, *apply: LabeledDataset) -> tuple[LabeledDataset, ...]:
     """Zero-mean unit-variance transform fitted on `fit`, applied to all inputs.
 
-    Constant features are left centered but unscaled.  Returns the transformed
-    `fit` followed by the transformed `apply` datasets.  Each matrix is built
-    in place and frozen, so its dataset keeps it without a copy (a dataset
-    keeps a read-only array that owns its data, and copies anything else),
-    and shares its input's frozen `y`.
+    A constant feature (max = min on `fit`) is centered on its value, so it
+    is exactly 0 on `fit`, and left unscaled.  Every other feature is first
+    scaled by 2^-e, with e the binary exponent of its largest |x| on `fit`,
+    which brings it into (-1, 1), so no square in its std overflows.  The
+    scaling is exact, so wherever numpy's unscaled `mean` and `std` neither
+    overflow nor underflow, the result has the bits of (x - mean) / std.
+    Returns the transformed `fit` followed by the transformed `apply`
+    datasets.  Each matrix is built in place and frozen, so its dataset keeps
+    it without a copy (a dataset keeps a read-only array that owns its data,
+    and copies anything else), and shares its input's frozen `y`.
     """
-    mean = fit.X.mean(axis=0)
-    std = fit.X.std(axis=0)
-    std = np.where(std == 0.0, 1.0, std)
+    hi, lo = fit.X.max(axis=0), fit.X.min(axis=0)
+    constant = hi == lo
+    e = np.where(constant, 0, np.frexp(np.maximum(hi, -lo))[1])
+    dev = np.ldexp(fit.X, -e)  # the one full-size temporary, squared in place
+    mean = dev.mean(axis=0)
+    dev -= mean
+    dev *= dev
+    std = np.sqrt(dev.mean(axis=0))
+    del dev
+    mean[constant], std[constant] = lo[constant], 1.0
     out = []
     for ds in (fit, *apply):
         if ds.k != fit.k:
             raise ValueError(f"dimension mismatch: expected k={fit.k}, got k={ds.k}")
-        Z = ds.X - mean
+        Z = np.ldexp(ds.X, -e)
+        Z -= mean
         Z /= std
         Z.setflags(write=False)
         out.append(LabeledDataset(Z, ds.y))

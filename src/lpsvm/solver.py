@@ -391,12 +391,13 @@ def train(dataset: LabeledDataset, cfg: TrainConfig) -> tuple[SvmModel, TrainTra
     p = 1 fit only at such points.  Every trial is an iteration, against
     `max_iter`, and counts in `restarts` when rejected.
 
-    The fit stops when an accepted step lowers J by a relative amount below
-    `tol_obj`, when the gradient norm at the current point is below
-    `tol_grad` (tested before the trial, so the tested point is returned),
-    or at the iteration cap.  Each trial's J comes from one margin pass over
-    the signed design matrix y [X, 1]; only an accepted trial's gradient,
-    and at p = 1 its Hessian, is finished from it.
+    Each round first tests the point it would step from, which is returned
+    if the fit stops there.  The first test that holds, in this order, names
+    the stop: the accepted step that reached the point lowered J by a
+    relative amount below `tol_obj`; the point's gradient norm is below
+    `tol_grad`; `max_iter` trials are made.  Each trial's J comes from one
+    margin pass over the signed design matrix y [X, 1]; only an accepted
+    trial's gradient, and at p = 1 its Hessian, is finished from it.
     Deterministic: identical inputs give bit-identical results.
 
     Raises DivergenceError (naming the iteration, 0 for the start point) if
@@ -419,7 +420,7 @@ def train(dataset: LabeledDataset, cfg: TrainConfig) -> tuple[SvmModel, TrainTra
         g = _grad_pass(state, yX, cfg)
         obj_hist = [value]
         grad_hist: list[float] = []
-        stop_reason = STOP_ITERATION_CAP
+        decrease = math.inf  # the relative fall in J of the step that reached the point
 
         # Each round first tests the current point, which is returned if the
         # fit stops there: the start point, each accepted trial, and, in
@@ -428,9 +429,10 @@ def train(dataset: LabeledDataset, cfg: TrainConfig) -> tuple[SvmModel, TrainTra
             grad_norm = norm(g)
             if not math.isfinite(grad_norm) and not np.isfinite(g).all():
                 raise DivergenceError(f"gradient diverged at iteration {it}")
-            if grad_norm < cfg.tol_grad and stop_reason == STOP_ITERATION_CAP:
-                stop_reason = STOP_GRADIENT
-            if stop_reason != STOP_ITERATION_CAP or it > cfg.max_iter:
+            stop_reason = (STOP_OBJECTIVE if decrease < cfg.tol_obj
+                           else STOP_GRADIENT if grad_norm < cfg.tol_grad
+                           else STOP_ITERATION_CAP if it > cfg.max_iter else None)
+            if stop_reason:
                 break
             if state is not None:  # a new point: at p = 1, its damped Newton direction
                 direction = (_newton_direction(_hessian(state, yX, d, cfg), g) if cfg.p == 1.0
@@ -440,34 +442,30 @@ def train(dataset: LabeledDataset, cfg: TrainConfig) -> tuple[SvmModel, TrainTra
                 state = None
             if direction is None:
                 v_trial = cfg.eps * v - step * g
-                w_trial = w + v_trial
-                bound = value
+                w_trial, bound = w + v_trial, value
             else:
-                w_trial = w + a * direction
-                bound = value + _ARMIJO * a * slope
+                w_trial, bound = w + a * direction, value + _ARMIJO * a * slope
             value_trial, trial = _value_pass(w_trial, yX, d, cfg)
             # A Newton trial's non-finite J is a step too long, rejected below.
             if not math.isfinite(value_trial) and direction is None:
                 raise DivergenceError(f"objective diverged at iteration {it}")
             grad_hist.append(grad_norm)
+            # Momentum grows its step, or halves it and restarts at rest; a Newton
+            # trial leaves v at rest for a momentum fallback, or backtracks.
+            if direction is None and value_trial <= bound:
+                v, step = v_trial, step * _STEP_GROW
+            elif direction is None:
+                v, step = np.zeros_like(v), step * _STEP_SHRINK
+            elif value_trial <= bound:
+                v = np.zeros_like(v)
+            else:
+                a = _backtrack(a, slope, value, value_trial)
             if value_trial <= bound:
                 decrease = (value - value_trial) / max(1.0, abs(value))
-                if direction is None:
-                    v, step = v_trial, step * _STEP_GROW
-                else:
-                    v = np.zeros_like(v)  # a momentum fallback starts at rest
                 w, value, g, state = w_trial, value_trial, _grad_pass(trial, yX, cfg), trial
-                obj_hist.append(value)
-                if decrease < cfg.tol_obj:
-                    stop_reason = STOP_OBJECTIVE  # the next round tests the point, then stops
             else:
-                if direction is None:
-                    v = np.zeros_like(v)
-                    step *= _STEP_SHRINK
-                else:
-                    a = _backtrack(a, slope, value, value_trial)
                 restarts += 1
-                obj_hist.append(value)
+            obj_hist.append(value)
 
     model = SvmModel(w=w[:-1].copy(), b=float(w[-1]), meta=cfg)
     trace = TrainTrace(

@@ -369,6 +369,18 @@ def test_eval_separable_data_perfect_accuracy(tmp_path, capsys):
     assert "n_sv 0" in out
 
 
+def test_eval_reads_a_model_trained_to_w_zero(tmp_path, capsys):
+    # identical samples with opposite labels: grad J(0) = 0, so the fit
+    # returns w = 0, whose margin width is inf
+    data, model_path = tmp_path / "tie.csv", tmp_path / "m.json"
+    data.write_text("+1,1\n-1,1\n")
+    assert run("train", "--data", data, "--out", model_path) == 0
+    assert json.loads(model_path.read_text())["w"] == [0.0]
+    capsys.readouterr()
+    assert run("eval", "--model", model_path, "--data", data) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "margin_width inf"
+
+
 # --------------------------------------------------------------------- cv
 
 def test_cv_standardize_flag(tmp_path, toy_csv, capsys):

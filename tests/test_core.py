@@ -246,9 +246,10 @@ def test_margin_width_examples():
     assert margin_width(SvmModel([1.0, 1.0], 0.0)) == pytest.approx(np.sqrt(2.0))
 
 
-def test_margin_width_zero_weights_rejected():
-    with pytest.raises(ValueError, match="zero weight"):
-        margin_width(SvmModel([0.0, 0.0], 1.0))
+def test_margin_width_of_a_zero_w_is_inf():
+    # a fit can stop at w = 0; its margin width is inf, as for a subnormal w
+    assert margin_width(SvmModel([0.0, 0.0], 1.0)) == math.inf
+    assert margin_width(SvmModel([-0.0], 0.0)) == math.inf
 
 
 def test_margin_width_of_a_subnormal_w_is_inf():

@@ -600,6 +600,25 @@ def test_standardize_constant_feature():
     assert out.X[:, 0].tolist() == [0.0, 0.0]
 
 
+def test_standardize_centres_a_constant_feature_whose_mean_is_inexact():
+    # the mean of three 0.1s rounds above 0.1 and their std to 1.4e-17, not
+    # 0; a column with max = min is constant and becomes exactly 0
+    ds = LabeledDataset([[0.1, 1.0], [0.1, 2.0], [0.1, 3.0]], [1.0, -1.0, 1.0])
+    (out,) = standardize(ds)
+    assert out.X[:, 0].tolist() == [0.0, 0.0, 0.0]
+    _, other = standardize(ds, LabeledDataset([[0.6, 0.0]], [1.0]))
+    assert other.X[0, 0] == 0.6 - 0.1  # centred, not scaled
+
+
+def test_standardize_scales_features_whose_squares_overflow():
+    ds = LabeledDataset([[1e200], [-1e200], [3.0]], [1.0, -1.0, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        (out,) = standardize(ds)
+    z = math.sqrt(1.5)  # std = 1e200 * sqrt(2/3), up to the tiny mean
+    assert out.X[:, 0].tolist() == pytest.approx([z, -z, 0.0], rel=1e-15, abs=1e-190)
+
+
 def test_standardize_returns_frozen_copies_bitwise_equal_to_the_formula():
     rng = np.random.default_rng(3)
     X = rng.normal(3.0, 2.0, size=(40, 4))

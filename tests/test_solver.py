@@ -563,6 +563,46 @@ def test_train_tests_the_gradient_at_the_point_the_cap_leaves():
     assert trace.stop_reason == STOP_ITERATION_CAP and trace.final_grad_norm >= 1e-2
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_train_objective_stop_takes_precedence_over_the_gradient_stop(seed):
+    # With tol_grad between the returned point's gradient norm and that of
+    # every point before it, only the returned point passes both tolerances;
+    # the fit stops there, and names the objective tolerance.
+    ds = gen_toy(ToySpec(seed=seed))
+    cfg = TrainConfig(C=1.0, p=1.0, tol_obj=1e-10, tol_grad=1e-300)
+    model, trace = train(ds, cfg)
+    low, high = trace.final_grad_norm, trace.grad_norm_history[-1]
+    assert trace.stop_reason == STOP_OBJECTIVE and high == trace.grad_norm_history.min() > low
+    both_model, both = train(ds, dataclasses.replace(cfg, tol_grad=math.sqrt(low * high)))
+    assert both.stop_reason == STOP_OBJECTIVE
+    assert both.final_grad_norm == low < both_model.meta.tol_grad
+    assert np.array_equal(both.objective_history, trace.objective_history)
+    assert np.array_equal(both_model.w, model.w) and both_model.b == model.b
+
+
+def test_p1_fit_makes_one_hessian_per_point_that_takes_a_trial(monkeypatch):
+    # The start point and each accepted point take trials, except the one
+    # returned, so a fit that stops on a tolerance makes one Hessian per
+    # accepted trial: iterations - restarts.
+    calls = []
+
+    def counting_hessian(*args):
+        calls.append(None)
+        return _hessian(*args)
+
+    monkeypatch.setattr(solver, "_hessian", counting_hessian)
+    for seed in range(10):
+        ds = gen_toy(ToySpec(seed=seed))
+        for C in (1.0, 50.0, 100.0):
+            for rb in (False, True):
+                for tol_obj, tol_grad in ((1e-10, 1e-6), (1e-300, 1e-2)):
+                    calls.clear()
+                    _, trace = train(ds, TrainConfig(C=C, p=1.0, tol_obj=tol_obj,
+                                                     tol_grad=tol_grad, regularize_bias=rb))
+                    assert trace.converged
+                    assert len(calls) == trace.iterations - trace.restarts
+
+
 def test_train_gradient_norm_is_finite_where_g_dot_g_overflows():
     # grad J(0) is about 7e200, so g.g overflows; the norm comes from hypot,
     # and a gradient tolerance above it can fire.
