@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 
 import numpy as np
@@ -43,10 +44,22 @@ def save_model(model: SvmModel, trace: TrainTrace, path) -> None:
 
 
 def _write_json(doc: dict, path) -> None:
-    """Write `doc` as indented JSON with a trailing newline."""
+    """Write `doc` as indented strict JSON with a trailing newline; a
+    non-finite float (an undefined angle, an infinite margin width) is null."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
+        json.dump(_finite_or_null(doc), fh, indent=2, allow_nan=False)
         fh.write("\n")
+
+
+def _finite_or_null(value):
+    """`value` with every NaN or +-inf float in it, at any depth, as None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _finite_or_null(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(item) for item in value]
+    return value
 
 
 def load_model(path) -> tuple[SvmModel, dict]:
@@ -132,18 +145,24 @@ def _float_list(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"expected comma-separated floats, got {text!r}") from None
 
 
-def _add_config_flags(p: argparse.ArgumentParser) -> None:
+def _add_config_flags(p: argparse.ArgumentParser, set_by_command: tuple[str, ...] = ()) -> None:
     """One flag per `TrainConfig` field, `tol_obj` as `--tol-obj`, with the
-    field's default and help; a bool field is a switch."""
+    field's default and help; a bool field is a switch.  The fields in
+    `set_by_command`, which the subcommand sets itself, get none."""
     for f in dataclasses.fields(TrainConfig):
+        if f.name in set_by_command:
+            continue
         kind = field_kind(f)
         p.add_argument("--" + f.name.replace("_", "-"), default=f.default, help=f.metadata["help"],
                        **({"action": "store_true"} if kind is bool else {"type": kind}))
 
 
 def _config_from_args(args, **overrides) -> TrainConfig:
-    kw = {f.name: getattr(args, f.name) for f in dataclasses.fields(TrainConfig)}
-    return TrainConfig(**{**kw, **overrides})
+    """The `TrainConfig` of the parsed flags, with `overrides` for the fields
+    the subcommand sets itself."""
+    kw = {f.name: getattr(args, f.name) for f in dataclasses.fields(TrainConfig)
+          if f.name not in overrides}
+    return TrainConfig(**kw, **overrides)
 
 
 def cmd_gen_toy(args) -> int:
@@ -228,10 +247,10 @@ def cmd_compare(args) -> int:
     print("\t".join(header))
     tsv_lines = ["\t".join(header)]
     for C, _, _, report in blocks:
-        for f in report.folds:
-            row = [f"{C:g}", str(f.fold)] + [_cell(getattr(f, name)) for name in REPORT_FIELDS]
+        for fold, f in enumerate(report.folds):
+            row = [f"{C:g}", str(fold)] + [_cell(getattr(f, name)) for name in REPORT_FIELDS]
             tsv_lines.append("\t".join(row))
-        mean_row = [f"{C:g}", "mean"] + [_cell(report.means[name]) for name in REPORT_FIELDS]
+        mean_row = [f"{C:g}", "mean"] + [_cell(value) for value in report.means.values()]
         tsv_lines.append("\t".join(mean_row))
         print("\t".join(mean_row))
     _warn_if_capped([trace for _, _, _, report in blocks
@@ -330,7 +349,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="cross-validated comparison of p=1 vs p<1 at each C")
     p.add_argument("--c-list", type=_float_list, required=True, metavar="C1,C2,...")
     p.add_argument("--out-tsv")
-    _add_config_flags(p)
+    _add_config_flags(p, set_by_command=("C",))  # --c-list gives every C
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("figure", parents=[data, scoring],

@@ -134,7 +134,10 @@ class LabeledDataset:
     def subset(self, indices) -> "LabeledDataset":
         """Dataset restricted to the given sample indices (in the given order)."""
         idx = np.asarray(indices)
-        return LabeledDataset(self.X[idx], self.y[idx])
+        X, y = self.X[idx], self.y[idx]
+        for arr in (X, y):
+            arr.setflags(write=False)  # fresh from fancy indexing: kept without a copy
+        return LabeledDataset(X, y)
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,7 +196,11 @@ class SlackReport:
 
     xi: np.ndarray
     sv_indices: np.ndarray
-    n_sv: int
+
+    @property
+    def n_sv(self) -> int:
+        """The support-vector count, `sv_indices.size`."""
+        return int(self.sv_indices.size)
 
 
 def decision_values(model: SvmModel, X: np.ndarray) -> np.ndarray:
@@ -221,11 +228,9 @@ def slack(model: SvmModel, dataset: LabeledDataset,
     scores = decision_values(model, dataset.X)
     xi = np.maximum(0.0, 1.0 - dataset.y * scores)
     xi.setflags(write=False)  # fresh and owning: `_frozen_array` keeps it
-    sv_indices = np.flatnonzero(xi > threshold)
     return SlackReport(
         xi=_frozen_array(xi),
-        sv_indices=_frozen_array(sv_indices, dtype=np.intp),
-        n_sv=int(sv_indices.size),
+        sv_indices=_frozen_array(np.flatnonzero(xi > threshold), dtype=np.intp),
     )
 
 

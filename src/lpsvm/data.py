@@ -83,6 +83,8 @@ def gen_toy(spec: ToySpec) -> LabeledDataset:
     neg = rng.normal(loc=spec.mean_neg, scale=spec.cov_scale, size=(spec.n_per_class, 2))
     X = np.vstack([pos, neg])
     y = np.concatenate([np.ones(spec.n_per_class), -np.ones(spec.n_per_class)])
+    for arr in (X, y):
+        arr.setflags(write=False)  # fresh: the dataset keeps them without a copy
     return LabeledDataset(X, y)
 
 
@@ -228,7 +230,9 @@ def standardize(fit: LabeledDataset, *apply: LabeledDataset) -> tuple[LabeledDat
     Returns the transformed `fit` followed by the transformed `apply`
     datasets.  Each matrix is built in place and frozen, so its dataset keeps
     it without a copy (a dataset keeps a read-only array that owns its data,
-    and copies anything else), and shares its input's frozen `y`.
+    and copies anything else), and shares its input's frozen `y`.  A
+    standardized value beyond double range, which only an `apply` set can
+    reach, is a ValueError naming its feature.
     """
     hi, lo = fit.X.max(axis=0), fit.X.min(axis=0)
     constant = hi == lo
@@ -244,9 +248,14 @@ def standardize(fit: LabeledDataset, *apply: LabeledDataset) -> tuple[LabeledDat
     for ds in (fit, *apply):
         if ds.k != fit.k:
             raise ValueError(f"dimension mismatch: expected k={fit.k}, got k={ds.k}")
-        Z = np.ldexp(ds.X, -e)
-        Z -= mean
-        Z /= std
+        with np.errstate(over="ignore"):  # reported below, by feature
+            Z = np.ldexp(ds.X, -e)
+            Z -= mean
+            Z /= std
+        finite = np.isfinite(Z).all(axis=0)
+        if not finite.all():
+            raise ValueError(f"standardized value of feature {int(finite.argmin())} "
+                             "leaves double range")
         Z.setflags(write=False)
         out.append(LabeledDataset(Z, ds.y))
     return tuple(out)

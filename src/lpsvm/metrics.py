@@ -28,7 +28,6 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FoldComparison:
-    fold: int
     test_acc_std: float
     train_acc_std: float
     n_sv_std: int
@@ -39,22 +38,27 @@ class FoldComparison:
     dist_d: float
 
 
-# Column order of the comparison table, FoldComparison's fields after `fold`:
-# the standard (p = 1) solver first, then the sparse-slack solver, then the
-# geometry between their weights.
-REPORT_FIELDS = tuple(f.name for f in fields(FoldComparison) if f.name != "fold")
+# Column order of the comparison table after its fold column, FoldComparison's
+# fields: the standard (p = 1) solver first, then the sparse-slack solver, then
+# the geometry between their weights.
+REPORT_FIELDS = tuple(f.name for f in fields(FoldComparison))
 
 
 @dataclass(frozen=True, eq=False)
 class ComparisonReport:
-    """Fold-level comparison records plus their arithmetic means.
+    """Fold-level comparison records, in fold order, and their means.
 
     `traces` holds each fold's (p = 1, p < 1) training traces, in fold order.
     """
 
     folds: tuple[FoldComparison, ...]
-    means: dict[str, float]
     traces: tuple[tuple[TrainTrace, TrainTrace], ...]
+
+    @property
+    def means(self) -> dict[str, float]:
+        """The arithmetic mean over the folds of each of `REPORT_FIELDS`."""
+        return {name: float(np.mean([getattr(f, name) for f in self.folds]))
+                for name in REPORT_FIELDS}
 
 
 def accuracy(model: SvmModel, dataset: LabeledDataset) -> float:
@@ -142,37 +146,36 @@ def run_comparison(dataset: LabeledDataset, cfg_std: TrainConfig, cfg_min: Train
 
     Per fold (from `cross_validate`), support vectors are counted on the
     training split, and the angle/distance are computed between the two
-    weight vectors (bias excluded).  Each fold's two traces are kept in the
-    report.
+    weight vectors (bias excluded).  Where a fit has w = 0 they are
+    undefined and read NaN: the angle when either fit has it, the distance
+    when the p = 1 fit does.  Each fold's two traces are kept in the report.
     """
     folds = []
     traces = []
-    for fold, (train_ds, test_ds, fits) in enumerate(
-            cross_validate(dataset, [cfg_std, cfg_min], k, seed, standardize)):
+    for train_ds, test_ds, fits in cross_validate(dataset, [cfg_std, cfg_min], k, seed,
+                                                  standardize):
         (model_std, trace_std), (model_min, trace_min) = fits
         traces.append((trace_std, trace_min))
         scores = {f"{key}_{tag}": value
                   for tag, model in (("std", model_std), ("min", model_min))
                   for key, value in fold_scores(model, train_ds, test_ds, sv_threshold).items()}
+        w_std, w_min = model_std.w, model_min.w
         folds.append(FoldComparison(
-            fold=fold,
             **scores,
-            angle_theta_degrees=angle_theta(model_std.w, model_min.w),
-            dist_d=dist_d(model_std.w, model_min.w),
+            angle_theta_degrees=(angle_theta(w_std, w_min) if w_std.any() and w_min.any()
+                                 else math.nan),
+            dist_d=dist_d(w_std, w_min) if w_std.any() else math.nan,
         ))
-    means = {
-        field: float(np.mean([getattr(f, field) for f in folds]))
-        for field in REPORT_FIELDS
-    }
-    return ComparisonReport(folds=tuple(folds), means=means, traces=tuple(traces))
+    return ComparisonReport(folds=tuple(folds), traces=tuple(traces))
 
 
 def comparison_to_dict(report: ComparisonReport) -> dict:
-    """JSON-ready view of a comparison report; each fold's two traces appear
-    as their `TrainTrace.summary`, under `traces`, in fold order."""
+    """JSON-ready view of a comparison report: each fold's record under
+    `folds` and its two traces, as their `TrainTrace.summary`, under
+    `traces`, in fold order and each led by its fold index."""
     return {
-        "folds": [asdict(f) for f in report.folds],
-        "means": dict(report.means),
-        "traces": [{"fold": f.fold, "std": trace_std.summary(), "min": trace_min.summary()}
-                   for f, (trace_std, trace_min) in zip(report.folds, report.traces)],
+        "folds": [{"fold": fold, **asdict(f)} for fold, f in enumerate(report.folds)],
+        "means": report.means,
+        "traces": [{"fold": fold, "std": trace_std.summary(), "min": trace_min.summary()}
+                   for fold, (trace_std, trace_min) in enumerate(report.traces)],
     }

@@ -48,15 +48,19 @@ class DualSolution:
     The model is recovered as w' = sum_i alpha_i y_i x'_i over augmented
     features, recomputed from alpha (no accumulation drift).
     `dual_objective_history` holds the dual objective after each pass and its
-    subspace step, one entry per pass counted in `n_sweeps`; it is
-    nondecreasing up to rounding, about one ulp of the value.
+    subspace step, one entry per pass; it is nondecreasing up to rounding,
+    about one ulp of the value.
     """
 
     alpha: np.ndarray
     model: SvmModel
     converged: bool
-    n_sweeps: int
     dual_objective_history: np.ndarray
+
+    @property
+    def n_sweeps(self) -> int:
+        """The passes made, one per `dual_objective_history` entry."""
+        return len(self.dual_objective_history)
 
 
 @dataclass(frozen=True)
@@ -131,10 +135,8 @@ def dual_cd_train(dataset: LabeledDataset, C: float, *,
     max_sweeps = number("max_sweeps", max_sweeps, int, positive=True)
     if not dataset.has_both_classes:
         raise ValueError("training requires samples from both classes")
-    X_aug = augment(dataset).matrix
-    y = dataset.y
     n = dataset.n
-    yx = np.ascontiguousarray(y[:, None] * X_aug)
+    yx = dataset.y[:, None] * augment(dataset).matrix  # C-ordered; the one (n, k+1) matrix kept
     # Squared row norms; >= 1 because of the constant-1 coordinate.
     q = np.einsum("ij,ij->i", yx, yx)
     # The visits run on Python floats: per visit, list arithmetic over a short
@@ -179,7 +181,6 @@ def dual_cd_train(dataset: LabeledDataset, C: float, *,
         alpha=alpha,
         model=model,
         converged=converged,
-        n_sweeps=passes,
         dual_objective_history=np.array(history),
     )
 

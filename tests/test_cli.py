@@ -512,6 +512,55 @@ def test_compare_default_eta_is_set_per_C(tmp_path, capsys):
         assert block["means"] == report.means
 
 
+def test_compare_takes_no_C_flag(toy_csv, capsys):
+    # --c-list sets every C, so a --C would be ignored: argparse rejects it
+    assert "--C" not in _subparsers()["compare"].format_help()
+    with pytest.raises(SystemExit) as exc:
+        run("compare", "--data", toy_csv, "--C", 1, "--c-list", 1)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --C 1" in capsys.readouterr().err
+
+
+def test_compare_reports_nan_geometry_for_fits_with_w_zero(tmp_path, capsys):
+    # each training split holds one +1 and one -1 sample at x = 1: both fits
+    # return w = 0, where the angle and the distance are undefined
+    data, out_tsv = tmp_path / "tie.csv", tmp_path / "cmp.tsv"
+    data.write_text("+1,1\n+1,1\n-1,1\n-1,1\n")
+    assert run("compare", "--data", data, "--c-list", 1, "--k", 2, "--out-tsv", out_tsv) == 0
+    header, *rows = out_tsv.read_text().splitlines()
+    cols = header.split("\t")
+    assert [row.split("\t")[1] for row in rows] == ["0", "1", "mean"]
+    cells = [dict(zip(cols, row.split("\t"))) for row in rows]
+    assert [c["n_sv_std"] for c in cells] == ["2", "2", "2.000000"]  # w = 0: both samples
+    assert all(c["angle_theta_degrees"] == c["dist_d"] == "nan" for c in cells)
+    assert capsys.readouterr().out.splitlines()[-1] == rows[-1]
+
+
+def _strict_json(path):
+    def reject(name):
+        raise ValueError(f"{path.name}: {name} is not JSON")
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+def test_every_json_file_is_strict_where_w_is_zero(tmp_path):
+    # w = 0 gives an infinite margin width and an undefined angle and
+    # distance: each is written as null, and every file parses as strict JSON
+    data = tmp_path / "tie.csv"
+    data.write_text("+1,1,1\n+1,1,1\n-1,1,1\n-1,1,1\n")
+    paths = {name: tmp_path / f"{name}.json" for name in ("model", "cv", "compare", "figure")}
+    assert run("train", "--data", data, "--out", paths["model"]) == 0
+    assert run("figure", "--model", paths["model"], "--data", data, "--out", paths["figure"]) == 0
+    assert run("cv", "--data", data, "--k", 2, "--out-json", paths["cv"]) == 0
+    assert run("compare", "--data", data, "--c-list", "1,2", "--k", 2,
+               "--out-json", paths["compare"]) == 0
+    docs = {name: _strict_json(path) for name, path in paths.items()}
+    assert docs["model"]["w"] == [0.0, 0.0]
+    assert docs["figure"]["margin_width"] is None
+    for block in docs["compare"]["configs"]:
+        for record in (*block["folds"], block["means"]):
+            assert record["angle_theta_degrees"] is None and record["dist_d"] is None
+
+
 # ----------------------------------------------------------------- figure
 
 def test_figure_export(tmp_path, toy_csv, capsys):
@@ -570,11 +619,16 @@ def _config_actions(parser, config_cls=TrainConfig):
     return [a for a in parser._actions if a.dest in names]
 
 
+# The config fields a subcommand sets itself, which get no flag: compare's
+# --c-list gives every C.
+SET_BY_COMMAND = {"train": (), "cv": (), "compare": ("C",)}
+
+
 @pytest.mark.parametrize("command", ["train", "cv", "compare"])
 def test_config_flags_follow_train_config_fields(command):
     parser = _subparsers()[command]
     actions = _config_actions(parser)
-    fields = dataclasses.fields(TrainConfig)
+    fields = [f for f in dataclasses.fields(TrainConfig) if f.name not in SET_BY_COMMAND[command]]
     assert [a.option_strings for a in actions] == [
         ["--" + f.name.replace("_", "-")] for f in fields]
     assert [a.default for a in actions] == [f.default for f in fields]

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from lpsvm.core import (
 )
 from lpsvm.cli import figure_data
 from lpsvm.data import ToySpec, gen_toy, kfold
-from lpsvm.metrics import fold_scores, run_comparison
+from lpsvm.metrics import REPORT_FIELDS, FoldComparison, fold_scores, run_comparison
 from lpsvm.oracle import dual_cd_train, fd_gradient, kkt_check
 from lpsvm.solver import TrainConfig, smoothed_plus
 
@@ -127,6 +129,23 @@ def test_dataset_copies_any_other_array(make):
     assert ds.X.tolist() == [[1.0, 2.0], [3.0, 4.0]]
 
 
+def test_subset_holds_its_arrays_once():
+    # fancy indexing makes fresh arrays, which the subset keeps without a
+    # copy; the rest of the peak is LabeledDataset's isfinite mask
+    rng = np.random.default_rng(0)
+    ds = LabeledDataset(rng.normal(size=(20_000, 16)),
+                        np.where(rng.random(20_000) < 0.5, 1.0, -1.0))
+    idx = np.arange(0, ds.n, 2)
+    tracemalloc.start()
+    try:
+        half = ds.subset(idx)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(half.X, ds.X[idx]) and np.array_equal(half.y, ds.y[idx])
+    assert peak <= 1.25 * (half.X.nbytes + half.y.nbytes)
+
+
 # ------------------------------------------------------------ augmentation
 
 def test_augment_appends_one():
@@ -231,6 +250,26 @@ def test_slack_nonnegative_and_zero_set(ds):
     scores = decision_values(model, ds.X)
     satisfied = ds.y * scores >= 1.0
     assert np.array_equal(report.xi == 0.0, satisfied)
+
+
+def test_counts_and_means_are_derived_from_what_they_count():
+    # n_sv, n_sweeps and means are read-only properties, not fields that
+    # could disagree with the values they restate; a fold is its position
+    ds = gen_toy(ToySpec(seed=3, n_per_class=10))
+    report = slack(SvmModel([1.0, -0.5], 0.2), ds)
+    assert report.n_sv == report.sv_indices.size > 0
+    sol = dual_cd_train(ds, 1.0)
+    assert sol.n_sweeps == len(sol.dual_objective_history) > 0
+    cfg = dict(C=1.0, eta=1e-3, max_iter=300)
+    cmp = run_comparison(ds, TrainConfig(p=1.0, **cfg), TrainConfig(p=0.5, **cfg), k=2)
+    assert cmp.means == {name: float(np.mean([getattr(f, name) for f in cmp.folds]))
+                         for name in REPORT_FIELDS}
+    for obj, name in ((report, "n_sv"), (sol, "n_sweeps"), (cmp, "means")):
+        assert name not in {f.name for f in dataclasses.fields(obj)}
+        with pytest.raises(AttributeError):
+            setattr(obj, name, 0)
+    assert REPORT_FIELDS == tuple(f.name for f in dataclasses.fields(FoldComparison))
+    assert "fold" not in REPORT_FIELDS
 
 
 def test_slack_dimension_mismatch():

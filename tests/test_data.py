@@ -649,6 +649,14 @@ def test_standardize_peak_memory_is_one_matrix_and_its_finiteness_mask():
     assert peak <= 1.5 * ds.X.nbytes
 
 
+def test_standardize_names_a_feature_whose_standardized_value_overflows():
+    # feature 1 is fitted on [1e-300, 2e-300]: 1e300 standardizes to about 2e600
+    fit = LabeledDataset([[0.0, 1e-300], [1.0, 2e-300]], [1.0, -1.0])
+    far = LabeledDataset([[0.5, 1e300]], [1.0])
+    with pytest.raises(ValueError, match="standardized value of feature 1 leaves double range"):
+        standardize(fit, far)
+
+
 def test_standardize_rejects_datasets_of_another_dimension():
     train_ds = LabeledDataset([[0.0, 1.0], [2.0, 3.0]], [1.0, -1.0])
     with pytest.raises(ValueError, match="dimension mismatch: expected k=2, got k=1"):

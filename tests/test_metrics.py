@@ -205,7 +205,6 @@ def test_run_comparison_shape_and_means():
     cfg_min = TrainConfig(C=1.0, p=0.5, **FAST)
     report = run_comparison(ds, cfg_std, cfg_min, k=5, seed=2)
     assert len(report.folds) == 5
-    assert [f.fold for f in report.folds] == [0, 1, 2, 3, 4]
     assert set(report.means) == set(REPORT_FIELDS)
     for field in REPORT_FIELDS:
         values = [getattr(f, field) for f in report.folds]
