@@ -24,7 +24,6 @@ from .metrics import (
     FoldComparison,
     accuracy,
     angle_theta,
-    comparison_to_dict,
     cross_validate,
     dist_d,
     run_comparison,

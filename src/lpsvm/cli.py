@@ -2,8 +2,9 @@
 
 Subcommands: gen-toy, train, eval, cv, compare, figure; the flags several of
 them share are declared once, as parent parsers.  Exit codes: 0 on success, 1
-on runtime failure (divergence, I/O), 2 on usage or validation errors.  Models
-and figure data are JSON; anything tabular is CSV/TSV.
+on runtime failure (divergence, I/O), 2 on usage or validation errors.  Models,
+figure data and the cv and compare reports are JSON, each laid out here;
+anything tabular is CSV/TSV.
 """
 
 from __future__ import annotations
@@ -19,8 +20,7 @@ import numpy as np
 from .core import (DEFAULT_SV_THRESHOLD, LabeledDataset, SvmModel, margin_width, nonnegative,
                    slack)
 from .data import ToySpec, gen_toy, load_csv, save_csv
-from .metrics import (REPORT_FIELDS, accuracy, comparison_to_dict, cross_validate, fold_scores,
-                      run_comparison)
+from .metrics import REPORT_FIELDS, accuracy, cross_validate, fold_scores, run_comparison
 from .solver import DivergenceError, TrainConfig, TrainTrace, field_kind, train
 
 __all__ = ["main", "save_model", "load_model", "figure_data", "write_trace_csv"]
@@ -121,16 +121,6 @@ def figure_data(model: SvmModel, dataset: LabeledDataset,
     }
 
 
-def _pair(text: str) -> tuple[float, float]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError(f"expected 'a,b', got {text!r}")
-    try:
-        return float(parts[0]), float(parts[1])
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected two floats, got {text!r}") from None
-
-
 def _sv_threshold(text: str) -> float:
     try:
         return nonnegative("threshold", float(text))
@@ -166,9 +156,9 @@ def _config_from_args(args, **overrides) -> TrainConfig:
 
 
 def cmd_gen_toy(args) -> int:
-    spec = ToySpec(seed=args.seed, n_per_class=args.n_per_class,
-                   mean_pos=args.mean_pos, mean_neg=args.mean_neg,
-                   cov_scale=args.cov_scale)
+    given = vars(args)  # only the flags given: ToySpec has the defaults and the checks
+    spec = ToySpec(**{f.name: given[f.name] for f in dataclasses.fields(ToySpec)
+                      if f.name in given})
     dataset = gen_toy(spec)
     save_csv(dataset, args.out)
     print(f"wrote {dataset.n} samples ({spec.n_per_class} per class) to {args.out}")
@@ -216,32 +206,40 @@ def cmd_cv(args) -> int:
     cfg = _config_from_args(args)
     dataset = load_csv(args.data, has_header=args.has_header)
     results = cross_validate(dataset, [cfg], args.k, args.seed, args.standardize)
-    folds = [{"fold": fold, **fold_scores(model, train_ds, test_ds, args.sv_threshold)}
-             for fold, (train_ds, test_ds, [(model, _)]) in enumerate(results)]
-    means = {key: float(np.mean([f[key] for f in folds])) for key in folds[0] if key != "fold"}
-    print("fold  train_acc  test_acc  n_sv")
-    for f in folds:
-        print(f"{f['fold']:>4}  {f['train_acc']:>9.4f}  {f['test_acc']:>8.4f}  {f['n_sv']:>4}")
-    print(f"mean  {means['train_acc']:>9.4f}  {means['test_acc']:>8.4f}  {means['n_sv']:>6.1f}")
     traces = [trace for _, _, [(_, trace)] in results]
+    blocks = _fold_blocks([fold_scores(model, train_ds, test_ds, args.sv_threshold)
+                           for train_ds, test_ds, [(model, _)] in results],
+                          [trace.summary() for trace in traces])
+    print("fold  train_acc  test_acc  n_sv")
+    for f in blocks["folds"]:
+        print(f"{f['fold']:>4}  {f['train_acc']:>9.4f}  {f['test_acc']:>8.4f}  {f['n_sv']:>4}")
+    means = blocks["means"]
+    print(f"mean  {means['train_acc']:>9.4f}  {means['test_acc']:>8.4f}  {means['n_sv']:>6.1f}")
     _warn_if_capped(traces, cfg.max_iter)
     if args.out_json:
         doc = {"k": args.k, "seed": args.seed, "sv_threshold": args.sv_threshold,
-               "config": dataclasses.asdict(cfg), "folds": folds, "means": means,
-               "traces": [trace.summary() for trace in traces]}
+               "config": dataclasses.asdict(cfg), **blocks}
         _write_json(doc, args.out_json)
     return 0
 
 
+def _fold_blocks(rows: list[dict], traces: list) -> dict:
+    """The `folds`, `means` and `traces` blocks of the cv and compare JSON,
+    from one row of scores and one trace entry per fold, in fold order: each
+    row led by its fold index, and each score's mean over the folds."""
+    return {"folds": [{"fold": fold, **row} for fold, row in enumerate(rows)],
+            "means": {key: float(np.mean([row[key] for row in rows])) for key in rows[0]},
+            "traces": traces}
+
+
 def cmd_compare(args) -> int:
+    configs = [(C, _config_from_args(args, C=C, p=1.0), _config_from_args(args, C=C, p=args.p))
+               for C in args.c_list]
     dataset = load_csv(args.data, has_header=args.has_header)
-    blocks = []
-    for C in args.c_list:
-        cfg_std = _config_from_args(args, C=C, p=1.0)
-        cfg_min = _config_from_args(args, C=C, p=args.p)
-        report = run_comparison(dataset, cfg_std, cfg_min, args.k, args.seed,
-                                args.sv_threshold, standardize=args.standardize)
-        blocks.append((C, cfg_std, cfg_min, report))
+    blocks = [(C, cfg_std, cfg_min,
+               run_comparison(dataset, cfg_std, cfg_min, args.k, args.seed,
+                              args.sv_threshold, standardize=args.standardize))
+              for C, cfg_std, cfg_min in configs]
 
     header = ["C", "fold", *REPORT_FIELDS]
     print("\t".join(header))
@@ -268,7 +266,9 @@ def cmd_compare(args) -> int:
             "configs": [
                 {"C": C, "config_std": dataclasses.asdict(cs),
                  "config_min": dataclasses.asdict(cm),
-                 **comparison_to_dict(report)}
+                 **_fold_blocks([dataclasses.asdict(f) for f in report.folds],
+                                [{"fold": fold, "std": std.summary(), "min": mn.summary()}
+                                 for fold, (std, mn) in enumerate(report.traces)])}
                 for C, cs, cm, report in blocks
             ],
         }
@@ -320,12 +320,15 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="rescale features per fold using training-split statistics")
     folds.add_argument("--out-json")
 
-    p = sub.add_parser("gen-toy", help="generate a seeded 2-d Gaussian toy dataset")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n-per-class", type=int, default=50)
-    p.add_argument("--mean-pos", type=_pair, default=(2.0, 2.0), metavar="X,Y")
-    p.add_argument("--mean-neg", type=_pair, default=(0.0, 0.0), metavar="X,Y")
-    p.add_argument("--cov-scale", type=float, default=1.0)
+    # Flags that are not given stay off the namespace; ToySpec supplies them.
+    p = sub.add_parser("gen-toy", help="generate a seeded 2-d Gaussian toy dataset",
+                       argument_default=argparse.SUPPRESS)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--n-per-class", type=int)
+    for flag in ("--mean-pos", "--mean-neg"):
+        p.add_argument(flag, type=_float_list, metavar="X,Y",
+                       help=f"a negative X needs the = form: {flag}=-1,0")
+    p.add_argument("--cov-scale", type=float)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen_toy)
 

@@ -183,12 +183,9 @@ def load_csv(path, has_header: bool = False) -> LabeledDataset:
     return LabeledDataset(table[:, 1:], table[:, 0])
 
 
-def save_csv(dataset: LabeledDataset, path, header: bool = False) -> None:
+def save_csv(dataset: LabeledDataset, path) -> None:
     """Write a dataset in the loader's format; floats use shortest round-trip repr."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        if header:
-            cols = ",".join(f"x{j}" for j in range(dataset.k))
-            fh.write(f"label,{cols}\n")
         # Row by row: a whole-matrix tolist() would hold every value as a
         # Python float at once, several times the matrix's own size.
         for label, row in zip(dataset.y.tolist(), dataset.X):

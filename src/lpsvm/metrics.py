@@ -4,7 +4,7 @@ comparison built on it."""
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -23,7 +23,6 @@ __all__ = [
     "dist_d",
     "cross_validate",
     "run_comparison",
-    "comparison_to_dict",
 ]
 
 @dataclass(frozen=True)
@@ -168,14 +167,3 @@ def run_comparison(dataset: LabeledDataset, cfg_std: TrainConfig, cfg_min: Train
         ))
     return ComparisonReport(folds=tuple(folds), traces=tuple(traces))
 
-
-def comparison_to_dict(report: ComparisonReport) -> dict:
-    """JSON-ready view of a comparison report: each fold's record under
-    `folds` and its two traces, as their `TrainTrace.summary`, under
-    `traces`, in fold order and each led by its fold index."""
-    return {
-        "folds": [{"fold": fold, **asdict(f)} for fold, f in enumerate(report.folds)],
-        "means": report.means,
-        "traces": [{"fold": fold, "std": trace_std.summary(), "min": trace_min.summary()}
-                   for fold, (trace_std, trace_min) in enumerate(report.traces)],
-    }

@@ -15,7 +15,7 @@ from lpsvm import cli
 from lpsvm.cli import figure_data, load_model, main, save_model
 from lpsvm.core import SvmModel, margin_width
 from lpsvm.data import ToySpec, gen_toy, load_csv, save_csv
-from lpsvm.metrics import cross_validate, run_comparison
+from lpsvm.metrics import REPORT_FIELDS, cross_validate, run_comparison
 from lpsvm.solver import TrainConfig, TrainTrace, train
 
 FAST_FLAGS = ["--eta", "1e-3", "--max-iter", "600"]
@@ -47,6 +47,28 @@ def test_gen_toy_same_flags_identical_files(tmp_path):
     assert run("gen-toy", "--seed", 1, "--out", a) == 0
     assert run("gen-toy", "--seed", 1, "--out", b) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_gen_toy_defaults_are_toy_specs(tmp_path):
+    out, ref = tmp_path / "d.csv", tmp_path / "ref.csv"
+    assert run("gen-toy", "--out", out) == 0
+    save_csv(gen_toy(ToySpec()), ref)
+    assert out.read_bytes() == ref.read_bytes()
+
+
+def test_gen_toy_parser_holds_no_toy_spec_field():
+    # A flag that is not given is left to ToySpec, which owns every default.
+    args = cli._build_parser().parse_args(["gen-toy", "--out", "x"])
+    assert not {f.name for f in dataclasses.fields(ToySpec)} & set(vars(args))
+
+
+def test_gen_toy_takes_a_negative_first_coordinate_in_the_equals_form(tmp_path):
+    out, ref = tmp_path / "d.csv", tmp_path / "ref.csv"
+    assert run("gen-toy", "--mean-neg=-1,0.5", "--out", out) == 0
+    save_csv(gen_toy(ToySpec(mean_neg=(-1.0, 0.5))), ref)
+    assert out.read_bytes() == ref.read_bytes()
+    # argparse reads "-1,0.5" after a space as a flag; the help says so
+    assert "--mean-neg=-1,0" in _subparsers()["gen-toy"].format_help()
 
 
 def test_gen_toy_rejects_zero_per_class(tmp_path, capsys):
@@ -449,20 +471,44 @@ def test_compare_blocks_and_tsv_shape(tmp_path, toy_csv, capsys):
             "angle_theta_degrees", "dist_d",
         }
         assert len(block["folds"]) == 2
+        assert [row["fold"] for row in block["folds"]] == [0, 1]
+        assert all(set(row) == {"fold", *REPORT_FIELDS} for row in block["folds"])
         assert block["config_std"]["p"] == 1.0
         assert block["config_min"]["p"] == 0.5
         # each fold's two fits say how they ended, as the model file's trace block does
         assert [entry["fold"] for entry in block["traces"]] == [0, 1]
         for entry in block["traces"]:
+            assert set(entry) == {"fold", "std", "min"}
             for fit in (entry["std"], entry["min"]):
                 assert {"iterations", "restarts", "stop_reason",
                         "relative_grad_norm"} <= set(fit)
                 assert fit["iterations"] >= fit["restarts"] >= 0
+        report = run_comparison(load_csv(toy_csv), TrainConfig(**block["config_std"]),
+                                TrainConfig(**block["config_min"]), k=2, seed=7)
+        assert block["traces"] == [
+            {"fold": fold, "std": trace_std.summary(), "min": trace_min.summary()}
+            for fold, (trace_std, trace_min) in enumerate(report.traces)]
     rows = out_tsv.read_text().splitlines()
     # header + per config: k fold rows and one mean row
     assert len(rows) == 1 + 3 * (2 + 1)
     assert rows[0].startswith("C\tfold\t")
     assert sum(1 for r in rows if "\tmean\t" in r) == 3
+
+
+def test_compare_checks_every_C_before_it_reads_the_data(tmp_path, toy_csv, monkeypatch,
+                                                          capsys):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return run_comparison(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_comparison", counted)
+    assert run("compare", "--data", toy_csv, "--c-list", "1,0", *FAST_FLAGS) == 2
+    assert calls == []
+    assert capsys.readouterr().err == "error: C must be positive, got 0.0\n"
+    # a bad C is a usage error even where the data file cannot be read
+    assert run("compare", "--data", tmp_path / "missing.csv", "--c-list", "0") == 2
 
 
 def test_compare_warns_when_fits_stop_at_iteration_cap(tmp_path, toy_csv, capsys):
@@ -707,13 +753,14 @@ def test_train_divergence_at_start_exits_1(tmp_path, toy_csv, capsys):
     assert "objective diverged at iteration 0" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("mean, message", [("1,2,3", "expected 'a,b'"),
-                                           ("a,b", "expected two floats")])
-def test_bad_mean_pos_exits_2(mean, message, capsys):
+def test_bad_mean_pos_exits_2(capsys):
+    # Three floats parse, and ToySpec rejects them as it does in the Python API.
+    assert main(["gen-toy", "--mean-pos", "1,2,3", "--out", "x.csv"]) == 2
+    assert "mean_pos must be a pair of numbers" in capsys.readouterr().err
     with pytest.raises(SystemExit) as exc:
-        main(["gen-toy", "--mean-pos", mean, "--out", "x.csv"])
+        main(["gen-toy", "--mean-pos", "a,b", "--out", "x.csv"])
     assert exc.value.code == 2
-    assert message in capsys.readouterr().err
+    assert "expected comma-separated floats" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("c_list", ["a,b", "1,,2", "1,2,"])

@@ -196,35 +196,22 @@ def test_csv_round_trip_is_exact(tmp_path_factory, data):
     assert np.array_equal(back.y, ds.y)
 
 
-def test_save_csv_header_round_trip(tmp_path):
-    ds = gen_toy(ToySpec(seed=3, n_per_class=4))
-    path = tmp_path / "d.csv"
-    save_csv(ds, path, header=True)
-    back = load_csv(path, has_header=True)
-    assert np.array_equal(back.X, ds.X)
-    assert np.array_equal(back.y, ds.y)
-
-
-def reference_save_csv(dataset, path, header=False):
+def reference_save_csv(dataset, path):
     """The per-element writer `save_csv` replaced: the output must not change."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        if header:
-            cols = ",".join(f"x{j}" for j in range(dataset.k))
-            fh.write(f"label,{cols}\n")
         for label, row in zip(dataset.y, dataset.X):
             text = ",".join(repr(float(v)) for v in row)
             fh.write(f"{'+1' if label > 0 else '-1'},{text}\n")
 
 
-@pytest.mark.parametrize("header", [False, True])
-def test_save_csv_bytes_match_per_element_writer(tmp_path, header):
+def test_save_csv_bytes_match_per_element_writer(tmp_path):
     rng = np.random.default_rng(5)
     X = np.vstack([rng.normal(0.0, 1.0, (40, 3)) * 10.0 ** rng.integers(-300, 300, (40, 3)),
                    [[0.0, -0.0, 5e-324], [1e308, -1.7976931348623157e308, 0.1],
                     [1.0, 2.0**53 + 2.0, -1e-310]]])
     ds = LabeledDataset(X, np.where(rng.random(43) < 0.5, 1.0, -1.0))
-    save_csv(ds, tmp_path / "new.csv", header=header)
-    reference_save_csv(ds, tmp_path / "old.csv", header=header)
+    save_csv(ds, tmp_path / "new.csv")
+    reference_save_csv(ds, tmp_path / "old.csv")
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 

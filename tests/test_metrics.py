@@ -12,7 +12,6 @@ from lpsvm.metrics import (
     REPORT_FIELDS,
     accuracy,
     angle_theta,
-    comparison_to_dict,
     cross_validate,
     dist_d,
     run_comparison,
@@ -189,12 +188,6 @@ def test_run_comparison_keeps_every_fits_trace():
         _, want_min = train(train_ds, CV_CONFIGS[1])
         assert trace_std.stop_reason == want_std.stop_reason == STOP_ITERATION_CAP
         assert trace_min.stop_reason == want_min.stop_reason != STOP_ITERATION_CAP
-    doc = comparison_to_dict(report)
-    assert [entry["fold"] for entry in doc["traces"]] == [0, 1, 2]
-    for entry, (trace_std, trace_min) in zip(doc["traces"], report.traces):
-        assert entry["std"] == trace_std.summary() and entry["min"] == trace_min.summary()
-        assert entry["std"]["stop_reason"] == STOP_ITERATION_CAP
-        assert entry["min"]["iterations"] == trace_min.iterations
 
 
 # ----------------------------------------------------------- run_comparison
@@ -249,14 +242,3 @@ def test_run_comparison_standardize_uses_fold_statistics():
         assert np.isfinite(f.angle_theta_degrees)
     assert scaled.folds != plain.folds
 
-
-def test_comparison_to_dict_round_trips_fields():
-    ds = gen_toy(ToySpec(seed=23, n_per_class=8))
-    cfg = TrainConfig(C=1.0, p=1.0, **FAST)
-    report = run_comparison(ds, cfg, cfg, k=2, seed=1)
-    doc = comparison_to_dict(report)
-    assert set(doc) == {"folds", "means", "traces"}
-    assert len(doc["folds"]) == 2
-    assert set(doc["folds"][0]) == {"fold", *REPORT_FIELDS}
-    assert set(doc["means"]) == set(REPORT_FIELDS)
-    assert len(doc["traces"]) == 2 and set(doc["traces"][0]) == {"fold", "std", "min"}
