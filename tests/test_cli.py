@@ -753,14 +753,23 @@ def test_train_divergence_at_start_exits_1(tmp_path, toy_csv, capsys):
     assert "objective diverged at iteration 0" in capsys.readouterr().err
 
 
-def test_bad_mean_pos_exits_2(capsys):
-    # Three floats parse, and ToySpec rejects them as it does in the Python API.
-    assert main(["gen-toy", "--mean-pos", "1,2,3", "--out", "x.csv"]) == 2
-    assert "mean_pos must be a pair of numbers" in capsys.readouterr().err
-    with pytest.raises(SystemExit) as exc:
-        main(["gen-toy", "--mean-pos", "a,b", "--out", "x.csv"])
-    assert exc.value.code == 2
-    assert "expected comma-separated floats" in capsys.readouterr().err
+# The ids keep the case names from when the CLI checked the pair itself.
+@pytest.mark.parametrize("mean, message, rejected_by_parser", [
+    # three floats parse, and ToySpec rejects them as it does in the Python API
+    pytest.param("1,2,3", "mean_pos must be a pair of numbers", False,
+                 id="1,2,3-expected 'a,b'"),
+    pytest.param("a,b", "expected comma-separated floats", True,
+                 id="a,b-expected two floats"),
+])
+def test_bad_mean_pos_exits_2(mean, message, rejected_by_parser, capsys):
+    argv = ["gen-toy", "--mean-pos", mean, "--out", "x.csv"]
+    if rejected_by_parser:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+    else:
+        assert main(argv) == 2
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("c_list", ["a,b", "1,,2", "1,2,"])

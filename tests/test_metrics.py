@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -6,8 +8,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from lpsvm import cli
 from lpsvm.core import LabeledDataset, SvmModel
-from lpsvm.data import ToySpec, gen_toy, kfold, standardize
+from lpsvm.data import ToySpec, gen_toy, kfold, save_csv, standardize
 from lpsvm.metrics import (
     REPORT_FIELDS,
     accuracy,
@@ -241,4 +244,30 @@ def test_run_comparison_standardize_uses_fold_statistics():
         assert 0.0 <= f.test_acc_min <= 1.0
         assert np.isfinite(f.angle_theta_degrees)
     assert scaled.folds != plain.folds
+
+
+def test_comparison_to_dict_round_trips_fields(tmp_path):
+    # compare's JSON block for one C holds run_comparison's report field for field
+    ds = gen_toy(ToySpec(seed=23, n_per_class=8))
+    data, out = tmp_path / "toy.csv", tmp_path / "cmp.json"
+    save_csv(ds, data)
+    cfg = TrainConfig(C=1.0, p=1.0, **FAST)
+    report = run_comparison(ds, cfg, cfg, k=2, seed=1)
+    flags = [f"--{name.replace('_', '-')}={value}" for name, value in FAST.items()]
+    assert cli.main(["compare", "--data", str(data), "--c-list", "1", "--p", "1",
+                     "--k", "2", "--seed", "1", *flags, "--out-json", str(out)]) == 0
+    (block,) = json.loads(out.read_text())["configs"]
+    assert set(block) >= {"folds", "means", "traces"}
+    assert len(block["folds"]) == 2
+    assert all(set(row) == {"fold", *REPORT_FIELDS} for row in block["folds"])
+    assert set(block["means"]) == set(REPORT_FIELDS)
+    assert len(block["traces"]) == 2 and set(block["traces"][0]) == {"fold", "std", "min"}
+    expected = {
+        "folds": [{"fold": fold, **dataclasses.asdict(f)} for fold, f in enumerate(report.folds)],
+        "means": report.means,
+        "traces": [{"fold": fold, "std": std.summary(), "min": mn.summary()}
+                   for fold, (std, mn) in enumerate(report.traces)],
+    }
+    assert {key: block[key] for key in expected} == json.loads(
+        json.dumps(cli._finite_or_null(expected)))
 
