@@ -258,6 +258,10 @@ def _coeff(t: np.ndarray, sp: np.ndarray, sp_neg: np.ndarray, cfg: TrainConfig) 
     # e^t to double precision, so log(sp) is just t there.  log_n is +-inf
     # only at t = +-inf; clipped to double range, (p-1) log_n is 0 there at
     # p = 1, not 0 * inf, so the coefficient is sigma(t), and at p < 1 it is 0.
+    # At p = 1, then, (p-1) log_n is +-0 at every t but NaN, and the log form
+    # is exp(-sp_neg) bit for bit.
+    if cfg.p == 1.0:
+        return np.exp(-sp_neg)
     log_n = np.log(sp)
     np.putmask(log_n, t < _LOG_SOFTPLUS_CUT, t)
     log_n -= math.log(cfg.s)
@@ -294,21 +298,29 @@ def _hessian(state: tuple, yX: np.ndarray, d: np.ndarray, cfg: TrainConfig) -> n
     `_value_pass`'s margin state.
 
     sigma(t) sigma(-t) = exp(-softplus(t) - softplus(-t)) takes one exp
-    and no log, and is made one block of rows at a time.
+    and no log.  The sum runs over blocks of rows, first to last, and the
+    returned H is a new array, which `_newton_direction` may write to.
     """
     _, sp, sp_neg, _ = state
-    gram = 0.0
-    for lo in range(0, len(sp), _HESSIAN_ROWS):
+    curv = np.add(sp, sp_neg)
+    np.negative(curv, out=curv)
+    np.exp(curv, out=curv)
+    H = (yX[:_HESSIAN_ROWS].T * curv[:_HESSIAN_ROWS]) @ yX[:_HESSIAN_ROWS]
+    for lo in range(_HESSIAN_ROWS, len(sp), _HESSIAN_ROWS):
         rows = slice(lo, lo + _HESSIAN_ROWS)
-        gram = gram + (yX[rows].T * np.exp(-(sp[rows] + sp_neg[rows]))) @ yX[rows]
-    return (cfg.C * cfg.s) * gram + np.diag(d)
+        H += (yX[rows].T * curv[rows]) @ yX[rows]
+    H *= cfg.C * cfg.s
+    H.flat[::len(d) + 1] += d
+    return H
 
 
 def _newton_direction(H: np.ndarray, g: np.ndarray) -> np.ndarray | None:
     """The damped Newton direction d = -(H + ||g|| I)^-1 g (Li, Fukushima, Qi &
     Yamashita, Comput. Optim. Appl. 2004), or None unless H + ||g|| I and d
-    are finite and -inf < g.d < 0, as wherever H is PSD, g != 0 and g.d is finite."""
-    H = H + norm(g) * np.eye(len(g))
+    are finite and -inf < g.d < 0, as wherever H is PSD, g != 0 and g.d is finite.
+
+    Damps H in place: on return H holds H + ||g|| I."""
+    H.flat[::len(g) + 1] += norm(g)
     if not np.isfinite(H).all():
         return None
     try:
@@ -410,7 +422,8 @@ def train(dataset: LabeledDataset, cfg: TrainConfig) -> tuple[SvmModel, TrainTra
     d = _reg_diag(dataset.k + 1, cfg.regularize_bias)
 
     w = np.zeros(dataset.k + 1)
-    v = np.zeros(dataset.k + 1)
+    # v is rebound, never written to, so one zero vector serves every restart.
+    v = rest = np.zeros(dataset.k + 1)
     step = cfg.eta
     restarts = 0
     with np.errstate(**_QUIET):
@@ -455,9 +468,9 @@ def train(dataset: LabeledDataset, cfg: TrainConfig) -> tuple[SvmModel, TrainTra
             if direction is None and value_trial <= bound:
                 v, step = v_trial, step * _STEP_GROW
             elif direction is None:
-                v, step = np.zeros_like(v), step * _STEP_SHRINK
+                v, step = rest, step * _STEP_SHRINK
             elif value_trial <= bound:
-                v = np.zeros_like(v)
+                v = rest
             else:
                 a = _backtrack(a, slope, value, value_trial)
             if value_trial <= bound:

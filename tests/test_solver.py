@@ -251,6 +251,46 @@ def test_coeff_is_finite_at_infinite_margins(p):
     assert np.array_equal(g, w)
 
 
+def log_domain_coeff(t, p, s):
+    """sigma(t) n^(p-1), n = softplus(t) / s, in the log domain at any p:
+    log n = log(softplus(t)) - log s, with log(softplus(t)) = t below the
+    -33 cut, clipped to +-max-double; then exp((p-1) log n + log sigma(t))."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sp, sp_neg = _softplus_pair(t)
+        log_n = np.where(t < -33.0, t, np.log(sp)) - math.log(s)
+        log_n = np.clip(log_n, -np.finfo(np.float64).max, np.finfo(np.float64).max)
+        return np.exp((p - 1.0) * log_n - sp_neg)
+
+
+@pytest.mark.parametrize("p", [1.0, 0.5, 0.3])
+@pytest.mark.parametrize("s", [1.0, 100.0, 1e300])
+def test_coeff_is_the_log_domain_form_bit_for_bit(p, s):
+    # At p = 1 `_coeff` takes exp(-softplus(-t)) without the log form, which
+    # must give the same bits; at every p the bitwise locks against
+    # `reference_train` cannot see a rounding change here, since `gradient`
+    # shares `_coeff` with the solver.
+    rng = np.random.default_rng(17)
+    sign, big = rng.choice([-1.0, 1.0], 2000), np.finfo(np.float64).max
+    t = np.concatenate([
+        [0.0, -0.0, math.inf, -math.inf, math.nan, 1e308, -1e308, big, -big, 745.0, -745.0,
+         -33.0, np.nextafter(-33.0, 0.0), np.nextafter(-33.0, -math.inf)],
+        sign * 10.0 ** rng.uniform(-300.0, 308.0, 2000),  # across +-1e308
+        745.0 + rng.uniform(-3.0, 3.0, 1000), -745.0 + rng.uniform(-3.0, 3.0, 1000),
+        -33.0 + rng.uniform(-1.0, 1.0, 1000),  # around the cut
+        rng.uniform(-40.0, 40.0, 2000),
+    ])
+    with np.errstate(divide="ignore"):  # log(0) below the cut, at p < 1
+        got = _coeff(t, *_softplus_pair(t), TrainConfig(p=p, s=s))
+    want = log_domain_coeff(t, p, s)
+    nan = np.isnan(want)
+    assert nan.sum() == 1 and np.isnan(got[nan]).all()  # NaN in, NaN out
+    # exp never returns -0, so equal values here are equal bits
+    assert np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
+    if p == 1.0:  # the margins tell the forms of sigma(t) apart: 1 / (1 + e^-t) differs
+        with np.errstate(over="ignore"):
+            assert (1.0 / (1.0 + np.exp(-t[~nan])) != want[~nan]).sum() > 100
+
+
 # ------------------------------------------------------------------ hessian
 
 def _fd_hessian(w_aug, X_aug, y, cfg, step):
@@ -297,13 +337,20 @@ def test_hessian_matches_central_differences_and_is_psd(scale, s, regularize_bia
         blocked = _hessian(state, yX, d, cfg)
         monkeypatch.undo()
         assert np.allclose(blocked, H, rtol=1e-12, atol=1e-12 * np.abs(H).max())
+        # and each is, bit for bit, the in-order sum of its blocks' products
+        assert np.array_equal(blocked, reference_blocked_hessian(w, X_aug, ds.y, cfg, 7))
+        assert np.array_equal(H, reference_blocked_hessian(w, X_aug, ds.y, cfg,
+                                                           solver._HESSIAN_ROWS))
 
 
 def test_newton_direction_solves_or_declines():
-    H = np.array([[2.0, 1.0], [1.0, 3.0]])
+    # `_newton_direction` damps its H in place, so each call gets a fresh one.
+    def H():
+        return np.array([[2.0, 1.0], [1.0, 3.0]])
+
     g = np.array([1.0, -2.0])
-    direction = _newton_direction(H, g)
-    damped = H + math.sqrt(5.0) * np.eye(2)  # H + ||g|| I
+    direction = _newton_direction(H(), g)
+    damped = H() + math.sqrt(5.0) * np.eye(2)  # H + ||g|| I
     assert np.allclose(damped @ direction, -g) and g @ direction < 0.0
     # where H is singular, the damping still gives a step, of length 1 at H = 0
     assert np.allclose(_newton_direction(np.zeros((2, 2)), g), -g / math.sqrt(5.0))
@@ -311,7 +358,7 @@ def test_newton_direction_solves_or_declines():
     # does not descend
     assert _newton_direction(np.array([[np.inf, 0.0], [0.0, 1.0]]), g) is None
     assert _newton_direction(np.zeros((2, 2)), np.zeros(2)) is None
-    assert _newton_direction(-3.0 * H, g) is None
+    assert _newton_direction(-3.0 * H(), g) is None
     # ||g|| = 1e308 and H + ||g|| I = 5e307 I: d = -2 g is finite, but g.d
     # overflows to -inf
     with np.errstate(over="ignore"):
@@ -641,6 +688,22 @@ def reference_hessian(w_aug, X_aug, y, cfg):
         curv = np.exp(-(sp + sp_neg))  # sigma(t) sigma(-t)
         return cfg.C * cfg.s * ((X_aug.T * curv) @ X_aug) + np.diag(
             _reg_diag(len(w_aug), cfg.regularize_bias))
+
+
+def reference_blocked_hessian(w_aug, X_aug, y, cfg, rows):
+    """`reference_hessian` summed over blocks of `rows` samples: each block's
+    X'^T diag(sigma(t) sigma(-t)) X' added to the sum of those before it, in
+    order, then C s times the sum plus D."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = cfg.s * (1.0 - y * (X_aug @ w_aug))
+        sp, sp_neg = _softplus_pair(t)
+        curv = np.exp(-(sp + sp_neg))
+        blocks = [(X_aug[lo:lo + rows].T * curv[lo:lo + rows]) @ X_aug[lo:lo + rows]
+                  for lo in range(0, len(y), rows)]
+        gram = blocks[0]
+        for block in blocks[1:]:
+            gram = gram + block
+        return cfg.C * cfg.s * gram + np.diag(_reg_diag(len(w_aug), cfg.regularize_bias))
 
 
 def reference_newton_direction(w_aug, g, X_aug, y, cfg):
