@@ -236,42 +236,33 @@ def cmd_compare(args) -> int:
     configs = [(C, _config_from_args(args, C=C, p=1.0), _config_from_args(args, C=C, p=args.p))
                for C in args.c_list]
     dataset = load_csv(args.data, has_header=args.has_header)
-    blocks = [(C, cfg_std, cfg_min,
-               run_comparison(dataset, cfg_std, cfg_min, args.k, args.seed,
-                              args.sv_threshold, standardize=args.standardize))
-              for C, cfg_std, cfg_min in configs]
+    blocks, traces = [], []  # one JSON block per C; every fit's trace
+    for C, cfg_std, cfg_min in configs:
+        report = run_comparison(dataset, cfg_std, cfg_min, args.k, args.seed,
+                                args.sv_threshold, standardize=args.standardize)
+        traces += [trace for pair in report.traces for trace in pair]
+        blocks.append({"C": C, "config_std": dataclasses.asdict(cfg_std),
+                       "config_min": dataclasses.asdict(cfg_min),
+                       **_fold_blocks([dataclasses.asdict(f) for f in report.folds],
+                                      [{"fold": fold, "std": std.summary(), "min": mn.summary()}
+                                       for fold, (std, mn) in enumerate(report.traces)])})
 
-    header = ["C", "fold", *REPORT_FIELDS]
-    print("\t".join(header))
-    tsv_lines = ["\t".join(header)]
-    for C, _, _, report in blocks:
-        for fold, f in enumerate(report.folds):
-            row = [f"{C:g}", str(fold)] + [_cell(getattr(f, name)) for name in REPORT_FIELDS]
-            tsv_lines.append("\t".join(row))
-        mean_row = [f"{C:g}", "mean"] + [_cell(value) for value in report.means.values()]
-        tsv_lines.append("\t".join(mean_row))
-        print("\t".join(mean_row))
-    _warn_if_capped([trace for _, _, _, report in blocks
-                     for pair in report.traces for trace in pair], args.max_iter)
+    tsv_lines = ["\t".join(["C", "fold", *REPORT_FIELDS])]
+    mean_lines = []
+    for block in blocks:
+        C = f"{block['C']:g}"
+        tsv_lines += ["\t".join([C, *map(_cell, row.values())]) for row in block["folds"]]
+        mean_lines.append("\t".join([C, "mean", *map(_cell, block["means"].values())]))
+        tsv_lines.append(mean_lines[-1])
+    print("\n".join([tsv_lines[0], *mean_lines]))
+    _warn_if_capped(traces, args.max_iter)
 
     if args.out_tsv:
         with open(args.out_tsv, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("\n".join(tsv_lines) + "\n")
     if args.out_json:
-        doc = {
-            "data": str(args.data),
-            "k": args.k,
-            "seed": args.seed,
-            "sv_threshold": args.sv_threshold,
-            "configs": [
-                {"C": C, "config_std": dataclasses.asdict(cs),
-                 "config_min": dataclasses.asdict(cm),
-                 **_fold_blocks([dataclasses.asdict(f) for f in report.folds],
-                                [{"fold": fold, "std": std.summary(), "min": mn.summary()}
-                                 for fold, (std, mn) in enumerate(report.traces)])}
-                for C, cs, cm, report in blocks
-            ],
-        }
+        doc = {"data": str(args.data), "k": args.k, "seed": args.seed,
+               "sv_threshold": args.sv_threshold, "configs": blocks}
         _write_json(doc, args.out_json)
     return 0
 
@@ -286,9 +277,7 @@ def _warn_if_capped(traces, max_iter: int) -> None:
 
 
 def _cell(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return f"{value:.6f}"
+    return str(value) if isinstance(value, int) else f"{value:.6f}"
 
 
 def cmd_figure(args) -> int:

@@ -480,7 +480,7 @@ def train(dataset: LabeledDataset, cfg: TrainConfig) -> tuple[SvmModel, TrainTra
                 restarts += 1
             obj_hist.append(value)
 
-    model = SvmModel(w=w[:-1].copy(), b=float(w[-1]), meta=cfg)
+    model = SvmModel(w=w[:-1], b=float(w[-1]), meta=cfg)
     trace = TrainTrace(
         objective_history=np.array(obj_hist),
         grad_norm_history=np.array(grad_hist),

@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import io
 import json
+import math
 import pathlib
 
 import numpy as np
@@ -581,6 +582,33 @@ def test_compare_reports_nan_geometry_for_fits_with_w_zero(tmp_path, capsys):
     assert all(c["angle_theta_degrees"] == c["dist_d"] == "nan" for c in cells)
     assert capsys.readouterr().out.splitlines()[-1] == rows[-1]
 
+
+
+# stdout, the TSV and the JSON all come from one block per C: a TSV row is C
+# and the cells of a JSON `folds` row, a mean row is C, `mean` and the cells of
+# the block's `means`, and stdout is the header and the mean rows.
+@pytest.mark.parametrize("tie", [False, True], ids=["toy", "tie"])
+def test_compare_tsv_and_stdout_are_the_json_blocks(tmp_path, toy_csv, capsys, tie):
+    data, flags = toy_csv, ["--c-list", "1,2", *FAST_FLAGS]
+    if tie:  # every fit has w = 0: the geometry is null in the JSON and nan in the TSV
+        data, flags = tmp_path / "tie.csv", ["--c-list", 1, "--k", 2]
+        data.write_text("+1,1\n+1,1\n-1,1\n-1,1\n")
+    out_json, out_tsv = tmp_path / "cmp.json", tmp_path / "cmp.tsv"
+    assert run("compare", "--data", data, *flags, "--out-json", out_json,
+               "--out-tsv", out_tsv) == 0
+
+    def cells(values):
+        return [cli._cell(math.nan if value is None else value) for value in values]
+
+    header = "\t".join(["C", "fold", *REPORT_FIELDS])
+    tsv, mean_rows = [header], []
+    for block in json.loads(out_json.read_text())["configs"]:
+        C = f"{block['C']:g}"
+        tsv += ["\t".join([C, *cells(row.values())]) for row in block["folds"]]
+        mean_rows.append("\t".join([C, "mean", *cells(block["means"].values())]))
+        tsv.append(mean_rows[-1])
+    assert out_tsv.read_text().splitlines() == tsv
+    assert capsys.readouterr().out.splitlines() == [header, *mean_rows]
 
 def _strict_json(path):
     def reject(name):

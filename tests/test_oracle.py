@@ -287,6 +287,28 @@ def test_dual_cd_where_one_pass_leaves_no_free_coordinate(C):
     assert kkt_max(sol, ds, C) < 1e-15  # the rounding of 1 - xi - margin
 
 
+
+# The certificate is the relative duality gap, which does not change with the
+# feature scale.  The absolute 1e-15 step test alone certified every x1e4 copy,
+# with gaps up to 7.4e-5; toy seed 3 at C = 100 had a gap of 2.4e-6 and a
+# complementarity residual of 6.3e-3.
+@pytest.mark.parametrize("scale", [1.0, 1e2, 1e4])
+@pytest.mark.parametrize("C", [1.0, 100.0])
+@pytest.mark.parametrize("seed", range(5))
+def test_dual_cd_converged_is_a_small_duality_gap(seed, C, scale):
+    toy = gen_toy(ToySpec(seed=seed))
+    ds = LabeledDataset(scale * toy.X, toy.y)
+    sol = dual_cd_train(ds, C)
+    assert sol.converged == (sol.gap <= 1e-9)
+    w_aug = sol.model.w_aug
+    primal = hinge_objective(w_aug, augment(ds).matrix, ds.y, C)
+    dual = sol.alpha.sum() - 0.5 * (w_aug @ w_aug)
+    assert abs(sol.gap - (primal - dual) / primal) <= 1e-13
+    if scale < 1e4:
+        assert sol.converged
+    if (seed, C, scale) == (3, 100.0, 1e4):
+        assert not sol.converged
+
 # -------------------------------------------------------------- kkt_check
 
 def test_kkt_exact_two_point_optimum():
