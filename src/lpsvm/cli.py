@@ -20,7 +20,8 @@ import numpy as np
 from .core import (DEFAULT_SV_THRESHOLD, LabeledDataset, SvmModel, margin_width, nonnegative,
                    slack)
 from .data import ToySpec, gen_toy, load_csv, save_csv
-from .metrics import REPORT_FIELDS, accuracy, cross_validate, fold_scores, run_comparison
+from .metrics import (REPORT_FIELDS, accuracy, cross_validate, fold_means, fold_scores,
+                      run_comparison)
 from .solver import DivergenceError, TrainConfig, TrainTrace, field_kind, train
 
 __all__ = ["main", "save_model", "load_model", "figure_data", "write_trace_csv"]
@@ -226,9 +227,9 @@ def cmd_cv(args) -> int:
 def _fold_blocks(rows: list[dict], traces: list) -> dict:
     """The `folds`, `means` and `traces` blocks of the cv and compare JSON,
     from one row of scores and one trace entry per fold, in fold order: each
-    row led by its fold index, and each score's mean over the folds."""
+    row led by its fold index, and each score's `fold_means`."""
     return {"folds": [{"fold": fold, **row} for fold, row in enumerate(rows)],
-            "means": {key: float(np.mean([row[key] for row in rows])) for key in rows[0]},
+            "means": fold_means(rows),
             "traces": traces}
 
 

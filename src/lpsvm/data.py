@@ -16,6 +16,7 @@ not take and words every error.
 from __future__ import annotations
 
 import math
+import os
 from array import array
 from dataclasses import dataclass
 
@@ -115,6 +116,28 @@ def _read_block(lines: list[str], width: int | None) -> np.ndarray | None:
     return None
 
 
+def _append(X, y, n: int, block: np.ndarray,
+            scale: float) -> tuple[np.ndarray, np.ndarray, int]:
+    """X and y with `block`'s rows, label first, written after their first n
+    rows, and their new row count.
+
+    They are made at the first block and grown in place.  A growth doubles
+    the rows, but reserves no more than `scale` times the rows read so far,
+    with `scale` the file's size over the part read: about the rows the file
+    holds, so the reserved and zero-filled tail stays small.
+    """
+    end = n + len(block)
+    if X is None:
+        X, y = np.empty((end, block.shape[1] - 1)), np.empty(end)
+    elif end > len(y):
+        capacity = max(end, int(min(2 * len(y), end * scale)))
+        X.resize((capacity, X.shape[1]), refcheck=False)
+        y.resize(capacity, refcheck=False)
+    X[n:end] = block[:, 1:]
+    y[n:end] = block[:, 0]
+    return X, y, end
+
+
 def load_csv(path, has_header: bool = False) -> LabeledDataset:
     """Parse a labeled dataset from `path`; errors name the offending line.
 
@@ -129,22 +152,28 @@ def load_csv(path, has_header: bool = False) -> LabeledDataset:
     plain per-line loop below, which checks each line in full as soon as it
     is read: it alone words an error and names the first bad line, counted
     across blocks.
-    Rows are collected, label first, in one flat double buffer rather than a
-    list of rows, which keeps the peak memory near twice the size of the
-    final matrix.
+    Each block's rows go straight into the dataset's own X and y, which grow
+    in place (`_append`) and are trimmed to the rows read at the end, and
+    the dataset keeps them without a copy: the data is held once.
     """
-    rows = array("d")
+    X = y = None
+    n = 0
     width: int | None = None
     header_pending = has_header
     lineno = 0
     with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as fh:
+        size = os.fstat(fh.fileno()).st_size  # bytes; 0 for a pipe
+        read = 0  # characters
         while lines := fh.readlines(_BLOCK):
+            read += sum(map(len, lines))
+            scale = size / read if size else math.inf
             block = None if header_pending else _read_block(lines, width)
             if block is not None:
                 width = block.shape[1]
-                rows.frombytes(block.tobytes())
+                X, y, n = _append(X, y, n, block, scale)
                 lineno += len(lines)
                 continue
+            rows = array("d")  # the block's clean rows, label first
             for lineno, line in enumerate(lines, start=lineno + 1):
                 try:
                     line.encode("utf-8")  # fails on an escaped undecodable byte
@@ -177,10 +206,15 @@ def load_csv(path, has_header: bool = False) -> LabeledDataset:
                     raise ValueError(f"{path}: line {lineno}: non-finite feature value")
                 rows.append(label)
                 rows.extend(row)
-    if not rows:
+            if rows:
+                X, y, n = _append(X, y, n, np.frombuffer(rows).reshape(-1, width), scale)
+    if not n:
         raise ValueError(f"{path}: no data rows")
-    table = np.frombuffer(rows, dtype=np.float64).reshape(-1, width)
-    return LabeledDataset(table[:, 1:], table[:, 0])
+    X.resize((n, X.shape[1]), refcheck=False)
+    y.resize(n, refcheck=False)
+    for arr in (X, y):
+        arr.setflags(write=False)  # owned and frozen: the dataset keeps them without a copy
+    return LabeledDataset(X, y)
 
 
 def save_csv(dataset: LabeledDataset, path) -> None:

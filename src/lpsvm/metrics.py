@@ -4,7 +4,7 @@ comparison built on it."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -19,6 +19,7 @@ __all__ = [
     "ComparisonReport",
     "accuracy",
     "fold_scores",
+    "fold_means",
     "angle_theta",
     "dist_d",
     "cross_validate",
@@ -55,9 +56,14 @@ class ComparisonReport:
 
     @property
     def means(self) -> dict[str, float]:
-        """The arithmetic mean over the folds of each of `REPORT_FIELDS`."""
-        return {name: float(np.mean([getattr(f, name) for f in self.folds]))
-                for name in REPORT_FIELDS}
+        """The `fold_means` of the folds: one entry per name in `REPORT_FIELDS`."""
+        return fold_means([asdict(f) for f in self.folds])
+
+
+def fold_means(rows: list[dict]) -> dict[str, float]:
+    """The arithmetic mean over the folds of each score, from one row of
+    scores per fold, in the first row's key order."""
+    return {key: float(np.mean([row[key] for row in rows])) for key in rows[0]}
 
 
 def accuracy(model: SvmModel, dataset: LabeledDataset) -> float:

@@ -198,11 +198,14 @@ def _softplus_pair(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Both come from one l = log1p(exp(-|t|)), which never overflows:
     softplus(t) = max(t, 0) + l and softplus(-t) = l - min(t, 0).  Both are
-    exact at t = +-inf, and NaN stays NaN.
+    exact at t = +-inf, and NaN stays NaN.  log1p(x) is x, bit for bit, for
+    0 <= x <= 2^-53 (|t| >= 36.74), so it runs only above that: numpy's
+    log1p is several times slower on such tiny x, and most margins of a
+    large fit give them.
     """
     sp_neg = np.copysign(t, -1.0)
     np.exp(sp_neg, out=sp_neg)
-    np.log1p(sp_neg, out=sp_neg)  # l
+    np.log1p(sp_neg, out=sp_neg, where=sp_neg > 2.0 ** -53)  # l
     sp = np.maximum(t, 0.0)
     sp += sp_neg
     sp_neg -= np.minimum(t, 0.0)

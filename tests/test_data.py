@@ -398,6 +398,27 @@ def test_load_csv_reads_every_clean_block_with_numpys_reader(multiblock_csv, mon
     assert np.array_equal(back.X, ds.X) and np.array_equal(back.y, ds.y)
 
 
+def test_load_csv_peak_memory_is_one_copy_of_the_data(tmp_path, multiblock_csv, monkeypatch):
+    # The loader fills the dataset's own X and y, which the dataset keeps
+    # without a copy, so the peak is one X and y, LabeledDataset's isfinite
+    # mask (an eighth of X) and a block of text and rows; a table and a copy
+    # of its columns would be twice the data.  The first block, with its
+    # comment and header, goes through the per-line loop, the rest through
+    # numpy's reader.
+    source, ds = multiblock_csv
+    path = tmp_path / "d.csv"
+    path.write_text("# a comment\nlabel" + ",x" * ds.k + "\n" + source.read_text())
+    monkeypatch.setattr(lpsvm.data, "_BLOCK", 1 << 16)  # about 50 blocks
+    tracemalloc.start()
+    try:
+        back = load_csv(path, has_header=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back.X, ds.X) and np.array_equal(back.y, ds.y)
+    assert peak <= 1.35 * (ds.X.nbytes + ds.y.nbytes)
+
+
 @pytest.mark.parametrize("bad, message", [
     ("-1" + ",0.5" * 7 + ",nan", "non-finite feature value"),
     ("+1" + ",0.5" * 7, "expected 9 columns, got 8"),

@@ -17,6 +17,7 @@ from lpsvm.metrics import (
     angle_theta,
     cross_validate,
     dist_d,
+    fold_means,
     run_comparison,
 )
 from lpsvm.solver import STOP_ITERATION_CAP, TrainConfig, train
@@ -210,6 +211,14 @@ def test_run_comparison_shape_and_means():
         assert 0 <= f.n_sv_std <= 24 and 0 <= f.n_sv_min <= 24
         assert 0.0 <= f.angle_theta_degrees <= 180.0
         assert f.dist_d >= 0.0
+
+
+def test_fold_means_keep_the_first_rows_key_order_as_python_floats():
+    # The one fold-mean rule: `ComparisonReport.means` and the CLI's cv and
+    # compare blocks all take it.
+    means = fold_means([{"n_sv": 3, "acc": 0.5}, {"n_sv": 4, "acc": 1.0}])
+    assert list(means.items()) == [("n_sv", 3.5), ("acc", 0.75)]
+    assert all(type(v) is float for v in means.values())
 
 
 def test_run_comparison_identical_configs_give_zero_geometry():

@@ -151,6 +151,28 @@ def test_softplus_pair_matches_logaddexp_within_2_ulp():
     assert np.isnan(_softplus_pair(np.array([np.nan]))).all()
 
 
+def test_softplus_pair_is_the_unmasked_form_bit_for_bit():
+    # log1p runs only where exp(-|t|) > 2^-53, since log1p(x) is x, bit for
+    # bit, at and below that; skipping it there must change no output bit.
+    rng = np.random.default_rng(29)
+    cut = 53.0 * math.log(2.0)  # 36.74: exp(-|t|) = 2^-53
+    both = np.array([[1.0], [-1.0]])
+    t = np.concatenate([
+        [0.0, -0.0, math.inf, -math.inf, math.nan],
+        (both * (cut + rng.uniform(-0.5, 0.5, 2000))).ravel(),  # either side of +-36.7
+        (both * rng.uniform(708.0, 746.0, 2000)).ravel(),  # subnormal and underflowing exp
+        rng.choice([-1.0, 1.0], 4000) * 10.0 ** rng.uniform(-300.0, 308.0, 4000),
+    ])
+    l = np.log1p(np.exp(np.copysign(t, -1.0)))
+    wants = (np.maximum(t, 0.0) + l, l - np.minimum(t, 0.0))
+    for got, want in zip(_softplus_pair(t), wants):
+        nan = np.isnan(want)
+        assert nan.sum() == 1 and np.isnan(got[nan]).all()  # NaN in, NaN out
+        assert np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
+    skipped = np.exp(-np.abs(t)) <= 2.0 ** -53
+    assert 2000 < skipped.sum() < len(t) - 2000  # the grid covers both sides of the mask
+
+
 # ---------------------------------------------------------------- objective
 
 def test_objective_zero_weights_is_C_times_n():
