@@ -29,6 +29,8 @@ __all__ = [
     "SvmModel",
     "SlackReport",
     "augment",
+    "signed_design",
+    "reg_diag",
     "decision_values",
     "predict",
     "slack",
@@ -158,6 +160,24 @@ def augment(dataset: LabeledDataset) -> AugmentedView:
     aug[:, -1] = 1.0
     aug.setflags(write=False)
     return AugmentedView(matrix=aug)
+
+
+def signed_design(dataset: LabeledDataset) -> np.ndarray:
+    """The (n, k+1) training rows y_i [x_i, 1], exact since y = +-1; a
+    ValueError unless the dataset has samples from both classes."""
+    if not dataset.has_both_classes:
+        raise ValueError("training requires samples from both classes")
+    yX = np.empty((dataset.n, dataset.k + 1))
+    np.multiply(dataset.X, dataset.y[:, None], out=yX[:, :-1])
+    yX[:, -1] = dataset.y
+    return yX
+
+
+def reg_diag(dim: int, regularize_bias: bool) -> np.ndarray:
+    """D in 1/2 w'^T D w' as a vector: ones, the bias entry 0 unless `regularize_bias`."""
+    d = np.ones(dim)
+    d[-1] = 1.0 if regularize_bias else 0.0
+    return d
 
 
 @dataclass(frozen=True, eq=False)

@@ -22,7 +22,7 @@ from operator import mul
 
 import numpy as np
 
-from .core import LabeledDataset, SvmModel, augment, decision_values, norm, number
+from .core import LabeledDataset, SvmModel, decision_values, norm, number, reg_diag, signed_design
 from .solver import TrainConfig, objective
 
 __all__ = [
@@ -97,9 +97,7 @@ def hinge_objective(w_aug: np.ndarray, X_aug: np.ndarray, y: np.ndarray, C: floa
     """True (unsmoothed) hinge objective 1/2 w'^T D w' + C sum_i max(0, 1 - y_i w'.x'_i)."""
     X_aug = np.asarray(X_aug, dtype=np.float64)
     w_aug = np.asarray(w_aug, dtype=np.float64)
-    d = np.ones(w_aug.shape[0])
-    if not regularize_bias:
-        d[-1] = 0.0
+    d = reg_diag(w_aug.shape[0], regularize_bias)
     z = 1.0 - y * (X_aug @ w_aug)
     return 0.5 * float(w_aug @ (d * w_aug)) + C * float(np.sum(np.maximum(z, 0.0)))
 
@@ -141,10 +139,8 @@ def dual_cd_train(dataset: LabeledDataset, C: float, *,
     """
     C = number("C", C, positive=True)
     max_sweeps = number("max_sweeps", max_sweeps, int, positive=True)
-    if not dataset.has_both_classes:
-        raise ValueError("training requires samples from both classes")
     n = dataset.n
-    yx = dataset.y[:, None] * augment(dataset).matrix  # C-ordered; the one (n, k+1) matrix kept
+    yx = signed_design(dataset)
     # Squared row norms; >= 1 because of the constant-1 coordinate.
     q = np.einsum("ij,ij->i", yx, yx)
     # The visits run on Python floats: per visit, list arithmetic over a short

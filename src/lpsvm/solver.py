@@ -13,7 +13,9 @@ unless `regularize_bias` is set.
 All floating-point paths are overflow-free: the per-sample gradient
 coefficient sigma(s z) * softplus_s(z)^(p-1) is assembled in the log domain,
 so margins anywhere in double range produce finite objective and gradient
-values, with exact zeros where the true coefficient underflows.  Every path
+values, with exact zeros where the true coefficient underflows; a slack term
+whose softplus underflows enters the objective as exp(p (t - log s)), so
+the objective keeps every term the gradient has a slope for.  Every path
 (`objective`, `gradient`, `smoothed_plus` and the solver's fused kernel)
 takes softplus(t) and softplus(-t) = -log sigma(t) from one shared pair,
 max(t, 0) + l and l - min(t, 0) with l = log1p(exp(-|t|)) (the split
@@ -38,7 +40,7 @@ from dataclasses import Field, dataclass, field, fields
 
 import numpy as np
 
-from .core import LabeledDataset, SvmModel, norm, number
+from .core import LabeledDataset, SvmModel, norm, number, reg_diag, signed_design
 
 __all__ = [
     "TrainConfig",
@@ -75,6 +77,8 @@ _HESSIAN_ROWS = 1024
 # Below this, log(softplus(t)) equals t to double precision.
 _LOG_SOFTPLUS_CUT = -33.0
 _MAX_DOUBLE = float(np.finfo(np.float64).max)
+# The smallest normal double: a softplus below it has lost digits or is 0.
+_TINY = float(np.finfo(np.float64).tiny)
 
 # Overflow/NaN in the objective or gradient is the divergence signal, which
 # is reported rather than warned about; log(0) below the cut is discarded.
@@ -231,44 +235,41 @@ def smoothed_plus(x, s: float):
     return result
 
 
-def _reg_diag(dim: int, regularize_bias: bool) -> np.ndarray:
-    d = np.ones(dim)
-    if not regularize_bias:
-        d[-1] = 0.0
-    return d
-
-
-def _signed_design(dataset: LabeledDataset) -> np.ndarray:
-    """The (n, k+1) matrix y_i [x_i, 1]; with y = +-1 every entry is exact."""
-    yX = np.empty((dataset.n, dataset.k + 1))
-    np.multiply(dataset.X, dataset.y[:, None], out=yX[:, :-1])
-    yX[:, -1] = dataset.y
-    return yX
-
-
 # The elementwise terms below take the scaled margins t = s (1 - y w'.x') and
 # the pair sp = softplus(t), sp_neg = softplus(-t), so one margin pass and one
 # exp/log1p pass serve both the value and the gradient.
 
-def _value(w_aug: np.ndarray, dw: np.ndarray, sp: np.ndarray, cfg: TrainConfig) -> float:
-    # dw = D w' and softplus_s(z) = sp / s
-    return 0.5 * float(w_aug.dot(dw)) + cfg.C * float(((sp / cfg.s) ** cfg.p).sum())
+def _value(w_aug: np.ndarray, dw: np.ndarray, t: np.ndarray, sp: np.ndarray,
+           cfg: TrainConfig) -> float:
+    # dw = D w' and softplus_s(z) = sp / s.  Where sp is below the normal
+    # range it has lost digits or underflowed to 0, yet it equals e^t, so
+    # n^p = exp(p (t - log s)), the log n `_coeff` takes below its cut.  Each
+    # such term is below (tiny/s)^p, and terms summing to less than 2^-54 J
+    # cannot move J by half an ulp, so the pass runs only where C n (tiny/s)^p
+    # reaches 2^-54 J: in practice only at small p.
+    quad = 0.5 * float(w_aug.dot(dw))
+    terms = (sp / cfg.s) ** cfg.p
+    value = quad + cfg.C * float(terms.sum())
+    if cfg.p != 1.0 and cfg.C * sp.size * (_TINY / cfg.s) ** cfg.p >= 2.0 ** -54 * value:
+        deep = sp < _TINY
+        terms[deep] = np.exp(cfg.p * (t[deep] - math.log(cfg.s)))
+        value = quad + cfg.C * float(terms.sum())
+    return value
 
 
 def _coeff(t: np.ndarray, sp: np.ndarray, sp_neg: np.ndarray, cfg: TrainConfig) -> np.ndarray:
-    # sigma(t) * n^(p-1) with n = sp / s, as exp(log sigma(t) + (p-1) log n),
-    # where log sigma(t) = -sp_neg.  Below the cut sp underflows but equals
-    # e^t to double precision, so log(sp) is just t there.  log_n is +-inf
-    # only at t = +-inf; clipped to double range, (p-1) log_n is 0 there at
-    # p = 1, not 0 * inf, so the coefficient is sigma(t), and at p < 1 it is 0.
-    # At p = 1, then, (p-1) log_n is +-0 at every t but NaN, and the log form
-    # is exp(-sp_neg) bit for bit.
+    # sigma(t) * n^(p-1) with n = sp / s: sigma(t) = exp(-sp_neg) at p = 1,
+    # and exp(log sigma(t) + (p-1) log n) at p < 1, where log sigma(t) =
+    # -sp_neg.  Below the cut sp underflows but equals e^t to double
+    # precision, so log(sp) is just t there.  log_n is -inf only at t = -inf,
+    # where sp_neg = inf; clipped to -max, (p-1) log_n is finite, so the
+    # coefficient is exp(-inf) = 0, not exp(inf - inf) = NaN.  At t = +inf
+    # log_n is +inf and sp_neg = 0, so the coefficient is exp(-inf) = 0.
     if cfg.p == 1.0:
         return np.exp(-sp_neg)
     log_n = np.log(sp)
     np.putmask(log_n, t < _LOG_SOFTPLUS_CUT, t)
     log_n -= math.log(cfg.s)
-    np.minimum(log_n, _MAX_DOUBLE, out=log_n)
     np.maximum(log_n, -_MAX_DOUBLE, out=log_n)
     return np.exp((cfg.p - 1.0) * log_n - sp_neg)
 
@@ -287,7 +288,7 @@ def _value_pass(w_aug: np.ndarray, yX: np.ndarray, d: np.ndarray,
     t *= cfg.s
     sp, sp_neg = _softplus_pair(t)
     dw = d * w_aug
-    return _value(w_aug, dw, sp, cfg), (t, sp, sp_neg, dw)
+    return _value(w_aug, dw, t, sp, cfg), (t, sp, sp_neg, dw)
 
 
 def _grad_pass(state: tuple, yX: np.ndarray, cfg: TrainConfig) -> np.ndarray:
@@ -355,10 +356,10 @@ def objective(w_aug: np.ndarray, X_aug: np.ndarray, y: np.ndarray, cfg: TrainCon
     """
     X_aug = np.asarray(X_aug, dtype=np.float64)
     w_aug = np.asarray(w_aug, dtype=np.float64)
-    d = _reg_diag(w_aug.shape[0], cfg.regularize_bias)
+    d = reg_diag(w_aug.shape[0], cfg.regularize_bias)
     with np.errstate(**_QUIET):
         t = cfg.s * (1.0 - y * (X_aug @ w_aug))
-        value = _value(w_aug, d * w_aug, _softplus_pair(t)[0], cfg)
+        value = _value(w_aug, d * w_aug, t, _softplus_pair(t)[0], cfg)
     if not np.isfinite(value):
         raise DivergenceError("objective is not finite")
     return value
@@ -374,7 +375,7 @@ def gradient(w_aug: np.ndarray, X_aug: np.ndarray, y: np.ndarray, cfg: TrainConf
     """
     X_aug = np.asarray(X_aug, dtype=np.float64)
     w_aug = np.asarray(w_aug, dtype=np.float64)
-    d = _reg_diag(w_aug.shape[0], cfg.regularize_bias)
+    d = reg_diag(w_aug.shape[0], cfg.regularize_bias)
     with np.errstate(**_QUIET):
         t = cfg.s * (1.0 - y * (X_aug @ w_aug))
         coeff = _coeff(t, *_softplus_pair(t), cfg)
@@ -419,10 +420,8 @@ def train(dataset: LabeledDataset, cfg: TrainConfig) -> tuple[SvmModel, TrainTra
     the start point's objective, a momentum trial's objective or an accepted
     gradient is non-finite, and ValueError if the dataset has only one class.
     """
-    if not dataset.has_both_classes:
-        raise ValueError("training requires samples from both classes")
-    yX = _signed_design(dataset)
-    d = _reg_diag(dataset.k + 1, cfg.regularize_bias)
+    yX = signed_design(dataset)
+    d = reg_diag(dataset.k + 1, cfg.regularize_bias)
 
     w = np.zeros(dataset.k + 1)
     # v is rebound, never written to, so one zero vector serves every restart.

@@ -15,6 +15,8 @@ from lpsvm.core import (
     decision_values,
     margin_width,
     predict,
+    reg_diag,
+    signed_design,
     slack,
 )
 from lpsvm.cli import figure_data
@@ -172,6 +174,22 @@ def test_augment_project_identity(ds):
     aug = augment(ds).matrix
     assert np.array_equal(aug[:, :-1], ds.X)
     assert np.all(aug[:, -1] == 1.0)
+
+
+@given(small_dataset())
+def test_signed_design_is_the_labels_times_the_augmented_rows(ds):
+    if not ds.has_both_classes:
+        with pytest.raises(ValueError, match="training requires samples from both classes"):
+            signed_design(ds)
+        return
+    yX = signed_design(ds)
+    assert np.array_equal(yX, ds.y[:, None] * augment(ds).matrix)
+    assert yX.flags.c_contiguous and not np.shares_memory(yX, ds.X)
+
+
+def test_reg_diag_zeroes_the_bias_entry_unless_it_is_regularized():
+    assert reg_diag(3, False).tolist() == [1.0, 1.0, 0.0]
+    assert reg_diag(3, True).tolist() == [1.0, 1.0, 1.0]
 
 
 # ---------------------------------------------------------------- scoring

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lpsvm import solver
-from lpsvm.core import LabeledDataset, augment
+from lpsvm.core import LabeledDataset, augment, reg_diag, signed_design
 from lpsvm.data import ToySpec, gen_toy
 from lpsvm.oracle import fd_gradient
 from lpsvm.solver import (
@@ -26,8 +26,6 @@ from lpsvm.solver import (
     _grad_pass,
     _hessian,
     _newton_direction,
-    _reg_diag,
-    _signed_design,
     _softplus_pair,
     _value_pass,
     smoothed_plus,
@@ -77,7 +75,16 @@ def objective_decimal(w_aug, X_aug, y, C, p, s, regularize_bias, prec=50):
         for row, label in zip(X_aug, y):
             dot = sum(Decimal(float(a)) * wi for a, wi in zip(row, w))
             t = ds * (1 - Decimal(float(label)) * dot)
-            n_i = (1 + t.exp()).ln() / ds
+            e_t = t.exp()
+            # ln(1 + e^t) = e^t (1 - e^t/2 + ...), so below 10^-prec it is e^t
+            # to a relative error below 10^-prec; above, 1 + e^t is taken with
+            # enough digits to keep prec digits of e^t.
+            if e_t < Decimal(10) ** -prec:
+                n_i = e_t / ds
+            else:
+                with localcontext() as wide:
+                    wide.prec = prec + max(0, -e_t.adjusted())
+                    n_i = (1 + e_t).ln() / ds
             total += (dp * n_i.ln()).exp()
         return quad + dC * total
 
@@ -199,6 +206,56 @@ def test_objective_matches_high_precision_oracle():
     recomputed = float(objective_decimal(TEN_POINT_W, X_aug, TEN_POINT_Y,
                                          2.5, 0.5, 100.0, False))
     assert recomputed == pytest.approx(TEN_POINT_OBJECTIVE, rel=1e-15)
+
+
+# Rows whose scaled margins t = 100 (1 - y w'.x') at w' = (1, 0) are -900,
+# 150 and -3900: two softplus values underflow to 0.
+DEEP_X_AUG = np.array([[10.0, 1.0], [0.5, 1.0], [40.0, 1.0]])
+DEEP_Y = np.array([1.0, -1.0, 1.0])
+
+
+@pytest.mark.parametrize("p", [0.01, 0.1, 0.3, 0.5])
+def test_objective_matches_high_precision_oracle_at_deep_margins(p):
+    w = np.array([1.0, 0.0])
+    got = objective(w, DEEP_X_AUG, DEEP_Y, TrainConfig(C=1.0, p=p, s=100.0))
+    expected = float(objective_decimal(w, DEEP_X_AUG, DEEP_Y, 1.0, p, 100.0, False))
+    assert got == pytest.approx(expected, rel=1e-15)
+
+
+def test_objective_matches_high_precision_oracle_at_small_p():
+    # Random small-p cases, many with a softplus that underflows (t < -708).
+    rng = np.random.default_rng(7)
+    deep = 0
+    for _ in range(100):
+        n = int(rng.integers(1, 7))
+        X_aug = np.hstack([rng.normal(0.0, 5.0, (n, 1)), np.ones((n, 1))])
+        y, w = rng.choice([-1.0, 1.0], n), rng.normal(0.0, 3.0, 2)
+        C, s = 10.0 ** rng.uniform(-2, 2), 10.0 ** rng.uniform(1, 3)
+        p = float(rng.choice([0.01, 0.05, 0.1, 0.3]))
+        deep += bool((s * (1.0 - y * (X_aug @ w)) < -708.0).any())
+        got = objective(w, X_aug, y, TrainConfig(C=C, p=p, s=s))
+        expected = float(objective_decimal(w, X_aug, y, C, p, s, False))
+        assert got == pytest.approx(expected, rel=1e-14)
+    assert deep >= 20
+
+
+# One sample at margin 10 (t = -900) at p = 0.01: softplus(t) underflows to
+# 0, but its term (e^t / s)^p = exp(p (t - log s)) is 1.1786e-4.
+UNDERFLOW_X_AUG, UNDERFLOW_Y = np.array([[10.0, 1.0]]), np.array([1.0])
+UNDERFLOW_CFG = TrainConfig(C=1.0, p=0.01, s=100.0)
+
+
+def test_objective_keeps_a_term_whose_softplus_underflows():
+    # 0.5 + exp(0.01 (-900 - ln 100)), evaluated to 50 digits and rounded to double.
+    got = objective(np.array([1.0, 0.0]), UNDERFLOW_X_AUG, UNDERFLOW_Y, UNDERFLOW_CFG)
+    assert got == pytest.approx(0.5001178554479452, rel=1e-15)
+
+
+def test_fd_gradient_sees_the_slope_of_a_term_whose_softplus_underflows():
+    w = np.array([1.0, 0.0])
+    g = gradient(w, UNDERFLOW_X_AUG, UNDERFLOW_Y, UNDERFLOW_CFG)
+    fd = fd_gradient(w, UNDERFLOW_X_AUG, UNDERFLOW_Y, UNDERFLOW_CFG)
+    assert np.all(np.abs(fd - g) <= 1e-6 * np.abs(g))
 
 
 def test_objective_rejects_nonfinite_iterate():
@@ -339,8 +396,8 @@ def test_hessian_matches_central_differences_and_is_psd(scale, s, regularize_bia
     cfg = TrainConfig(C=1.0, p=1.0, s=s, max_iter=1500, tol_obj=1e-10, tol_grad=1e-6,
                       regularize_bias=regularize_bias)
     model, _ = train(ds, cfg)
-    X_aug, yX = augment(ds).matrix, _signed_design(ds)
-    d = _reg_diag(ds.k + 1, regularize_bias)
+    X_aug, yX = augment(ds).matrix, signed_design(ds)
+    d = reg_diag(ds.k + 1, regularize_bias)
     rng = np.random.default_rng(3)
     for w in (model.w_aug, model.w_aug * (1.0 + rng.normal(0.0, 1e-3, ds.k + 1))):
         _, state = _value_pass(w, yX, d, cfg)
@@ -709,7 +766,7 @@ def reference_hessian(w_aug, X_aug, y, cfg):
         sp, sp_neg = _softplus_pair(t)
         curv = np.exp(-(sp + sp_neg))  # sigma(t) sigma(-t)
         return cfg.C * cfg.s * ((X_aug.T * curv) @ X_aug) + np.diag(
-            _reg_diag(len(w_aug), cfg.regularize_bias))
+            reg_diag(len(w_aug), cfg.regularize_bias))
 
 
 def reference_blocked_hessian(w_aug, X_aug, y, cfg, rows):
@@ -725,7 +782,7 @@ def reference_blocked_hessian(w_aug, X_aug, y, cfg, rows):
         gram = blocks[0]
         for block in blocks[1:]:
             gram = gram + block
-        return cfg.C * cfg.s * gram + np.diag(_reg_diag(len(w_aug), cfg.regularize_bias))
+        return cfg.C * cfg.s * gram + np.diag(reg_diag(len(w_aug), cfg.regularize_bias))
 
 
 def reference_newton_direction(w_aug, g, X_aug, y, cfg):
@@ -982,7 +1039,7 @@ def test_kernel_passes_match_objective_and_gradient_bitwise(p, regularize_bias):
     ds = gen_toy(ToySpec(seed=1, n_per_class=10))
     X_aug, y = augment(ds).matrix, ds.y
     cfg = TrainConfig(C=2.0, p=p, s=100.0, regularize_bias=regularize_bias)
-    yX, d = _signed_design(ds), _reg_diag(ds.k + 1, regularize_bias)
+    yX, d = signed_design(ds), reg_diag(ds.k + 1, regularize_bias)
     rng = np.random.default_rng(5)
     points = [np.zeros(ds.k + 1)] + [rng.normal(0.0, 10.0 ** e, ds.k + 1)
                                      for e in (-3, -1, 0, 1, 2, 4, 150, 307, 308) for _ in range(3)]
@@ -1008,7 +1065,7 @@ def test_grad_pass_leaves_the_margin_state_unchanged(p):
     # `_hessian` and `train` read the state after `_grad_pass` has run on it.
     ds = gen_toy(ToySpec(seed=1, n_per_class=10))
     cfg = TrainConfig(C=2.0, p=p, s=100.0)
-    yX, d = _signed_design(ds), _reg_diag(ds.k + 1, False)
+    yX, d = signed_design(ds), reg_diag(ds.k + 1, False)
     w = np.random.default_rng(5).normal(0.0, 0.1, ds.k + 1)
     _, state = _value_pass(w, yX, d, cfg)
     before = [a.copy() for a in state]
