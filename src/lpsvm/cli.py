@@ -14,6 +14,7 @@ import dataclasses
 import json
 import math
 import sys
+import typing
 
 import numpy as np
 
@@ -136,16 +137,27 @@ def _float_list(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"expected comma-separated floats, got {text!r}") from None
 
 
+def _optional(kind: type):
+    """An argparse type for a field that may be None: `none` (any case) or a `kind`."""
+    def parse(text: str):
+        return None if text.lower() == "none" else kind(text)
+    parse.__name__ = kind.__name__  # argparse names it in "invalid float value"
+    return parse
+
+
 def _add_config_flags(p: argparse.ArgumentParser, set_by_command: tuple[str, ...] = ()) -> None:
     """One flag per `TrainConfig` field, `tol_obj` as `--tol-obj`, with the
-    field's default and help; a bool field is a switch.  The fields in
+    field's help and its `cli_default`, else its default; a bool field is a
+    switch, and a field that may be None also takes `none`.  The fields in
     `set_by_command`, which the subcommand sets itself, get none."""
     for f in dataclasses.fields(TrainConfig):
         if f.name in set_by_command:
             continue
         kind = field_kind(f)
-        p.add_argument("--" + f.name.replace("_", "-"), default=f.default, help=f.metadata["help"],
-                       **({"action": "store_true"} if kind is bool else {"type": kind}))
+        parse = _optional(kind) if type(None) in typing.get_args(f.type) else kind
+        p.add_argument("--" + f.name.replace("_", "-"),
+                       default=f.metadata.get("cli_default", f.default), help=f.metadata["help"],
+                       **({"action": "store_true"} if kind is bool else {"type": parse}))
 
 
 def _config_from_args(args, **overrides) -> TrainConfig:

@@ -91,11 +91,15 @@ def test_train_writes_model_and_trace(tmp_path, toy_csv, capsys):
                "--out", model_path, "--trace", trace_path, *FAST_FLAGS) == 0
     doc = json.loads(model_path.read_text())
     assert set(doc) == {"format_version", "w", "b", "config", "trace"}
-    assert set(doc["config"]) == {"C", "p", "s", "eta", "eps", "tol_obj",
+    assert set(doc["config"]) == {"C", "p", "s", "s_start", "eta", "eps", "tol_obj",
                                   "tol_grad", "max_iter", "regularize_bias"}
     assert set(doc["trace"]) == {"iterations", "final_objective", "converged",
                                  "stop_reason", "final_grad_norm", "relative_grad_norm",
-                                 "restarts"}
+                                 "restarts", "stage_iterations"}
+    # the CLI fits along the smoothing path: one entry per stage's trials
+    assert doc["config"]["s_start"] == 1.0
+    assert len(doc["trace"]["stage_iterations"]) == 5
+    assert sum(doc["trace"]["stage_iterations"]) == doc["trace"]["iterations"]
     lines = trace_path.read_text().splitlines()
     assert lines[0] == "iter,objective,grad_norm"
     assert len(lines) - 1 == doc["trace"]["iterations"] + 1
@@ -111,13 +115,35 @@ def test_train_model_trace_records_stationarity(tmp_path, toy_csv, capsys):
     out, err = capsys.readouterr()
     assert err == ""
     trace = json.loads(model_path.read_text())["trace"]
-    _, expected = train(load_csv(toy_csv), TrainConfig())
+    _, expected = train(load_csv(toy_csv), TrainConfig(s_start=1.0))  # the CLI's default
     assert trace["final_grad_norm"] == expected.final_grad_norm
     relative = expected.final_grad_norm / expected.initial_grad_norm
     assert trace["relative_grad_norm"] == relative
     assert out.rstrip().endswith(f" relative_grad_norm={relative:.3g}")
     assert trace["restarts"] == expected.restarts
     assert trace["converged"]
+
+
+def test_readme_train_ends_stationary(tmp_path, capsys):
+    # The README's `train`, word for word, fits along the smoothing path and
+    # ends with ||grad J|| at most 1e-8 of ||grad J(0)||; a fit from w = 0
+    # at s alone stops on tol_obj at 1.3e-4.
+    data, model_path = tmp_path / "toy.csv", tmp_path / "model.json"
+    assert run("gen-toy", "--seed", 42, "--n-per-class", 50, "--out", data) == 0
+    assert run("train", "--data", data, "--C", 1, "--p", 0.5, "--out", model_path,
+               "--trace", tmp_path / "trace.csv") == 0
+    trace = json.loads(model_path.read_text())["trace"]
+    assert trace["converged"] and trace["relative_grad_norm"] <= 1e-8
+
+
+def test_train_s_start_none_fits_from_zero_at_s(tmp_path, toy_csv, capsys):
+    model_path = tmp_path / "m.json"
+    assert run("train", "--data", toy_csv, "--s-start", "none", "--out", model_path) == 0
+    doc = json.loads(model_path.read_text())
+    assert doc["config"]["s_start"] is None
+    _, expected = train(load_csv(toy_csv), TrainConfig())
+    assert doc["trace"] == json.loads(json.dumps(expected.summary()))
+    assert doc["trace"]["stage_iterations"] == [expected.iterations]
 
 
 def test_train_warns_at_iteration_cap(tmp_path, toy_csv, capsys):
@@ -148,7 +174,8 @@ def test_train_p1_is_standard_configuration(tmp_path, toy_csv):
 
 
 def test_train_divergence_exits_1(tmp_path, toy_csv, capsys):
-    assert run("train", "--data", toy_csv, "--p", 0.5, "--eta", 1e300,
+    # a momentum fit: the smoothing path's Newton trials do not use eta
+    assert run("train", "--data", toy_csv, "--p", 0.5, "--eta", 1e300, "--s-start", "none",
                "--out", tmp_path / "m.json") == 1
     assert "objective diverged at iteration 1" in capsys.readouterr().err
 
@@ -347,11 +374,31 @@ def test_eval_with_one_model_value_replaced_exits_0_or_2(trained_model, data):
         assert err.getvalue().startswith("error: ")
 
 
+def test_model_file_without_s_start_loads_for_eval_and_figure(tmp_path, toy_csv, capsys):
+    # A model file written before `s_start` existed has no such config key
+    # and no `stage_iterations` in its trace; it loads with s_start = None.
+    path = tmp_path / "old.json"
+    assert run("train", "--data", toy_csv, "--out", path) == 0
+    doc = json.loads(path.read_text())
+    del doc["config"]["s_start"], doc["trace"]["stage_iterations"]
+    path.write_text(json.dumps(doc))
+    model, _ = load_model(path)
+    assert model.meta.s_start is None and np.array_equal(model.w, doc["w"])
+    capsys.readouterr()
+    assert run("eval", "--model", path, "--data", toy_csv) == 0
+    assert capsys.readouterr().out.splitlines()[0] == (
+        f"accuracy {cli.accuracy(model, load_csv(toy_csv)):.6f}")
+    figure = tmp_path / "fig.json"
+    assert run("figure", "--model", path, "--data", toy_csv, "--out", figure) == 0
+    assert json.loads(figure.read_text())["lines"][1]["w"] == doc["w"]
+
+
 def test_model_config_keys_follow_train_config(tmp_path, toy_csv):
     path = tmp_path / "m.json"
     run("train", "--data", toy_csv, "--out", path, *FAST_FLAGS)
     assert list(json.loads(path.read_text())["config"]) == [
-        "C", "p", "s", "eta", "eps", "tol_obj", "tol_grad", "max_iter", "regularize_bias"]
+        "C", "p", "s", "s_start", "eta", "eps", "tol_obj", "tol_grad", "max_iter",
+        "regularize_bias"]
 
 
 # ------------------------------------------------------------------- eval
@@ -548,7 +595,7 @@ def test_compare_default_eta_is_set_per_C(tmp_path, capsys):
                "--tol-obj", "1e-10", "--tol-grad", "1e-6", "--out-json", out_json) == 0
     doc = json.loads(out_json.read_text())
     ds = load_csv(data)
-    base = dict(s=100.0, eps=0.9, max_iter=8000, tol_obj=1e-10, tol_grad=1e-6)
+    base = dict(s=100.0, s_start=1.0, eps=0.9, max_iter=8000, tol_obj=1e-10, tol_grad=1e-6)
     etas = {1.0: 1e-2, 50.0: 1e-2 / 25, 100.0: 1e-2 / 50}
     assert [block["C"] for block in doc["configs"]] == list(etas)
     for block in doc["configs"]:
@@ -705,7 +752,9 @@ def test_config_flags_follow_train_config_fields(command):
     fields = [f for f in dataclasses.fields(TrainConfig) if f.name not in SET_BY_COMMAND[command]]
     assert [a.option_strings for a in actions] == [
         ["--" + f.name.replace("_", "-")] for f in fields]
-    assert [a.default for a in actions] == [f.default for f in fields]
+    # a field's cli_default, where it has one, stands in for its default
+    assert [a.default for a in actions] == [f.metadata.get("cli_default", f.default)
+                                            for f in fields]
     assert [a.help for a in actions] == [f.metadata["help"] for f in fields]
     assert "--tol-obj" in parser.format_help()  # argparse %-formats every help text
 

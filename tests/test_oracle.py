@@ -429,3 +429,22 @@ def test_p_03_seed1_fit_is_a_strict_local_minimum():
                          / (2.0 * h) for e in np.eye(w.size)])
     eigenvalues = np.linalg.eigvalsh(0.5 * (H + H.T))
     assert np.all(eigenvalues > 0.0), f"Hessian eigenvalues {eigenvalues}"
+
+
+def test_p_03_seed1_path_fit_ends_below_the_lbfgsb_basin():
+    # The cold fit above ends at J = 1014.18, and L-BFGS-B from it crosses
+    # into a basin at J = 929.6.  The smoothing path, from s = 1, ends below
+    # that basin (923.65), and warm-started L-BFGS-B finds no descent there.
+    optimize = pytest.importorskip("scipy.optimize")
+    ds = gen_toy(ToySpec(seed=1))
+    X_aug, y = augment(ds).matrix, ds.y
+    cfg = TrainConfig(C=100.0, p=0.3, s=100.0, s_start=1.0, eta=2e-4, eps=0.9, max_iter=8000,
+                      tol_obj=1e-10, tol_grad=1e-6)
+    model, trace = train(ds, cfg)
+    assert trace.converged
+    value = objective(model.w_aug, X_aug, y, cfg)
+    assert value < 929.6
+    ref = optimize.minimize(objective, model.w_aug, args=(X_aug, y, cfg), jac=gradient,
+                            method="L-BFGS-B",
+                            options={"ftol": 1e-15, "gtol": 1e-12, "maxiter": 2000})
+    assert (value - ref.fun) / abs(value) < 1e-6, f"L-BFGS-B lowered J to {ref.fun}"

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -422,6 +423,46 @@ def test_hessian_matches_central_differences_and_is_psd(scale, s, regularize_bia
                                                            solver._HESSIAN_ROWS))
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e2])
+@pytest.mark.parametrize("p", [0.1, 0.3, 0.5, 0.9])
+def test_p_below_1_hessian_matches_central_differences(p, scale):
+    # At p < 1, h = C p c ((p - 1) sigma(t) / n + s sigma(-t)) is negative
+    # where n^p bends down, so H may be indefinite.  It is checked at the
+    # returned point of a smoothing-path fit, where margins sit on both sides
+    # of the bend, and next to it; with features x 1e2 most scaled margins
+    # are far outside [-33, 745].
+    toy = gen_toy(ToySpec(seed=0, n_per_class=20))
+    ds = LabeledDataset(toy.X * scale, toy.y)
+    cfg = TrainConfig(C=10.0, p=p, s=100.0, s_start=1.0, max_iter=1500, tol_obj=1e-10,
+                      tol_grad=1e-6)
+    model, _ = train(ds, cfg)
+    X_aug, yX = augment(ds).matrix, signed_design(ds)
+    d = reg_diag(ds.k + 1, False)
+    rng = np.random.default_rng(5)
+    for w in (model.w_aug, model.w_aug * (1.0 + rng.normal(0.0, 1e-3, ds.k + 1))):
+        _, state = _value_pass(w, yX, d, cfg)
+        H = _hessian(state, yX, d, cfg)
+        fd = _fd_hessian(w, X_aug, ds.y, cfg, step=1e-3 / (cfg.s * np.abs(X_aug).max()))
+        diag = np.abs(np.diag(H))
+        assert np.all(np.abs(fd - H) <= 1e-5 * np.sqrt(np.outer(diag, diag))
+                      + 1e-9 * np.abs(H).max())
+
+
+def test_p_below_1_hessian_is_finite_at_infinite_margins():
+    # c and h are 0 at t = +-inf: log n = +-inf (clipped below at -max)
+    # makes every exponent -inf, never inf - inf.  So the infinite margins
+    # add nothing, and no floating-point warning is raised.
+    yX, d, cfg = np.ones((3, 2)), reg_diag(2, False), TrainConfig(p=0.01)
+    t = np.array([-math.inf, math.inf, 0.0])
+    state = (t, *_softplus_pair(t), None)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        H = _hessian(state, yX, d, cfg)
+    assert np.isfinite(H).all()
+    t0 = np.array([0.0])
+    assert np.array_equal(H, _hessian((t0, *_softplus_pair(t0), None), yX[:1], d, cfg))
+
+
 def test_newton_direction_solves_or_declines():
     # `_newton_direction` damps its H in place, so each call gets a fresh one.
     def H():
@@ -798,16 +839,19 @@ def reference_newton_direction(w_aug, g, X_aug, y, cfg):
     return direction if np.isfinite(direction).all() and -math.inf < g @ direction < 0.0 else None
 
 
-def reference_train(dataset, cfg):
+def reference_train(dataset, cfg, w0=None):
     """The loop of `train`, written against the public objective and gradient
     and the Hessian above: safeguarded momentum at p < 1, and at p = 1, from
     the start point on, damped Newton trials (each a momentum trial where the
     direction is not finite), whose step backtracks by quadratic
     interpolation and whose non-finite J is a rejection.  The fused kernel
     must reproduce it bit for bit.  Also returns the number of objective
-    evaluations after the start point and the number of rejected trials."""
+    evaluations after the start point and the number of rejected trials.
+    It starts at w0, w' = 0 unless given, with the momentum at rest."""
     X_aug, y = augment(dataset).matrix, dataset.y
     w = v = np.zeros(dataset.k + 1)
+    if w0 is not None:
+        w = w0
     step = cfg.eta
     value, g = objective(w, X_aug, y, cfg), gradient(w, X_aug, y, cfg)
     obj_hist, grad_hist = [value], []
@@ -940,6 +984,100 @@ def test_train_matches_reference_loop_where_the_hessian_overflows():
     assert trace.converged
     X_aug = augment(ds).matrix
     assert not np.isfinite(reference_hessian(model.w_aug, X_aug, ds.y, cfg)).all()
+
+
+# ------------------------------------------------------------ smoothing path
+
+def _path_cfg(**kw):
+    return TrainConfig(**{"C": 1.0, "p": 0.5, "s": 100.0, "s_start": 1.0, **kw})
+
+
+def _stage_cfgs(cfg):
+    """The stage configs of a path fit: one per s of geomspace(s_start, s, _STAGES)."""
+    return [dataclasses.replace(cfg, s=float(s), s_start=None)
+            for s in np.geomspace(cfg.s_start, cfg.s, solver._STAGES)]
+
+
+@pytest.mark.parametrize("p", [0.5, 0.3])
+def test_path_stages_match_chained_reference_loops_bitwise(p, monkeypatch):
+    # With Newton declined everywhere, each stage is `reference_train` at
+    # its s from the point the stage before returned, its momentum at rest
+    # and its step at eta.  The fit's histories are the stages' joined: a
+    # stage's first entry, its start point's J at its own s, replaces the
+    # last entry of the stage before.
+    monkeypatch.setattr(solver, "_newton_direction", lambda H, g: None)
+    ds = gen_toy(ToySpec(seed=0, n_per_class=20))
+    cfg = _path_cfg(p=p, C=50.0, max_iter=8000, tol_obj=1e-10, tol_grad=1e-6)
+    model, trace = train(ds, cfg)
+    w, obj, grads, rejected, counts = None, [], [], 0, []
+    for stage in _stage_cfgs(cfg):
+        w, obj_hist, grad_hist, stop_reason, evaluations, stage_rejected = reference_train(
+            ds, stage, w)
+        obj[-1:] = list(obj_hist)
+        grads += list(grad_hist)
+        rejected += stage_rejected
+        counts.append(evaluations)
+    assert np.array_equal(model.w_aug, w)
+    assert np.array_equal(trace.objective_history, obj)
+    assert np.array_equal(trace.grad_norm_history, grads)
+    assert trace.stage_iterations == tuple(counts) and trace.iterations == sum(counts)
+    assert trace.restarts == rejected and trace.stop_reason == stop_reason
+
+
+def test_path_trace_is_monotone_within_stages_and_ends_at_the_model():
+    ds = gen_toy(ToySpec(seed=42, n_per_class=50))
+    cfg = _path_cfg()
+    model, trace = train(ds, cfg)
+    assert len(trace.stage_iterations) == solver._STAGES
+    assert sum(trace.stage_iterations) == trace.iterations
+    assert trace.objective_history.shape == (trace.iterations + 1,)
+    ends = np.cumsum(trace.stage_iterations)
+    for lo, hi in zip([0, *ends[:-1]], ends):
+        assert np.all(np.diff(trace.objective_history[lo:hi + 1]) <= 0.0)
+    # J falls as s grows, so the history never rises across stages either
+    assert np.all(np.diff(trace.objective_history) <= 0.0)
+    X_aug = augment(ds).matrix
+    assert trace.objective_history[-1] == objective(model.w_aug, X_aug, ds.y, cfg)
+    assert trace.final_grad_norm == math.hypot(*gradient(model.w_aug, X_aug, ds.y, cfg))
+    # relative to ||grad J(0)|| at the fit's own s, as for a fit from w' = 0
+    g0 = gradient(np.zeros(ds.k + 1), X_aug, ds.y, cfg)
+    assert trace.initial_grad_norm == math.hypot(*g0)
+    assert trace.relative_grad_norm <= 1e-8
+
+
+def test_path_counts_every_trial_against_max_iter():
+    ds = gen_toy(ToySpec(seed=42, n_per_class=50))
+    _, full = train(ds, _path_cfg())
+    first = full.stage_iterations[0]
+    # a cap inside the second stage ends the path there
+    _, trace = train(ds, _path_cfg(max_iter=first + 3))
+    assert trace.stop_reason == STOP_ITERATION_CAP
+    assert trace.stage_iterations == (first, 3) and trace.iterations == first + 3
+    # a cap at the end of the first stage stops at the second's start point,
+    # whose history entry is J there at the second stage's s
+    model, trace = train(ds, _path_cfg(max_iter=first))
+    assert trace.stop_reason == STOP_ITERATION_CAP and trace.stage_iterations == (first, 0)
+    second = _stage_cfgs(_path_cfg())[1]
+    assert trace.objective_history[-1] == objective(model.w_aug, augment(ds).matrix, ds.y,
+                                                    second)
+
+
+def test_path_ends_below_the_cold_fit_on_the_readme_data():
+    ds = gen_toy(ToySpec(seed=42, n_per_class=50))
+    _, cold = train(ds, TrainConfig(C=1.0, p=0.5))
+    _, path = train(ds, _path_cfg())
+    assert path.iterations < cold.iterations
+    assert path.objective_history[-1] < cold.objective_history[-1]
+
+
+@pytest.mark.parametrize("regularize_bias", [False, True])
+def test_s_start_is_ignored_at_p1(regularize_bias):
+    ds = gen_toy(ToySpec(seed=3, n_per_class=20))
+    cold_model, cold = train(ds, TrainConfig(p=1.0, regularize_bias=regularize_bias))
+    model, trace = train(ds, TrainConfig(p=1.0, s_start=1.0, regularize_bias=regularize_bias))
+    assert np.array_equal(model.w_aug, cold_model.w_aug)
+    assert np.array_equal(trace.objective_history, cold.objective_history)
+    assert trace.stage_iterations == cold.stage_iterations == (cold.iterations,)
 
 
 def test_train_rejects_a_newton_trial_whose_objective_overflows(monkeypatch):
@@ -1092,6 +1230,8 @@ def test_sv_count_shrinks_with_C_at_small_p():
     {"C": 0.0}, {"C": -1.0}, {"p": 0.0}, {"p": 1.5}, {"p": -0.5},
     {"s": 0.0}, {"eta": 0.0}, {"eps": 1.0}, {"eps": -0.1},
     {"tol_obj": 0.0}, {"tol_grad": 0.0}, {"max_iter": 0},
+    {"s_start": 0.0}, {"s_start": -1.0}, {"s_start": 100.0}, {"s_start": 200.0},
+    {"s": 1.0, "s_start": 1.0}, {"s_start": math.nan}, {"s_start": math.inf},
 ])
 def test_config_validation(kwargs):
     with pytest.raises(ValueError):
@@ -1101,7 +1241,7 @@ def test_config_validation(kwargs):
 @pytest.mark.parametrize("kwargs", [
     {"max_iter": 2.5}, {"max_iter": 5.0}, {"max_iter": True}, {"max_iter": "5"},
     {"regularize_bias": "no"}, {"regularize_bias": 1}, {"regularize_bias": None},
-    {"C": True}, {"eps": False}, {"C": "5"}, {"p": None},
+    {"C": True}, {"eps": False}, {"C": "5"}, {"p": None}, {"s_start": "1"}, {"s_start": True},
     pytest.param({"C": 10**400}, id="C-int-beyond-float"),
     pytest.param({"eta": 10**400}, id="eta-int-beyond-float"),
 ])
