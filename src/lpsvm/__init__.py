@@ -1,7 +1,8 @@
 """Linear SVM training with an Lp-norm (0 < p <= 1) penalty on slack variables.
 
 The solver minimizes a softplus-smoothed hinge objective by damped Newton
-steps at p = 1 and momentum descent at p < 1; p < 1 shrinks the
+steps at p = 1 and along a p < 1 smoothing path, and by momentum descent
+in a p < 1 fit from w = 0 at the target sharpness; p < 1 shrinks the
 support-vector set.  Independent oracles (finite differences, a dual
 coordinate-descent reference solver, a KKT residual checker) verify it.
 """

@@ -26,17 +26,17 @@ Maechler 2012 recommends), so they all round alike; `objective` and
 point, w' = 0 included, takes damped Newton trials (Keerthi & DeCoste, JMLR
 2005) along -(H + ||g|| I)^-1 g, with H from the point's margin state, and a
 rejected trial's J places the next step by quadratic interpolation.  A p < 1
-fit with `s_start` set follows a smoothing path (graduated non-convexity,
-Blake & Zisserman 1987; Chapelle, Sindhwani & Keerthi, JMLR 2008): it fits
-at s = s_start from w' = 0, then warm-starts at sharper s up to `s`, and
-takes the same Newton trials at every stage.  A p < 1 fit from w' = 0 at s
-alone, and a point where no Newton direction descends, runs momentum
-descent: a rejected trial restarts the momentum and halves the step, an
-accepted one grows it by 5 %.  Each trial costs one margin pass over the
-signed design matrix y_i x'_i built once per fit, and only an accepted
-trial's gradient is finished from it; `objective` and `gradient` are the
-public single-point forms of the same elementwise code and give
-bit-identical values.
+fit with `s_start` below `s` follows a smoothing path (graduated
+non-convexity, Blake & Zisserman 1987; Chapelle, Sindhwani & Keerthi, JMLR
+2008): it fits at s = s_start from w' = 0, then warm-starts at sharper s up
+to `s`, and takes the same Newton trials at every stage.  Any other p < 1
+fit, from w' = 0 at s alone, and a point where no Newton direction
+descends, runs momentum descent: a rejected trial restarts the momentum and
+halves the step, an accepted one grows it by 5 %.  Each trial costs one
+margin pass over the signed design matrix y_i x'_i built once per fit, and
+only an accepted trial's gradient is finished from it; `objective` and
+`gradient` are the public single-point forms of the same elementwise code
+and give bit-identical values.
 """
 
 import math
@@ -130,15 +130,15 @@ class TrainConfig:
     p: float = _knob(0.5, "slack exponent in (0, 1]; 1 gives the standard hinge")
     s: float = _knob(100.0, "softplus sharpness (> 0); the smoothing gap is log(2)/s",
                      positive=True)
-    s_start: float | None = _knob(None, "at p < 1, the sharpness in (0, s) a smoothing path "
-                                        "starts at: a fit there from w' = 0, then Newton stages "
-                                        "warm-started up to s (CLI default 1; none: one fit from "
-                                        "w' = 0 at s); ignored at p = 1", positive=True,
-                                  cli_default=1.0)
+    s_start: float | None = _knob(None, "at p < 1, the sharpness (> 0) a smoothing path starts "
+                                        "at: a fit there from w' = 0, then Newton stages "
+                                        "warm-started up to s (CLI default 1; none, or at least "
+                                        "s: one fit from w' = 0 at s); ignored at p = 1",
+                                  positive=True, cli_default=1.0)
     # In a p < 1 fit from w' = 0 at s the initial step can decide which local
     # minimum it reaches, and a step that shrinks with C finds the lower one
     # on the toy data at C = 50 and 100.
-    eta: float | None = _knob(None, "initial momentum step, used at p < 1 without s_start and "
+    eta: float | None = _knob(None, "initial momentum step, used at p < 1 off the path and "
                                     "where a point has no Newton direction (> 0; default: "
                                     "1e-2 / max(1, C/2))", positive=True)
     eps: float = _knob(0.9, "momentum coefficient in [0, 1), used where eta is")
@@ -160,8 +160,6 @@ class TrainConfig:
             object.__setattr__(self, "eta", 1e-2 / max(1.0, self.C / 2.0))
         if not (0.0 < self.p <= 1.0):
             raise ValueError(f"p must lie in (0, 1], got {self.p}")
-        if self.s_start is not None and not self.s_start < self.s:
-            raise ValueError(f"s_start must lie in (0, s), got {self.s_start} with s = {self.s}")
         if not (0.0 <= self.eps < 1.0):
             raise ValueError(f"eps must lie in [0, 1), got {self.eps}")
 
@@ -286,26 +284,21 @@ def _value(w_aug: np.ndarray, dw: np.ndarray, t: np.ndarray, sp: np.ndarray,
     return value
 
 
-def _coeff(t: np.ndarray, sp: np.ndarray, sp_neg: np.ndarray, cfg: TrainConfig) -> np.ndarray:
-    # sigma(t) * n^(p-1) with n = sp / s: sigma(t) = exp(-sp_neg) at p = 1,
-    # and exp(log sigma(t) + (p-1) log n) at p < 1, where log sigma(t) =
-    # -sp_neg.  Below the cut sp underflows but equals e^t to double
-    # precision, so log(sp) is just t there.  log_n is -inf only at t = -inf,
-    # where sp_neg = inf; clipped to -max, (p-1) log_n is finite, so the
-    # coefficient is exp(-inf) = 0, not exp(inf - inf) = NaN.  At t = +inf
-    # log_n is +inf and sp_neg = 0, so the coefficient is exp(-inf) = 0.
+def _coeff(t: np.ndarray, sp: np.ndarray, sp_neg: np.ndarray, cfg: TrainConfig) -> tuple:
+    # sigma(t) * n^(p-1) with n = sp / s, and log n (None at p = 1): sigma(t)
+    # = exp(-sp_neg) at p = 1, and exp(log sigma(t) + (p-1) log n) at p < 1,
+    # where log sigma(t) = -sp_neg.  Below the cut sp underflows but equals
+    # e^t to double precision, so log(sp) is just t there.  log_n is -inf
+    # only at t = -inf, where sp_neg = inf; clipped to -max, (p-1) log_n is
+    # finite, so the coefficient is exp(-inf) = 0, not exp(inf - inf) = NaN.
+    # At t = +inf log_n is +inf and sp_neg = 0, so the coefficient is 0.
     if cfg.p == 1.0:
-        return np.exp(-sp_neg)
-    return np.exp((cfg.p - 1.0) * _log_n(t, sp, cfg.s) - sp_neg)
-
-
-def _log_n(t: np.ndarray, sp: np.ndarray, s: float) -> np.ndarray:
-    """log n = log(sp / s), clipped below at -max; t where sp has underflowed."""
+        return np.exp(-sp_neg), None
     log_n = np.log(sp)
     np.putmask(log_n, t < _LOG_SOFTPLUS_CUT, t)
-    log_n -= math.log(s)
+    log_n -= math.log(cfg.s)
     np.maximum(log_n, -_MAX_DOUBLE, out=log_n)
-    return log_n
+    return np.exp((cfg.p - 1.0) * log_n - sp_neg), log_n
 
 
 def _value_pass(w_aug: np.ndarray, yX: np.ndarray, d: np.ndarray,
@@ -325,38 +318,39 @@ def _value_pass(w_aug: np.ndarray, yX: np.ndarray, d: np.ndarray,
     return _value(w_aug, dw, t, sp, cfg), (t, sp, sp_neg, dw)
 
 
-def _grad_pass(state: tuple, yX: np.ndarray, cfg: TrainConfig) -> np.ndarray:
-    """grad J(w') from `_value_pass`'s margin state."""
+def _grad_pass(state: tuple, yX: np.ndarray, cfg: TrainConfig) -> tuple[np.ndarray, tuple]:
+    """grad J(w') from `_value_pass`'s margin state, and that state extended
+    by the coefficient c and the log n `_coeff` made for it, for `_hessian`."""
     t, sp, sp_neg, dw = state
-    return dw - cfg.p * cfg.C * yX.T.dot(_coeff(t, sp, sp_neg, cfg))
+    c, log_n = _coeff(t, sp, sp_neg, cfg)
+    return dw - cfg.p * cfg.C * yX.T.dot(c), (*state, c, log_n)
 
 
 def _hessian(state: tuple, yX: np.ndarray, d: np.ndarray, cfg: TrainConfig) -> np.ndarray:
-    """The Hessian D + yX^T diag(h) yX, from `_value_pass`'s margin state.
+    """The Hessian D + yX^T diag(h) yX, from the state `_grad_pass` returns.
 
     At p = 1, h = C s sigma(t) sigma(-t), and sigma(t) sigma(-t) =
     exp(-softplus(t) - softplus(-t)) takes one exp and no log.  At p < 1,
     with n = softplus(t) / s and c = sigma(t) n^(p-1) the gradient
     coefficient, h = C p c ((p - 1) sigma(t) / n + s sigma(-t)), which is
-    negative where n^p bends down.  c, sigma(t) / n = exp(-softplus(-t) -
-    log n) and sigma(-t) = exp(-softplus(t)) come from the log domain, so
-    none overflows: sigma(t) / n <= s, and c and h are 0 at t = +-inf.  The
-    sum runs over blocks of rows, first to last, and the returned H is a new
-    array, which `_newton_direction` may write to.
+    negative where n^p bends down.  c and log n are the gradient's, and
+    sigma(t) / n = exp(-softplus(-t) - log n) and sigma(-t) = exp(-softplus(t))
+    come from the log domain too, so none overflows: sigma(t) / n <= s, and c
+    and h are 0 at t = +-inf.  The sum runs over blocks of rows, first to
+    last, and the returned H is a new array, which `_newton_direction` may
+    write to.
     """
-    t, sp, sp_neg, _ = state
+    _, sp, sp_neg, _, c, log_n = state
     if cfg.p == 1.0:
         curv = np.add(sp, sp_neg)
         np.negative(curv, out=curv)
         np.exp(curv, out=curv)
         scale = cfg.C * cfg.s
     else:
-        with np.errstate(divide="ignore"):  # log(0) where sp underflows, below the cut
-            log_n = _log_n(t, sp, cfg.s)
         curv = np.exp(-sp_neg - log_n)
         curv *= cfg.p - 1.0
         curv += cfg.s * np.exp(-sp)
-        curv *= np.exp((cfg.p - 1.0) * log_n - sp_neg)
+        curv *= c
         scale = cfg.C * cfg.p
     H = (yX[:_HESSIAN_ROWS].T * curv[:_HESSIAN_ROWS]) @ yX[:_HESSIAN_ROWS]
     for lo in range(_HESSIAN_ROWS, len(sp), _HESSIAN_ROWS):
@@ -427,7 +421,7 @@ def gradient(w_aug: np.ndarray, X_aug: np.ndarray, y: np.ndarray, cfg: TrainConf
     d = reg_diag(w_aug.shape[0], cfg.regularize_bias)
     with np.errstate(**_QUIET):
         t = cfg.s * (1.0 - y * (X_aug @ w_aug))
-        coeff = _coeff(t, *_softplus_pair(t), cfg)
+        coeff, _ = _coeff(t, *_softplus_pair(t), cfg)
         grad = d * w_aug - cfg.p * cfg.C * (X_aug.T @ (coeff * y))
     if not np.all(np.isfinite(grad)):
         raise DivergenceError("gradient is not finite")
@@ -438,11 +432,12 @@ def train(dataset: LabeledDataset, cfg: TrainConfig) -> tuple[SvmModel, TrainTra
     """Minimize the smoothed objective from w' = 0, never letting it rise
     within a stage.
 
-    A fit with `s_start` unset, or at p = 1, is one stage at s.  At p < 1
-    with `s_start` set it is `_STAGES` stages along a smoothing path, at
-    s_j = geomspace(s_start, s, _STAGES)[j]: the first from w' = 0, each
-    later one from the point the one before returned.  Every stage starts
-    with its momentum at rest and its step at `eta`, and its own stop tests.
+    A fit at p = 1, or with `s_start` unset or at least s, is one stage at
+    s.  At p < 1 with `s_start` below s it is `_STAGES` stages along a
+    smoothing path, at s_j = geomspace(s_start, s, _STAGES)[j]: the first
+    from w' = 0, each later one from the point the one before returned.
+    Every stage starts with its momentum at rest and its step at `eta`, and
+    its own stop tests.
 
     At p = 1, and on a smoothing path, every point the fit reaches, w' = 0
     and each accepted trial, gets one damped Newton direction d,
@@ -480,10 +475,10 @@ def train(dataset: LabeledDataset, cfg: TrainConfig) -> tuple[SvmModel, TrainTra
     """
     yX = signed_design(dataset)
     d = reg_diag(dataset.k + 1, cfg.regularize_bias)
-    stages = ([cfg] if cfg.s_start is None or cfg.p == 1.0 else
-              [replace(cfg, s=float(s), s_start=None)
-               for s in np.geomspace(cfg.s_start, cfg.s, _STAGES)[:-1]] + [cfg])
-    newton = cfg.p == 1.0 or len(stages) > 1
+    path = cfg.p < 1.0 and cfg.s_start is not None and cfg.s_start < cfg.s
+    stages = ([replace(cfg, s=float(s)) for s in np.geomspace(cfg.s_start, cfg.s, _STAGES)[:-1]]
+              + [cfg] if path else [cfg])
+    newton = cfg.p == 1.0 or path
 
     w = np.zeros(dataset.k + 1)
     obj_hist: list[float] = []
@@ -503,7 +498,7 @@ def train(dataset: LabeledDataset, cfg: TrainConfig) -> tuple[SvmModel, TrainTra
             initial_grad_norm = grad_hist[0] if grad_hist else grad_norm
         else:
             zero = np.zeros(dataset.k + 1)
-            initial_grad_norm = norm(_grad_pass(_value_pass(zero, yX, d, cfg)[1], yX, cfg))
+            initial_grad_norm = norm(_grad_pass(_value_pass(zero, yX, d, cfg)[1], yX, cfg)[0])
 
     model = SvmModel(w=w[:-1], b=float(w[-1]), meta=cfg)
     trace = TrainTrace(
@@ -536,7 +531,7 @@ def _descend(w: np.ndarray, yX: np.ndarray, d: np.ndarray, cfg: TrainConfig, new
     value, state = _value_pass(w, yX, d, cfg)
     if not math.isfinite(value):
         raise DivergenceError(f"objective diverged at iteration {done}")
-    g = _grad_pass(state, yX, cfg)
+    g, state = _grad_pass(state, yX, cfg)
     obj_hist[-1:] = [value]
     decrease = math.inf  # the relative fall in J of the step that reached the point
 
@@ -579,7 +574,7 @@ def _descend(w: np.ndarray, yX: np.ndarray, d: np.ndarray, cfg: TrainConfig, new
             a = _backtrack(a, slope, value, value_trial)
         if value_trial <= bound:
             decrease = (value - value_trial) / max(1.0, abs(value))
-            w, value, g, state = w_trial, value_trial, _grad_pass(trial, yX, cfg), trial
+            w, value, (g, state) = w_trial, value_trial, _grad_pass(trial, yX, cfg)
         else:
             restarts += 1
         obj_hist.append(value)

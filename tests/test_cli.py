@@ -146,6 +146,19 @@ def test_train_s_start_none_fits_from_zero_at_s(tmp_path, toy_csv, capsys):
     assert doc["trace"]["stage_iterations"] == [expected.iterations]
 
 
+@pytest.mark.parametrize("p", [1.0, 0.5])
+def test_train_s_at_or_below_the_default_s_start_fits_one_stage(tmp_path, toy_csv, capsys, p):
+    # Under the default --s-start 1, --s 1 is no path: the fit is --s-start none's
+    default, cold = tmp_path / "default.json", tmp_path / "none.json"
+    assert run("train", "--data", toy_csv, "--p", p, "--s", 1, "--out", default) == 0
+    assert run("train", "--data", toy_csv, "--p", p, "--s", 1, "--s-start", "none",
+               "--out", cold) == 0
+    doc, expected = json.loads(default.read_text()), json.loads(cold.read_text())
+    assert doc["config"]["s_start"] == 1.0 and expected["config"]["s_start"] is None
+    assert (doc["w"], doc["b"], doc["trace"]) == (expected["w"], expected["b"], expected["trace"])
+    assert len(doc["trace"]["stage_iterations"]) == 1
+
+
 def test_train_warns_at_iteration_cap(tmp_path, toy_csv, capsys):
     model_path = tmp_path / "m.json"
     assert run("train", "--data", toy_csv, "--max-iter", 3, "--out", model_path) == 0

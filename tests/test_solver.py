@@ -323,7 +323,7 @@ def test_coeff_is_finite_at_infinite_margins(p):
     # at t = +inf for p < 1; unclipped, log n = +-inf made it NaN at p = 1.
     t = np.array([-math.inf, math.inf])
     with np.errstate(divide="ignore"):  # log(0) at t = -inf, below the cut
-        coeff = _coeff(t, *_softplus_pair(t), TrainConfig(p=p))
+        coeff, _ = _coeff(t, *_softplus_pair(t), TrainConfig(p=p))
     assert np.array_equal(coeff, [0.0, 1.0 if p == 1.0 else 0.0])
     # a margin that overflows to -inf adds nothing to the gradient
     w = np.array([1e306, 0.0])
@@ -360,7 +360,7 @@ def test_coeff_is_the_log_domain_form_bit_for_bit(p, s):
         rng.uniform(-40.0, 40.0, 2000),
     ])
     with np.errstate(divide="ignore"):  # log(0) below the cut, at p < 1
-        got = _coeff(t, *_softplus_pair(t), TrainConfig(p=p, s=s))
+        got, _ = _coeff(t, *_softplus_pair(t), TrainConfig(p=p, s=s))
     want = log_domain_coeff(t, p, s)
     nan = np.isnan(want)
     assert nan.sum() == 1 and np.isnan(got[nan]).all()  # NaN in, NaN out
@@ -401,7 +401,7 @@ def test_hessian_matches_central_differences_and_is_psd(scale, s, regularize_bia
     d = reg_diag(ds.k + 1, regularize_bias)
     rng = np.random.default_rng(3)
     for w in (model.w_aug, model.w_aug * (1.0 + rng.normal(0.0, 1e-3, ds.k + 1))):
-        _, state = _value_pass(w, yX, d, cfg)
+        _, state = _grad_pass(_value_pass(w, yX, d, cfg)[1], yX, cfg)
         t = state[0]
         if scale > 1.0:
             assert (t < -33.0).any() and (t > 745.0).any()
@@ -425,12 +425,13 @@ def test_hessian_matches_central_differences_and_is_psd(scale, s, regularize_bia
 
 @pytest.mark.parametrize("scale", [1.0, 1e2])
 @pytest.mark.parametrize("p", [0.1, 0.3, 0.5, 0.9])
-def test_p_below_1_hessian_matches_central_differences(p, scale):
+def test_p_below_1_hessian_matches_central_differences(p, scale, monkeypatch):
     # At p < 1, h = C p c ((p - 1) sigma(t) / n + s sigma(-t)) is negative
     # where n^p bends down, so H may be indefinite.  It is checked at the
     # returned point of a smoothing-path fit, where margins sit on both sides
     # of the bend, and next to it; with features x 1e2 most scaled margins
-    # are far outside [-33, 745].
+    # are far outside [-33, 745].  Central differences cannot see a change
+    # in H's rounding, so H is also the log-domain reference bit for bit.
     toy = gen_toy(ToySpec(seed=0, n_per_class=20))
     ds = LabeledDataset(toy.X * scale, toy.y)
     cfg = TrainConfig(C=10.0, p=p, s=100.0, s_start=1.0, max_iter=1500, tol_obj=1e-10,
@@ -440,12 +441,25 @@ def test_p_below_1_hessian_matches_central_differences(p, scale):
     d = reg_diag(ds.k + 1, False)
     rng = np.random.default_rng(5)
     for w in (model.w_aug, model.w_aug * (1.0 + rng.normal(0.0, 1e-3, ds.k + 1))):
-        _, state = _value_pass(w, yX, d, cfg)
+        with np.errstate(divide="ignore"):  # log(0) in `_coeff` below the cut
+            _, state = _grad_pass(_value_pass(w, yX, d, cfg)[1], yX, cfg)
         H = _hessian(state, yX, d, cfg)
         fd = _fd_hessian(w, X_aug, ds.y, cfg, step=1e-3 / (cfg.s * np.abs(X_aug).max()))
         diag = np.abs(np.diag(H))
         assert np.all(np.abs(fd - H) <= 1e-5 * np.sqrt(np.outer(diag, diag))
                       + 1e-9 * np.abs(H).max())
+        assert np.array_equal(H, reference_hessian(w, X_aug, ds.y, cfg))
+        monkeypatch.setattr(solver, "_HESSIAN_ROWS", 7)
+        blocked = _hessian(state, yX, d, cfg)
+        monkeypatch.undo()
+        assert np.array_equal(blocked, reference_blocked_hessian(w, X_aug, ds.y, cfg, 7))
+
+
+def _curvature_state(t, cfg):
+    """The state `_grad_pass` hands `_hessian` at scaled margins t, without D w'."""
+    sp, sp_neg = _softplus_pair(t)
+    with np.errstate(divide="ignore"):  # log(0) in `_coeff` at t = -inf
+        return (t, sp, sp_neg, None, *_coeff(t, sp, sp_neg, cfg))
 
 
 def test_p_below_1_hessian_is_finite_at_infinite_margins():
@@ -454,13 +468,31 @@ def test_p_below_1_hessian_is_finite_at_infinite_margins():
     # add nothing, and no floating-point warning is raised.
     yX, d, cfg = np.ones((3, 2)), reg_diag(2, False), TrainConfig(p=0.01)
     t = np.array([-math.inf, math.inf, 0.0])
-    state = (t, *_softplus_pair(t), None)
+    state = _curvature_state(t, cfg)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         H = _hessian(state, yX, d, cfg)
     assert np.isfinite(H).all()
     t0 = np.array([0.0])
-    assert np.array_equal(H, _hessian((t0, *_softplus_pair(t0), None), yX[:1], d, cfg))
+    assert np.array_equal(H, _hessian(_curvature_state(t0, cfg), yX[:1], d, cfg))
+
+
+@pytest.mark.parametrize("p", [0.1, 0.5, 0.9])
+def test_p_below_1_hessian_is_the_reference_at_infinite_margins(p):
+    # The first two margins overflow, to t = -inf and t = +inf; the last two
+    # give t = -20 and t = -80, the latter below the log-softplus cut.
+    ds = LabeledDataset([[1e306], [1e306], [1e-3], [-2e-3]], [1.0, -1.0, 1.0, -1.0])
+    X_aug, yX, d = augment(ds).matrix, signed_design(ds), reg_diag(2, False)
+    w, cfg = np.array([1e3, 0.2]), TrainConfig(C=3.0, p=p)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        _, state = _grad_pass(_value_pass(w, yX, d, cfg)[1], yX, cfg)
+    t = state[0]
+    assert np.array_equal(t[:2], [-math.inf, math.inf]) and np.allclose(t[2:], [-20.0, -80.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        H = _hessian(state, yX, d, cfg)
+    assert np.isfinite(H).all() and H[1, 1] > 0.0
+    assert np.array_equal(H, reference_hessian(w, X_aug, ds.y, cfg))
 
 
 def test_newton_direction_solves_or_declines():
@@ -798,32 +830,50 @@ def reference_norm(g):
     return math.hypot(*g)
 
 
-def reference_hessian(w_aug, X_aug, y, cfg):
-    """The p = 1 Hessian of `objective`: D + C s X'^T diag(sigma(t) sigma(-t)) X'
-    over the augmented samples X' = [X, 1], with t = s (1 - y w'.x'); y = +-1
-    drops out of each outer product.  Overflow gives a non-finite H."""
-    with np.errstate(over="ignore", invalid="ignore"):
+def reference_curvature(w_aug, X_aug, y, cfg):
+    """The Hessian's sample weights h / scale and its scale, at the scaled
+    margins t = s (1 - y w'.x'), from `_softplus_pair`'s softplus(+-t).
+
+    At p = 1, sigma(t) sigma(-t) = exp(-softplus(t) - softplus(-t)) and C s.
+    At p < 1, c ((p - 1) sigma(t) / n + s sigma(-t)) and C p, with n =
+    softplus(t) / s in the log domain: log n = log(softplus(t)) - log s,
+    with log(softplus(t)) = t below the -33 cut, clipped below at -max;
+    c = exp((p - 1) log n - softplus(-t)), sigma(t) / n = exp(-softplus(-t)
+    - log n) and sigma(-t) = exp(-softplus(t))."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         t = cfg.s * (1.0 - y * (X_aug @ w_aug))
         sp, sp_neg = _softplus_pair(t)
-        curv = np.exp(-(sp + sp_neg))  # sigma(t) sigma(-t)
-        return cfg.C * cfg.s * ((X_aug.T * curv) @ X_aug) + np.diag(
+        if cfg.p == 1.0:
+            return np.exp(-(sp + sp_neg)), cfg.C * cfg.s
+        log_n = np.maximum(np.where(t < -33.0, t, np.log(sp)) - math.log(cfg.s),
+                           -np.finfo(np.float64).max)
+        c = np.exp((cfg.p - 1.0) * log_n - sp_neg)
+        return ((cfg.p - 1.0) * np.exp(-sp_neg - log_n) + cfg.s * np.exp(-sp)) * c, cfg.C * cfg.p
+
+
+def reference_hessian(w_aug, X_aug, y, cfg):
+    """The Hessian of `objective`: D + scale X'^T diag(curv) X' over the
+    augmented samples X' = [X, 1], with `reference_curvature`'s weights and
+    scale; y = +-1 drops out of each outer product.  Overflow gives a
+    non-finite H."""
+    curv, scale = reference_curvature(w_aug, X_aug, y, cfg)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return scale * ((X_aug.T * curv) @ X_aug) + np.diag(
             reg_diag(len(w_aug), cfg.regularize_bias))
 
 
 def reference_blocked_hessian(w_aug, X_aug, y, cfg, rows):
     """`reference_hessian` summed over blocks of `rows` samples: each block's
-    X'^T diag(sigma(t) sigma(-t)) X' added to the sum of those before it, in
-    order, then C s times the sum plus D."""
+    X'^T diag(curv) X' added to the sum of those before it, in order, then
+    scale times the sum plus D."""
+    curv, scale = reference_curvature(w_aug, X_aug, y, cfg)
     with np.errstate(over="ignore", invalid="ignore"):
-        t = cfg.s * (1.0 - y * (X_aug @ w_aug))
-        sp, sp_neg = _softplus_pair(t)
-        curv = np.exp(-(sp + sp_neg))
         blocks = [(X_aug[lo:lo + rows].T * curv[lo:lo + rows]) @ X_aug[lo:lo + rows]
                   for lo in range(0, len(y), rows)]
         gram = blocks[0]
         for block in blocks[1:]:
             gram = gram + block
-        return cfg.C * cfg.s * gram + np.diag(reg_diag(len(w_aug), cfg.regularize_bias))
+        return scale * gram + np.diag(reg_diag(len(w_aug), cfg.regularize_bias))
 
 
 def reference_newton_direction(w_aug, g, X_aug, y, cfg):
@@ -1080,6 +1130,20 @@ def test_s_start_is_ignored_at_p1(regularize_bias):
     assert trace.stage_iterations == cold.stage_iterations == (cold.iterations,)
 
 
+@pytest.mark.parametrize("p", [0.5, 0.3, 1.0])
+@pytest.mark.parametrize("s, s_start", [(100.0, 100.0), (100.0, 200.0), (1.0, 1.0)])
+def test_s_start_at_or_above_s_is_the_one_stage_fit(p, s, s_start):
+    ds = gen_toy(ToySpec(seed=3, n_per_class=20))
+    cold_model, cold = train(ds, TrainConfig(C=50.0, p=p, s=s))
+    model, trace = train(ds, TrainConfig(C=50.0, p=p, s=s, s_start=s_start))
+    assert np.array_equal(model.w_aug, cold_model.w_aug)
+    assert np.array_equal(trace.objective_history, cold.objective_history)
+    assert np.array_equal(trace.grad_norm_history, cold.grad_norm_history)
+    assert trace.summary() == cold.summary()
+    assert trace.initial_grad_norm == cold.initial_grad_norm
+    assert trace.stage_iterations == (trace.iterations,)
+
+
 def test_train_rejects_a_newton_trial_whose_objective_overflows(monkeypatch):
     # The damping keeps a Newton direction no longer than 1, so a trial's J
     # overflows only where s x' is near the top of double range: here
@@ -1185,7 +1249,7 @@ def test_kernel_passes_match_objective_and_gradient_bitwise(p, regularize_bias):
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for w in points:
             value, state = _value_pass(w, yX, d, cfg)
-            g = _grad_pass(state, yX, cfg)
+            g, _ = _grad_pass(state, yX, cfg)
             infinite += not np.isfinite(state[0]).all()
             try:
                 assert value == objective(w, X_aug, y, cfg)
@@ -1230,12 +1294,20 @@ def test_sv_count_shrinks_with_C_at_small_p():
     {"C": 0.0}, {"C": -1.0}, {"p": 0.0}, {"p": 1.5}, {"p": -0.5},
     {"s": 0.0}, {"eta": 0.0}, {"eps": 1.0}, {"eps": -0.1},
     {"tol_obj": 0.0}, {"tol_grad": 0.0}, {"max_iter": 0},
-    {"s_start": 0.0}, {"s_start": -1.0}, {"s_start": 100.0}, {"s_start": 200.0},
-    {"s": 1.0, "s_start": 1.0}, {"s_start": math.nan}, {"s_start": math.inf},
+    {"s_start": 0.0}, {"s_start": -1.0}, {"s_start": -math.inf}, {"s": -1.0},
+    {"s": math.inf}, {"s_start": math.nan}, {"s_start": math.inf},
 ])
 def test_config_validation(kwargs):
     with pytest.raises(ValueError):
         TrainConfig(**kwargs)
+
+
+@pytest.mark.parametrize("kwargs", [{"s_start": 100.0}, {"s_start": 200.0},
+                                    {"s": 1.0, "s_start": 1.0}])
+def test_config_accepts_s_start_at_or_above_s(kwargs):
+    # `train` decides where the path runs: from s_start >= s it fits one stage
+    cfg = TrainConfig(**kwargs)
+    assert (cfg.s, cfg.s_start) == (kwargs.get("s", 100.0), kwargs["s_start"])
 
 
 @pytest.mark.parametrize("kwargs", [
