@@ -29,10 +29,12 @@ rejected trial's J places the next step by quadratic interpolation.  A p < 1
 fit with `s_start` below `s` follows a smoothing path (graduated
 non-convexity, Blake & Zisserman 1987; Chapelle, Sindhwani & Keerthi, JMLR
 2008): it fits at s = s_start from w' = 0, then warm-starts at sharper s up
-to `s`, and takes the same Newton trials at every stage.  Any other p < 1
-fit, from w' = 0 at s alone, and a point where no Newton direction
-descends, runs momentum descent: a rejected trial restarts the momentum and
-halves the step, an accepted one grows it by 5 %.  Each trial costs one
+to `s`, and takes the same Newton trials at every stage; where J bends down
+and H + ||g|| I gives no descent direction, the damping moves past H's
+least eigenvalue.  Any other p < 1 fit, from w' = 0 at s alone, runs
+momentum descent, as does a Newton fit at a point whose Hessian or Newton
+direction is not finite: a rejected trial restarts the momentum and halves
+the step, an accepted one grows it by 5 %.  Each trial costs one
 margin pass over the signed design matrix y_i x'_i built once per fit, and
 only an accepted trial's gradient is finished from it; `objective` and
 `gradient` are the public single-point forms of the same elementwise code
@@ -138,8 +140,9 @@ class TrainConfig:
     # In a p < 1 fit from w' = 0 at s the initial step can decide which local
     # minimum it reaches, and a step that shrinks with C finds the lower one
     # on the toy data at C = 50 and 100.
-    eta: float | None = _knob(None, "initial momentum step, used at p < 1 off the path and "
-                                    "where a point has no Newton direction (> 0; default: "
+    eta: float | None = _knob(None, "initial momentum step, used at p < 1 off the path, and "
+                                    "in a Newton fit only at a point whose Hessian or "
+                                    "Newton direction is not finite (> 0; default: "
                                     "1e-2 / max(1, C/2))", positive=True)
     eps: float = _knob(0.9, "momentum coefficient in [0, 1), used where eta is")
     tol_obj: float = _knob(1e-8, "stop when an accepted step lowers the objective J by "
@@ -361,20 +364,42 @@ def _hessian(state: tuple, yX: np.ndarray, d: np.ndarray, cfg: TrainConfig) -> n
     return H
 
 
-def _newton_direction(H: np.ndarray, g: np.ndarray) -> np.ndarray | None:
-    """The damped Newton direction d = -(H + ||g|| I)^-1 g (Li, Fukushima, Qi &
-    Yamashita, Comput. Optim. Appl. 2004), or None unless H + ||g|| I and d
-    are finite and -inf < g.d < 0, as wherever H is PSD, g != 0 and g.d is finite.
-
-    Damps H in place: on return H holds H + ||g|| I."""
-    H.flat[::len(g) + 1] += norm(g)
-    if not np.isfinite(H).all():
+def _descent(A: np.ndarray, g: np.ndarray) -> np.ndarray | None:
+    """The solution d of A d = -g, or None unless A and d are finite and
+    -inf < g.d < 0."""
+    if not np.isfinite(A).all():
         return None
     try:
-        direction = np.linalg.solve(H, -g)
-    except np.linalg.LinAlgError:  # H is singular
+        direction = np.linalg.solve(A, -g)
+    except np.linalg.LinAlgError:  # A is singular
         return None
     return direction if np.isfinite(direction).all() and -math.inf < g @ direction < 0.0 else None
+
+
+def _newton_direction(H: np.ndarray, g: np.ndarray) -> np.ndarray | None:
+    """The damped Newton direction d = -(H + ||g|| I)^-1 g (Li, Fukushima, Qi &
+    Yamashita, Comput. Optim. Appl. 2004), as `_descent` finds it.  Where that
+    gives none but H and g are finite and H's least eigenvalue l is negative,
+    as it can be at p < 1, the damping moves past it: d = -(H + (||g|| - l)
+    I)^-1 g, whose matrix has every eigenvalue at least ||g|| (Nocedal &
+    Wright, section 3.4).  None where that gives no descent direction either,
+    or where l >= 0, as wherever H is PSD.
+
+    Overwrites H's diagonal."""
+    undamped = H.diagonal().copy()
+    damping = norm(g)
+    H.flat[::len(g) + 1] += damping
+    direction = _descent(H, g)
+    if direction is None and np.isfinite(H).all():
+        H.flat[::len(g) + 1] = undamped
+        try:
+            least = float(np.linalg.eigvalsh(H)[0])
+        except np.linalg.LinAlgError:  # the eigenvalues did not converge
+            return None
+        if least < 0.0:
+            H.flat[::len(g) + 1] = undamped + (damping - least)
+            direction = _descent(H, g)
+    return direction
 
 
 def _backtrack(a: float, slope: float, value: float, value_trial: float) -> float:
@@ -441,15 +466,18 @@ def train(dataset: LabeledDataset, cfg: TrainConfig) -> tuple[SvmModel, TrainTra
 
     At p = 1, and on a smoothing path, every point the fit reaches, w' = 0
     and each accepted trial, gets one damped Newton direction d,
-    (H + ||g|| I) d = -g with g = grad J(w') (`_newton_direction`).  Its
+    (H + ||g|| I) d = -g with g = grad J(w'), or, where that d does not
+    descend and H's least eigenvalue l is negative (a p = 1 H is PSD),
+    (H + (||g|| - l) I) d = -g (`_newton_direction`).  Its
     trials are w' + a d, from a = 1, each accepted if J falls by at least
     `_ARMIJO` a g.d; otherwise, also when the trial's J is not finite, a
     moves to the minimiser of the quadratic through J(w'), the slope g.d and
     the trial's J, kept within [`_BACKTRACK_FLOOR` a, a / 2] (`_backtrack`).
 
-    In a p < 1 fit from w' = 0 at s, and at a point where H or d is not
-    finite or d is not a descent direction with a finite slope, the trials
-    are momentum trials, from v = 0 and step = eta at the stage's start:
+    In a p < 1 fit from w' = 0 at s, and at a point where H or g is not
+    finite or neither system gives a descent direction with a finite slope,
+    the trials are momentum trials, from v = 0 and step = eta at the
+    stage's start:
 
         v' = eps * v - step * grad J(w'),    w'' = w' + v'
 

@@ -495,8 +495,8 @@ def test_p_below_1_hessian_is_the_reference_at_infinite_margins(p):
     assert np.array_equal(H, reference_hessian(w, X_aug, ds.y, cfg))
 
 
-def test_newton_direction_solves_or_declines():
-    # `_newton_direction` damps its H in place, so each call gets a fresh one.
+def test_newton_direction_solves_or_declines(monkeypatch):
+    # `_newton_direction` writes to its H, so each call gets a fresh one.
     def H():
         return np.array([[2.0, 1.0], [1.0, 3.0]])
 
@@ -506,15 +506,33 @@ def test_newton_direction_solves_or_declines():
     assert np.allclose(damped @ direction, -g) and g @ direction < 0.0
     # where H is singular, the damping still gives a step, of length 1 at H = 0
     assert np.allclose(_newton_direction(np.zeros((2, 2)), g), -g / math.sqrt(5.0))
-    # H not finite, H + ||g|| I singular (H = 0, g = 0), and a direction that
-    # does not descend
+    # H not finite, and H + ||g|| I singular (H = 0, g = 0) with no negative
+    # eigenvalue to move past
     assert _newton_direction(np.array([[np.inf, 0.0], [0.0, 1.0]]), g) is None
     assert _newton_direction(np.zeros((2, 2)), np.zeros(2)) is None
-    assert _newton_direction(-3.0 * H(), g) is None
-    # ||g|| = 1e308 and H + ||g|| I = 5e307 I: d = -2 g is finite, but g.d
-    # overflows to -inf
+    # -3 H has eigenvalues -3 (5 -+ sqrt 5) / 2, and H + ||g|| I gives no
+    # descent direction there, so the damping moves past the least of them
+    least = -1.5 * (5.0 + math.sqrt(5.0))
+    assert np.linalg.eigvalsh(-3.0 * H())[0] == pytest.approx(least, rel=1e-15)
+    assert g @ np.linalg.solve(-3.0 * H() + math.sqrt(5.0) * np.eye(2), -g) > 0.0
+    direction = _newton_direction(-3.0 * H(), g)
+    shifted = -3.0 * H() + (math.sqrt(5.0) - least) * np.eye(2)
+    assert np.allclose(shifted @ direction, -g) and g @ direction < 0.0
+    # ||g|| = 1e308 and H + ||g|| I = 5e307 I: d = -2 g / ||g|| is finite, but
+    # g.d overflows to -inf; H's eigenvalue -5e307 moves the damping to
+    # 1.5e308, so the system is 1e308 I and d = -g / ||g||
     with np.errstate(over="ignore"):
-        assert _newton_direction(-5e307 * np.eye(2), np.array([1e308, 0.0])) is None
+        g = np.array([1e308, 0.0])
+        assert not -math.inf < g @ np.linalg.solve(5e307 * np.eye(2), -g)
+        direction = _newton_direction(-5e307 * np.eye(2), g)
+    assert np.array_equal((-5e307 + 1.5e308) * direction, -g) and g @ direction < 0.0
+
+    def not_converged(H):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    # no least eigenvalue, no shift
+    monkeypatch.setattr(np.linalg, "eigvalsh", not_converged)
+    assert _newton_direction(-3.0 * H(), np.array([1.0, -2.0])) is None
 
 
 @pytest.mark.parametrize("value_trial, want", [
@@ -876,28 +894,44 @@ def reference_blocked_hessian(w_aug, X_aug, y, cfg, rows):
         return scale * gram + np.diag(reg_diag(len(w_aug), cfg.regularize_bias))
 
 
-def reference_newton_direction(w_aug, g, X_aug, y, cfg):
-    """The solution d of (H + ||g|| I) d = -g, or None unless H + ||g|| I and d
-    are finite and -inf < g.d < 0."""
-    H = reference_hessian(w_aug, X_aug, y, cfg) + reference_norm(g) * np.eye(len(g))
-    if not np.isfinite(H).all():
+def reference_descent(A, g):
+    """The solution d of A d = -g, or None unless A and d are finite and
+    -inf < g.d < 0."""
+    if not np.isfinite(A).all():
         return None
     try:
-        direction = np.linalg.solve(H, -g)
+        direction = np.linalg.solve(A, -g)
     except np.linalg.LinAlgError:
         return None
     return direction if np.isfinite(direction).all() and -math.inf < g @ direction < 0.0 else None
 
 
-def reference_train(dataset, cfg, w0=None):
+def reference_newton_direction(w_aug, g, X_aug, y, cfg):
+    """`reference_descent` on (H + ||g|| I) d = -g; where that gives None but
+    H + ||g|| I is finite and H's least eigenvalue l is negative, on
+    (H + (||g|| - l) I) d = -g instead."""
+    H = reference_hessian(w_aug, X_aug, y, cfg)
+    damped = H + reference_norm(g) * np.eye(len(g))
+    direction = reference_descent(damped, g)
+    if direction is None and np.isfinite(damped).all():
+        least = np.linalg.eigvalsh(H)[0]
+        if least < 0.0:
+            direction = reference_descent(H + (reference_norm(g) - least) * np.eye(len(g)), g)
+    return direction
+
+
+def reference_train(dataset, cfg, w0=None, newton=None):
     """The loop of `train`, written against the public objective and gradient
-    and the Hessian above: safeguarded momentum at p < 1, and at p = 1, from
-    the start point on, damped Newton trials (each a momentum trial where the
-    direction is not finite), whose step backtracks by quadratic
-    interpolation and whose non-finite J is a rejection.  The fused kernel
-    must reproduce it bit for bit.  Also returns the number of objective
-    evaluations after the start point and the number of rejected trials.
-    It starts at w0, w' = 0 unless given, with the momentum at rest."""
+    and the Hessian above: safeguarded momentum, and where `newton` holds
+    (by default at p = 1), from the start point on, damped Newton trials
+    (each a momentum trial where `reference_newton_direction` gives None),
+    whose step backtracks by quadratic interpolation and whose non-finite J
+    is a rejection.  The fused kernel must reproduce it bit for bit.  Also
+    returns the number of objective evaluations after the start point and
+    the number of rejected trials.  It starts at w0, w' = 0 unless given,
+    with the momentum at rest."""
+    if newton is None:
+        newton = cfg.p == 1.0
     X_aug, y = augment(dataset).matrix, dataset.y
     w = v = np.zeros(dataset.k + 1)
     if w0 is not None:
@@ -907,7 +941,7 @@ def reference_train(dataset, cfg, w0=None):
     obj_hist, grad_hist = [value], []
     evaluations = rejected = 0
     stop_reason = STOP_ITERATION_CAP
-    direction = reference_newton_direction(w, g, X_aug, y, cfg) if cfg.p == 1.0 else None
+    direction = reference_newton_direction(w, g, X_aug, y, cfg) if newton else None
     a = 1.0
     for _ in range(cfg.max_iter):
         grad_norm = reference_norm(g)
@@ -937,7 +971,7 @@ def reference_train(dataset, cfg, w0=None):
                 v = np.zeros_like(w)
             w, value = w_trial, trial
             g = gradient(w, X_aug, y, cfg)
-            direction = reference_newton_direction(w, g, X_aug, y, cfg) if cfg.p == 1.0 else None
+            direction = reference_newton_direction(w, g, X_aug, y, cfg) if newton else None
             a = 1.0
             obj_hist.append(value)
             if decrease < cfg.tol_obj:
@@ -1074,6 +1108,40 @@ def test_path_stages_match_chained_reference_loops_bitwise(p, monkeypatch):
     assert trace.restarts == rejected and trace.stop_reason == stop_reason
 
 
+@pytest.mark.parametrize("p", [0.5, 0.3])
+def test_path_newton_stages_match_chained_reference_loops_bitwise(p, monkeypatch):
+    # Newton trials at every point of every stage, as `reference_train` takes
+    # them with newton=True, on the README data, where some point's
+    # H + ||g|| I gives no descent direction and the damping moves past H's
+    # least eigenvalue.
+    newton_direction, shifted = solver._newton_direction, []
+
+    def recording_newton_direction(H, g):
+        declined = reference_descent(H + reference_norm(g) * np.eye(len(g)), g) is None
+        direction = newton_direction(H, g)
+        shifted.append(declined and direction is not None)
+        return direction
+
+    monkeypatch.setattr(solver, "_newton_direction", recording_newton_direction)
+    ds = gen_toy(ToySpec(seed=42, n_per_class=50))
+    cfg = _path_cfg(p=p)
+    model, trace = train(ds, cfg)
+    w, obj, grads, rejected, counts = None, [], [], 0, []
+    for stage in _stage_cfgs(cfg):
+        w, obj_hist, grad_hist, stop_reason, evaluations, stage_rejected = reference_train(
+            ds, stage, w, newton=True)
+        obj[-1:] = list(obj_hist)
+        grads += list(grad_hist)
+        rejected += stage_rejected
+        counts.append(evaluations)
+    assert any(shifted)
+    assert np.array_equal(model.w_aug, w)
+    assert np.array_equal(trace.objective_history, obj)
+    assert np.array_equal(trace.grad_norm_history, grads)
+    assert trace.stage_iterations == tuple(counts) and trace.iterations == sum(counts)
+    assert trace.restarts == rejected and trace.stop_reason == stop_reason
+
+
 def test_path_trace_is_monotone_within_stages_and_ends_at_the_model():
     ds = gen_toy(ToySpec(seed=42, n_per_class=50))
     cfg = _path_cfg()
@@ -1118,6 +1186,27 @@ def test_path_ends_below_the_cold_fit_on_the_readme_data():
     _, path = train(ds, _path_cfg())
     assert path.iterations < cold.iterations
     assert path.objective_history[-1] < cold.objective_history[-1]
+
+
+def _wide_draw(n, k):
+    """n Gaussian samples in k dimensions, labels alternating +1, -1, each
+    feature shifted by 0.1 y."""
+    y = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+    return LabeledDataset(np.random.default_rng(0).standard_normal((n, k)) + 0.1 * y[:, None], y)
+
+
+@pytest.mark.parametrize("ds", [gen_toy(ToySpec(seed=42)), _wide_draw(2000, 64)],
+                         ids=["readme", "wide"])
+def test_path_fit_does_not_depend_on_eta(ds):
+    # Every path point takes a Newton trial, so no momentum step is made.
+    model, trace = train(ds, _path_cfg())
+    assert trace.relative_grad_norm <= 1e-5
+    for eta in (1e-2, 1e-6, 1e2):
+        other_model, other = train(ds, _path_cfg(eta=eta))
+        assert np.array_equal(other_model.w_aug, model.w_aug)
+        assert np.array_equal(other.objective_history, trace.objective_history)
+        assert np.array_equal(other.grad_norm_history, trace.grad_norm_history)
+        assert other.summary() == trace.summary()
 
 
 @pytest.mark.parametrize("regularize_bias", [False, True])
