@@ -32,13 +32,14 @@ non-convexity, Blake & Zisserman 1987; Chapelle, Sindhwani & Keerthi, JMLR
 to `s`, and takes the same Newton trials at every stage; where J bends down
 and H + ||g|| I gives no descent direction, the damping moves past H's
 least eigenvalue.  Any other p < 1 fit, from w' = 0 at s alone, runs
-momentum descent, as does a Newton fit at a point whose Hessian or Newton
-direction is not finite: a rejected trial restarts the momentum and halves
-the step, an accepted one grows it by 5 %.  Each trial costs one
-margin pass over the signed design matrix y_i x'_i built once per fit, and
-only an accepted trial's gradient is finished from it; `objective` and
-`gradient` are the public single-point forms of the same elementwise code
-and give bit-identical values.
+momentum descent, as does a Newton fit at a point where H or the gradient
+is not finite or neither damped system gives a descent direction: a
+rejected trial restarts the momentum and halves the step, an accepted one
+grows it by 5 %.  Each trial costs one margin pass over the signed design
+matrix y_i x'_i built once per fit, and only an accepted trial's gradient
+is finished from it; `objective` and `gradient` are the public
+single-point forms of the same elementwise code and give bit-identical
+values.
 """
 
 import math
@@ -141,9 +142,10 @@ class TrainConfig:
     # minimum it reaches, and a step that shrinks with C finds the lower one
     # on the toy data at C = 50 and 100.
     eta: float | None = _knob(None, "initial momentum step, used at p < 1 off the path, and "
-                                    "in a Newton fit only at a point whose Hessian or "
-                                    "Newton direction is not finite (> 0; default: "
-                                    "1e-2 / max(1, C/2))", positive=True)
+                                    "in a Newton fit only at a point where the Hessian or "
+                                    "gradient is not finite or neither damped system gives "
+                                    "a descent direction (> 0; default: 1e-2 / max(1, C/2))",
+                              positive=True)
     eps: float = _knob(0.9, "momentum coefficient in [0, 1), used where eta is")
     tol_obj: float = _knob(1e-8, "stop when an accepted step lowers the objective J by "
                                  "less than this times max(1, |J|)", positive=True)
@@ -180,12 +182,13 @@ class TrainTrace:
     before a stage's first trial is its start point's objective at the
     stage's s.  So the objective never increases within a stage, and its
     last entry is the returned model's objective at the fit's own s.
-    `stage_iterations` counts each stage's trials, in order; a fit from
-    w' = 0 at s alone has one stage.  `initial_grad_norm` is ||grad J(0)||
-    at the fit's own s.  `final_grad_norm` is the last norm the loop's stop
-    test computed: at the returned model, below `tol_grad` after a gradient
-    stop, and never of a non-finite gradient, which raises; `restarts`
-    counts rejected trials.
+    `stage_iterations` counts each stage's trials, in order, 0 for a stage
+    that starts at the iteration cap; a path fit has `_STAGES` stages, a
+    fit from w' = 0 at s alone one.  `initial_grad_norm` is ||grad J(0)||
+    at the fit's own s.  `final_grad_norm` is the norm the last stop test
+    computed: at the returned model and the fit's own s, below `tol_grad`
+    after a gradient stop, and never of a non-finite gradient, which
+    raises; `restarts` counts rejected trials.
     """
 
     objective_history: np.ndarray
@@ -490,11 +493,13 @@ def train(dataset: LabeledDataset, cfg: TrainConfig) -> tuple[SvmModel, TrainTra
     if the fit stops there.  The first test that holds, in this order, names
     the stage's stop: the accepted step that reached the point lowered J by
     a relative amount below `tol_obj`; the point's gradient norm is below
-    `tol_grad`; `max_iter` trials are made, which also ends the path.  The
-    last stage's stop is the fit's.  Each trial's J comes from one margin
-    pass over the signed design matrix y [X, 1]; only an accepted trial's
-    gradient, and where Newton trials are taken its Hessian, is finished
-    from it.  Deterministic: identical inputs give bit-identical results.
+    `tol_grad`; `max_iter` trials are made.  A stage that starts at the cap
+    makes no trial, only its start point's pass and test at its own s, so a
+    path fit runs every stage, and the last stage's stop, at the fit's own
+    s, is the fit's.  Each trial's J comes from one margin pass over the
+    signed design matrix y [X, 1]; only an accepted trial's gradient, and
+    where Newton trials are taken its Hessian, is finished from it.
+    Deterministic: identical inputs give bit-identical results.
 
     Raises DivergenceError (naming the iteration, 0 for the start point) if
     the start point's objective, a stage's start objective, a momentum
@@ -515,13 +520,65 @@ def train(dataset: LabeledDataset, cfg: TrainConfig) -> tuple[SvmModel, TrainTra
     restarts = 0
     with np.errstate(**_QUIET):
         for stage in stages:
+            # The last objective entry, the start point's or the point the
+            # stage before returned, becomes J at this stage's s.  v is
+            # rebound, never written to, so one zero vector serves every restart.
+            v = rest = np.zeros_like(w)
+            step = stage.eta
             done = len(grad_hist)
-            w, stop_reason, grad_norm, rejected = _descend(w, yX, d, stage, newton, cfg.max_iter,
-                                                           obj_hist, grad_hist)
+            value, state = _value_pass(w, yX, d, stage)
+            if not math.isfinite(value):
+                raise DivergenceError(f"objective diverged at iteration {done}")
+            g, state = _grad_pass(state, yX, stage)
+            obj_hist[-1:] = [value]
+            decrease = math.inf  # the relative fall in J of the step that reached the point
+
+            # Each round first tests the current point, which is returned if
+            # the stage stops there: its start point, each accepted trial,
+            # and, in round max_iter + 1, the point the cap leaves.
+            for it in range(done + 1, cfg.max_iter + 2):
+                grad_norm = norm(g)
+                if not math.isfinite(grad_norm) and not np.isfinite(g).all():
+                    raise DivergenceError(f"gradient diverged at iteration {it}")
+                stop_reason = (STOP_OBJECTIVE if decrease < stage.tol_obj
+                               else STOP_GRADIENT if grad_norm < stage.tol_grad
+                               else STOP_ITERATION_CAP if it > cfg.max_iter else None)
+                if stop_reason:
+                    break
+                if state is not None:  # a new point: its damped Newton direction, if any
+                    direction = (_newton_direction(_hessian(state, yX, d, stage), g) if newton
+                                 else None)
+                    if direction is not None:
+                        a, slope = 1.0, float(g @ direction)
+                    state = None
+                if direction is None:
+                    v_trial = stage.eps * v - step * g
+                    w_trial, bound = w + v_trial, value
+                else:
+                    w_trial, bound = w + a * direction, value + _ARMIJO * a * slope
+                value_trial, trial = _value_pass(w_trial, yX, d, stage)
+                # A Newton trial's non-finite J is a step too long, rejected below.
+                if not math.isfinite(value_trial) and direction is None:
+                    raise DivergenceError(f"objective diverged at iteration {it}")
+                grad_hist.append(grad_norm)
+                # Momentum grows its step, or halves it and restarts at rest; a
+                # Newton trial leaves v at rest for a momentum fallback, or
+                # backtracks.
+                if direction is None and value_trial <= bound:
+                    v, step = v_trial, step * _STEP_GROW
+                elif direction is None:
+                    v, step = rest, step * _STEP_SHRINK
+                elif value_trial <= bound:
+                    v = rest
+                else:
+                    a = _backtrack(a, slope, value, value_trial)
+                if value_trial <= bound:
+                    decrease = (value - value_trial) / max(1.0, abs(value))
+                    w, value, (g, state) = w_trial, value_trial, _grad_pass(trial, yX, stage)
+                else:
+                    restarts += 1
+                obj_hist.append(value)
             stage_iterations.append(len(grad_hist) - done)
-            restarts += rejected
-            if stop_reason == STOP_ITERATION_CAP:
-                break
         if len(stages) == 1:
             initial_grad_norm = grad_hist[0] if grad_hist else grad_norm
         else:
@@ -540,70 +597,3 @@ def train(dataset: LabeledDataset, cfg: TrainConfig) -> tuple[SvmModel, TrainTra
     )
     return model, trace
 
-
-def _descend(w: np.ndarray, yX: np.ndarray, d: np.ndarray, cfg: TrainConfig, newton: bool,
-             max_iter: int, obj_hist: list, grad_hist: list) -> tuple:
-    """One stage of `train` at cfg.s from w, with Newton trials if `newton`.
-
-    Appends the stage's trials to the fit's histories, whose lengths count
-    the trials before it, and sets the last objective entry (the start
-    point's, or the point the stage before returned) to J at cfg.s.
-    Returns the point it stops at, the stop reason, the gradient norm there
-    and the number of rejected trials.  Runs under the caller's errstate.
-    """
-    # v is rebound, never written to, so one zero vector serves every restart.
-    v = rest = np.zeros_like(w)
-    step = cfg.eta
-    restarts = 0
-    done = len(grad_hist)
-    value, state = _value_pass(w, yX, d, cfg)
-    if not math.isfinite(value):
-        raise DivergenceError(f"objective diverged at iteration {done}")
-    g, state = _grad_pass(state, yX, cfg)
-    obj_hist[-1:] = [value]
-    decrease = math.inf  # the relative fall in J of the step that reached the point
-
-    # Each round first tests the current point, which is returned if the
-    # stage stops there: its start point, each accepted trial, and, in
-    # round max_iter + 1, the point the cap leaves.
-    for it in range(done + 1, max_iter + 2):
-        grad_norm = norm(g)
-        if not math.isfinite(grad_norm) and not np.isfinite(g).all():
-            raise DivergenceError(f"gradient diverged at iteration {it}")
-        stop_reason = (STOP_OBJECTIVE if decrease < cfg.tol_obj
-                       else STOP_GRADIENT if grad_norm < cfg.tol_grad
-                       else STOP_ITERATION_CAP if it > max_iter else None)
-        if stop_reason:
-            break
-        if state is not None:  # a new point: its damped Newton direction, if any
-            direction = _newton_direction(_hessian(state, yX, d, cfg), g) if newton else None
-            if direction is not None:
-                a, slope = 1.0, float(g @ direction)
-            state = None
-        if direction is None:
-            v_trial = cfg.eps * v - step * g
-            w_trial, bound = w + v_trial, value
-        else:
-            w_trial, bound = w + a * direction, value + _ARMIJO * a * slope
-        value_trial, trial = _value_pass(w_trial, yX, d, cfg)
-        # A Newton trial's non-finite J is a step too long, rejected below.
-        if not math.isfinite(value_trial) and direction is None:
-            raise DivergenceError(f"objective diverged at iteration {it}")
-        grad_hist.append(grad_norm)
-        # Momentum grows its step, or halves it and restarts at rest; a Newton
-        # trial leaves v at rest for a momentum fallback, or backtracks.
-        if direction is None and value_trial <= bound:
-            v, step = v_trial, step * _STEP_GROW
-        elif direction is None:
-            v, step = rest, step * _STEP_SHRINK
-        elif value_trial <= bound:
-            v = rest
-        else:
-            a = _backtrack(a, slope, value, value_trial)
-        if value_trial <= bound:
-            decrease = (value - value_trial) / max(1.0, abs(value))
-            w, value, (g, state) = w_trial, value_trial, _grad_pass(trial, yX, cfg)
-        else:
-            restarts += 1
-        obj_hist.append(value)
-    return w, stop_reason, grad_norm, restarts

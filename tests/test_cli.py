@@ -14,10 +14,10 @@ from hypothesis import strategies as st
 
 from lpsvm import cli
 from lpsvm.cli import figure_data, load_model, main, save_model
-from lpsvm.core import SvmModel, margin_width
+from lpsvm.core import SvmModel, augment, margin_width
 from lpsvm.data import ToySpec, gen_toy, load_csv, save_csv
 from lpsvm.metrics import REPORT_FIELDS, cross_validate, run_comparison
-from lpsvm.solver import TrainConfig, TrainTrace, train
+from lpsvm.solver import TrainConfig, TrainTrace, objective, train
 
 FAST_FLAGS = ["--eta", "1e-3", "--max-iter", "600"]
 
@@ -134,6 +134,22 @@ def test_readme_train_ends_stationary(tmp_path, capsys):
                "--trace", tmp_path / "trace.csv") == 0
     trace = json.loads(model_path.read_text())["trace"]
     assert trace["converged"] and trace["relative_grad_norm"] <= 1e-8
+
+
+def test_readme_train_capped_on_the_path_reports_its_end_at_its_own_s(tmp_path, capsys):
+    # The README's `train` with --max-iter 20 stops in the path's second stage;
+    # the three after it start, make no trial, and end the trace at --s.
+    data, model_path = tmp_path / "toy.csv", tmp_path / "model.json"
+    assert run("gen-toy", "--seed", 42, "--n-per-class", 50, "--out", data) == 0
+    capsys.readouterr()
+    assert run("train", "--data", data, "--C", 1, "--p", 0.5, "--max-iter", 20,
+               "--out", model_path) == 0
+    assert capsys.readouterr().err == "warning: 1 of 1 fits stopped at the iteration cap (20)\n"
+    model, doc = load_model(model_path)
+    ds = load_csv(data)
+    assert doc["trace"]["final_objective"] == objective(model.w_aug, augment(ds).matrix, ds.y,
+                                                        model.meta)
+    assert len(doc["trace"]["stage_iterations"]) == 5
 
 
 def test_train_s_start_none_fits_from_zero_at_s(tmp_path, toy_csv, capsys):

@@ -1167,17 +1167,40 @@ def test_path_counts_every_trial_against_max_iter():
     ds = gen_toy(ToySpec(seed=42, n_per_class=50))
     _, full = train(ds, _path_cfg())
     first = full.stage_iterations[0]
-    # a cap inside the second stage ends the path there
+    # a cap inside the second stage leaves the later stages no trial; each
+    # still starts, so the path ends at the fit's own s
     _, trace = train(ds, _path_cfg(max_iter=first + 3))
     assert trace.stop_reason == STOP_ITERATION_CAP
-    assert trace.stage_iterations == (first, 3) and trace.iterations == first + 3
-    # a cap at the end of the first stage stops at the second's start point,
-    # whose history entry is J there at the second stage's s
-    model, trace = train(ds, _path_cfg(max_iter=first))
-    assert trace.stop_reason == STOP_ITERATION_CAP and trace.stage_iterations == (first, 0)
-    second = _stage_cfgs(_path_cfg())[1]
-    assert trace.objective_history[-1] == objective(model.w_aug, augment(ds).matrix, ds.y,
-                                                    second)
+    assert trace.stage_iterations == (first, 3, 0, 0, 0) and trace.iterations == first + 3
+    # a cap at the end of the first stage leaves no trial after it, and the
+    # last history entry is J at the returned point at the fit's own s
+    cfg = _path_cfg(max_iter=first)
+    model, trace = train(ds, cfg)
+    assert trace.stop_reason == STOP_ITERATION_CAP
+    assert trace.stage_iterations == (first, 0, 0, 0, 0)
+    assert trace.objective_history[-1] == objective(model.w_aug, augment(ds).matrix, ds.y, cfg)
+
+
+def test_capped_fit_reports_its_end_at_its_own_s():
+    ds = gen_toy(ToySpec(seed=42, n_per_class=50))
+    X_aug = augment(ds).matrix
+    _, full = train(ds, _path_cfg())
+    ends = np.cumsum(full.stage_iterations)[:-1]
+    zero = np.zeros(ds.k + 1)
+    for max_iter in sorted({1, *ends, *(ends + 3)}):
+        cfg = _path_cfg(max_iter=int(max_iter))
+        model, trace = train(ds, cfg)
+        assert trace.iterations == max_iter
+        assert len(trace.stage_iterations) == solver._STAGES
+        assert trace.objective_history[-1] == objective(model.w_aug, X_aug, ds.y, cfg)
+        assert trace.final_grad_norm == math.hypot(*gradient(model.w_aug, X_aug, ds.y, cfg))
+        assert trace.initial_grad_norm == math.hypot(*gradient(zero, X_aug, ds.y, cfg))
+    # a fit from w' = 0 at s alone is one stage, capped or not
+    for cfg in (TrainConfig(C=1.0, p=0.5, max_iter=5), TrainConfig(C=1.0, p=1.0, max_iter=2)):
+        model, trace = train(ds, cfg)
+        assert trace.stop_reason == STOP_ITERATION_CAP
+        assert trace.stage_iterations == (cfg.max_iter,)
+        assert trace.objective_history[-1] == objective(model.w_aug, X_aug, ds.y, cfg)
 
 
 def test_path_ends_below_the_cold_fit_on_the_readme_data():
