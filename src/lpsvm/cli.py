@@ -14,7 +14,6 @@ import dataclasses
 import json
 import math
 import sys
-import typing
 
 import numpy as np
 
@@ -23,7 +22,7 @@ from .core import (DEFAULT_SV_THRESHOLD, LabeledDataset, SvmModel, margin_width,
 from .data import ToySpec, gen_toy, load_csv, save_csv
 from .metrics import (REPORT_FIELDS, accuracy, cross_validate, fold_means, fold_scores,
                       run_comparison)
-from .solver import DivergenceError, TrainConfig, TrainTrace, field_kind, train
+from .solver import DivergenceError, TrainConfig, TrainTrace, train
 
 __all__ = ["main", "save_model", "load_model", "figure_data", "write_trace_csv"]
 
@@ -137,27 +136,15 @@ def _float_list(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"expected comma-separated floats, got {text!r}") from None
 
 
-def _optional(kind: type):
-    """An argparse type for a field that may be None: `none` (any case) or a `kind`."""
-    def parse(text: str):
-        return None if text.lower() == "none" else kind(text)
-    parse.__name__ = kind.__name__  # argparse names it in "invalid float value"
-    return parse
-
-
 def _add_config_flags(p: argparse.ArgumentParser, set_by_command: tuple[str, ...] = ()) -> None:
     """One flag per `TrainConfig` field, `tol_obj` as `--tol-obj`, with the
-    field's help and its `cli_default`, else its default; a bool field is a
-    switch, and a field that may be None also takes `none`.  The fields in
+    field's help and default; a bool field is a switch.  The fields in
     `set_by_command`, which the subcommand sets itself, get none."""
     for f in dataclasses.fields(TrainConfig):
         if f.name in set_by_command:
             continue
-        kind = field_kind(f)
-        parse = _optional(kind) if type(None) in typing.get_args(f.type) else kind
-        p.add_argument("--" + f.name.replace("_", "-"),
-                       default=f.metadata.get("cli_default", f.default), help=f.metadata["help"],
-                       **({"action": "store_true"} if kind is bool else {"type": parse}))
+        p.add_argument("--" + f.name.replace("_", "-"), default=f.default, help=f.metadata["help"],
+                       **({"action": "store_true"} if f.type is bool else {"type": f.type}))
 
 
 def _config_from_args(args, **overrides) -> TrainConfig:

@@ -26,7 +26,7 @@ Maechler 2012 recommends), so they all round alike; `objective` and
 point, w' = 0 included, takes damped Newton trials (Keerthi & DeCoste, JMLR
 2005) along -(H + ||g|| I)^-1 g, with H from the point's margin state, and a
 rejected trial's J places the next step by quadratic interpolation.  A p < 1
-fit with `s_start` below `s` follows a smoothing path (graduated
+fit with `s_start` below `s`, as by default, follows a smoothing path (graduated
 non-convexity, Blake & Zisserman 1987; Chapelle, Sindhwani & Keerthi, JMLR
 2008): it fits at s = s_start from w' = 0, then warm-starts at sharper s up
 to `s`, and takes the same Newton trials at every stage; where J bends down
@@ -43,8 +43,7 @@ values.
 """
 
 import math
-import typing
-from dataclasses import Field, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -53,7 +52,6 @@ from .core import LabeledDataset, SvmModel, norm, number, reg_diag, signed_desig
 __all__ = [
     "TrainConfig",
     "TrainTrace",
-    "field_kind",
     "DivergenceError",
     "smoothed_plus",
     "objective",
@@ -104,15 +102,9 @@ class DivergenceError(RuntimeError):
     """An iterate produced a non-finite objective or gradient."""
 
 
-def _knob(default, help: str, positive: bool = False, **cli_default):
-    """A `TrainConfig` field; a `cli_default`, where given, is the CLI flag's
-    default in place of the field's own."""
-    return field(default=default, metadata={"help": help, "positive": positive, **cli_default})
-
-
-def field_kind(f: Field) -> type:
-    """The builtin type a `TrainConfig` field stores: float for `float | None`."""
-    return next(iter(typing.get_args(f.type)), f.type)
+def _knob(default, help: str, positive: bool = False):
+    """A `TrainConfig` field: its default, its help and its sign rule."""
+    return field(default=default, metadata={"help": help, "positive": positive})
 
 
 @dataclass(frozen=True)
@@ -120,10 +112,9 @@ class TrainConfig:
     """All solver knobs; each field's `metadata["help"]` describes it.
 
     The CLI derives one flag per field (`tol_obj` -> `--tol-obj`) with the
-    field's help and its default, or its `metadata["cli_default"]` where it
-    has one (`s_start`: the CLI fits along the smoothing path by default,
-    the library from w' = 0 at s).  `__post_init__` passes each value
-    through `core.number` with the field's declared type, and
+    field's help and default, so the library and the CLI fit alike: at
+    p < 1, along the smoothing path from s_start = 1.  `__post_init__`
+    passes each value through `core.number` with the field's type, and
     `metadata["positive"]` as its sign rule, and stores the builtin value it
     returns (so numpy scalars write out as JSON); then it checks the
     remaining ranges.
@@ -133,19 +124,14 @@ class TrainConfig:
     p: float = _knob(0.5, "slack exponent in (0, 1]; 1 gives the standard hinge")
     s: float = _knob(100.0, "softplus sharpness (> 0); the smoothing gap is log(2)/s",
                      positive=True)
-    s_start: float | None = _knob(None, "at p < 1, the sharpness (> 0) a smoothing path starts "
-                                        "at: a fit there from w' = 0, then Newton stages "
-                                        "warm-started up to s (CLI default 1; none, or at least "
-                                        "s: one fit from w' = 0 at s); ignored at p = 1",
-                                  positive=True, cli_default=1.0)
-    # In a p < 1 fit from w' = 0 at s the initial step can decide which local
-    # minimum it reaches, and a step that shrinks with C finds the lower one
-    # on the toy data at C = 50 and 100.
-    eta: float | None = _knob(None, "initial momentum step, used at p < 1 off the path, and "
-                                    "in a Newton fit only at a point where the Hessian or "
-                                    "gradient is not finite or neither damped system gives "
-                                    "a descent direction (> 0; default: 1e-2 / max(1, C/2))",
-                              positive=True)
+    s_start: float = _knob(1.0, "at p < 1, the sharpness (> 0) a smoothing path starts at: a "
+                                "fit there from w' = 0, then Newton stages warm-started up "
+                                "to s (at least s: one fit from w' = 0 at s); ignored at p = 1",
+                           positive=True)
+    eta: float = _knob(1e-2, "initial momentum step, used at p < 1 off the path, and in a "
+                             "Newton fit only at a point where the Hessian or gradient is not "
+                             "finite or neither damped system gives a descent direction (> 0)",
+                       positive=True)
     eps: float = _knob(0.9, "momentum coefficient in [0, 1), used where eta is")
     tol_obj: float = _knob(1e-8, "stop when an accepted step lowers the objective J by "
                                  "less than this times max(1, |J|)", positive=True)
@@ -157,12 +143,8 @@ class TrainConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            value = getattr(self, f.name)
-            if value is not None or type(None) not in typing.get_args(f.type):
-                object.__setattr__(self, f.name, number(f.name, value, field_kind(f),
-                                                        f.metadata.get("positive", False)))
-        if self.eta is None:
-            object.__setattr__(self, "eta", 1e-2 / max(1.0, self.C / 2.0))
+            object.__setattr__(self, f.name, number(f.name, getattr(self, f.name), f.type,
+                                                    f.metadata.get("positive", False)))
         if not (0.0 < self.p <= 1.0):
             raise ValueError(f"p must lie in (0, 1], got {self.p}")
         if not (0.0 <= self.eps < 1.0):
@@ -173,15 +155,17 @@ class TrainConfig:
 class TrainTrace:
     """Per-iteration history of a training run.
 
-    `objective_history` has iterations + 1 entries: the objective at the
-    start point, then the objective at the current (accepted) point after
-    each iteration.  `grad_norm_history` has one entry per iteration, the
+    `objective_history` has iterations + 1 entries: J(0) at the fit's own s,
+    then the objective at the current (accepted) point after each
+    iteration.  `grad_norm_history` has one entry per iteration, the
     gradient norm (at least `tol_grad`) at the point the trial stepped from;
     momentum and Newton trials alike.  Both are taken at the sharpness of
-    the stage the next trial belongs to: on a smoothing path the entry
-    before a stage's first trial is its start point's objective at the
-    stage's s.  So the objective never increases within a stage, and its
-    last entry is the returned model's objective at the fit's own s.
+    the stage the next trial belongs to, entry 0 aside: on a smoothing path
+    the first stage's entries follow entry 0 at that stage's s, and the
+    entry before each later stage's first trial is its start point's
+    objective at the stage's s.  So the objective never increases within a
+    stage after entry 0, and its last entry is the returned model's
+    objective at the fit's own s.
     `stage_iterations` counts each stage's trials, in order, 0 for a stage
     that starts at the iteration cap; a path fit has `_STAGES` stages, a
     fit from w' = 0 at s alone one.  `initial_grad_norm` is ||grad J(0)||
@@ -344,18 +328,19 @@ def _hessian(state: tuple, yX: np.ndarray, d: np.ndarray, cfg: TrainConfig) -> n
     come from the log domain too, so none overflows: sigma(t) / n <= s, and c
     and h are 0 at t = +-inf.  The sum runs over blocks of rows, first to
     last, and the returned H is a new array, which `_newton_direction` may
-    write to.
+    write to.  The weights take one n-length array, and one more at p < 1.
     """
     _, sp, sp_neg, _, c, log_n = state
-    if cfg.p == 1.0:
-        curv = np.add(sp, sp_neg)
-        np.negative(curv, out=curv)
-        np.exp(curv, out=curv)
-        scale = cfg.C * cfg.s
-    else:
-        curv = np.exp(-sp_neg - log_n)
+    curv = np.add(sp_neg, sp if cfg.p == 1.0 else log_n)
+    np.negative(curv, out=curv)
+    np.exp(curv, out=curv)
+    scale = cfg.C * cfg.s
+    if cfg.p != 1.0:
+        bend = np.negative(sp)
+        np.exp(bend, out=bend)
+        bend *= cfg.s
         curv *= cfg.p - 1.0
-        curv += cfg.s * np.exp(-sp)
+        curv += bend
         curv *= c
         scale = cfg.C * cfg.p
     H = (yX[:_HESSIAN_ROWS].T * curv[:_HESSIAN_ROWS]) @ yX[:_HESSIAN_ROWS]
@@ -460,12 +445,14 @@ def train(dataset: LabeledDataset, cfg: TrainConfig) -> tuple[SvmModel, TrainTra
     """Minimize the smoothed objective from w' = 0, never letting it rise
     within a stage.
 
-    A fit at p = 1, or with `s_start` unset or at least s, is one stage at
-    s.  At p < 1 with `s_start` below s it is `_STAGES` stages along a
-    smoothing path, at s_j = geomspace(s_start, s, _STAGES)[j]: the first
-    from w' = 0, each later one from the point the one before returned.
-    Every stage starts with its momentum at rest and its step at `eta`, and
-    its own stop tests.
+    A fit at p = 1, or with `s_start` at least s, is one stage at s.  At
+    p < 1 with `s_start` below s, as by default, it is `_STAGES` stages
+    along a smoothing path, at s_j = geomspace(s_start, s, _STAGES)[j]: the
+    first from w' = 0, each later one from the point the one before
+    returned.  Every stage starts with its momentum at rest and its step at
+    `eta`, and its own stop tests.  One pass at w' = 0 and the fit's own s
+    before the stages gives the trace's first objective entry and its
+    `initial_grad_norm`.
 
     At p = 1, and on a smoothing path, every point the fit reaches, w' = 0
     and each accepted trial, gets one damped Newton direction d,
@@ -508,29 +495,36 @@ def train(dataset: LabeledDataset, cfg: TrainConfig) -> tuple[SvmModel, TrainTra
     """
     yX = signed_design(dataset)
     d = reg_diag(dataset.k + 1, cfg.regularize_bias)
-    path = cfg.p < 1.0 and cfg.s_start is not None and cfg.s_start < cfg.s
+    path = cfg.p < 1.0 and cfg.s_start < cfg.s
     stages = ([replace(cfg, s=float(s)) for s in np.geomspace(cfg.s_start, cfg.s, _STAGES)[:-1]]
               + [cfg] if path else [cfg])
     newton = cfg.p == 1.0 or path
 
     w = np.zeros(dataset.k + 1)
-    obj_hist: list[float] = []
     grad_hist: list[float] = []
     stage_iterations = []
     restarts = 0
     with np.errstate(**_QUIET):
+        # Entry 0 and initial_grad_norm: J(0) and its gradient at the fit's own s.
+        value, state = _value_pass(w, yX, d, cfg)
+        obj_hist = [value]
+        initial_grad_norm = norm(_grad_pass(state, yX, cfg)[0])
         for stage in stages:
-            # The last objective entry, the start point's or the point the
-            # stage before returned, becomes J at this stage's s.  v is
-            # rebound, never written to, so one zero vector serves every restart.
+            # The last objective entry, the point the stage before returned,
+            # becomes J at this stage's s; entry 0 stays J(0) at the fit's s.
+            # v is rebound, never written to, so one zero vector serves every
+            # restart.  The finished point's margin state is let go before
+            # this stage's start pass makes its own.
             v = rest = np.zeros_like(w)
             step = stage.eta
             done = len(grad_hist)
+            state = trial = None
             value, state = _value_pass(w, yX, d, stage)
             if not math.isfinite(value):
                 raise DivergenceError(f"objective diverged at iteration {done}")
             g, state = _grad_pass(state, yX, stage)
-            obj_hist[-1:] = [value]
+            if done:
+                obj_hist[-1] = value
             decrease = math.inf  # the relative fall in J of the step that reached the point
 
             # Each round first tests the current point, which is returned if
@@ -579,11 +573,6 @@ def train(dataset: LabeledDataset, cfg: TrainConfig) -> tuple[SvmModel, TrainTra
                     restarts += 1
                 obj_hist.append(value)
             stage_iterations.append(len(grad_hist) - done)
-        if len(stages) == 1:
-            initial_grad_norm = grad_hist[0] if grad_hist else grad_norm
-        else:
-            zero = np.zeros(dataset.k + 1)
-            initial_grad_norm = norm(_grad_pass(_value_pass(zero, yX, d, cfg)[1], yX, cfg)[0])
 
     model = SvmModel(w=w[:-1], b=float(w[-1]), meta=cfg)
     trace = TrainTrace(

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -115,7 +116,7 @@ def test_train_model_trace_records_stationarity(tmp_path, toy_csv, capsys):
     out, err = capsys.readouterr()
     assert err == ""
     trace = json.loads(model_path.read_text())["trace"]
-    _, expected = train(load_csv(toy_csv), TrainConfig(s_start=1.0))  # the CLI's default
+    _, expected = train(load_csv(toy_csv), TrainConfig())
     assert trace["final_grad_norm"] == expected.final_grad_norm
     relative = expected.final_grad_norm / expected.initial_grad_norm
     assert trace["relative_grad_norm"] == relative
@@ -152,25 +153,43 @@ def test_readme_train_capped_on_the_path_reports_its_end_at_its_own_s(tmp_path, 
     assert len(doc["trace"]["stage_iterations"]) == 5
 
 
-def test_train_s_start_none_fits_from_zero_at_s(tmp_path, toy_csv, capsys):
+def test_train_without_config_flags_is_the_library_default(tmp_path, toy_csv, capsys):
+    # The CLI and the library share one default: the smoothing path at p < 1.
     model_path = tmp_path / "m.json"
-    assert run("train", "--data", toy_csv, "--s-start", "none", "--out", model_path) == 0
+    assert run("train", "--data", toy_csv, "--out", model_path) == 0
     doc = json.loads(model_path.read_text())
-    assert doc["config"]["s_start"] is None
-    _, expected = train(load_csv(toy_csv), TrainConfig())
+    model, expected = train(load_csv(toy_csv), TrainConfig())
+    assert doc["config"] == dataclasses.asdict(TrainConfig())
+    assert (doc["w"], doc["b"]) == (model.w.tolist(), model.b)
+    assert doc["trace"] == json.loads(json.dumps(expected.summary()))
+    assert len(doc["trace"]["stage_iterations"]) == 5
+
+
+def test_train_s_start_at_s_fits_from_zero_at_s(tmp_path, toy_csv, capsys):
+    model_path = tmp_path / "m.json"
+    assert run("train", "--data", toy_csv, "--s-start", 100, "--out", model_path) == 0
+    doc = json.loads(model_path.read_text())
+    assert doc["config"]["s_start"] == 100.0
+    _, expected = train(load_csv(toy_csv), TrainConfig(s_start=100.0))
     assert doc["trace"] == json.loads(json.dumps(expected.summary()))
     assert doc["trace"]["stage_iterations"] == [expected.iterations]
+    # `none` is no value of any flag
+    with pytest.raises(SystemExit) as exc:
+        run("train", "--data", toy_csv, "--s-start", "none", "--out", model_path)
+    assert exc.value.code == 2
+    assert "--s-start: invalid float value: 'none'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("p", [1.0, 0.5])
 def test_train_s_at_or_below_the_default_s_start_fits_one_stage(tmp_path, toy_csv, capsys, p):
-    # Under the default --s-start 1, --s 1 is no path: the fit is --s-start none's
-    default, cold = tmp_path / "default.json", tmp_path / "none.json"
+    # Under the default --s-start 1, --s 1 is no path: the fit is the one
+    # from w = 0 at s alone, as under any --s-start at or above --s
+    default, cold = tmp_path / "default.json", tmp_path / "cold.json"
     assert run("train", "--data", toy_csv, "--p", p, "--s", 1, "--out", default) == 0
-    assert run("train", "--data", toy_csv, "--p", p, "--s", 1, "--s-start", "none",
+    assert run("train", "--data", toy_csv, "--p", p, "--s", 1, "--s-start", 100,
                "--out", cold) == 0
     doc, expected = json.loads(default.read_text()), json.loads(cold.read_text())
-    assert doc["config"]["s_start"] == 1.0 and expected["config"]["s_start"] is None
+    assert doc["config"]["s_start"] == 1.0 and expected["config"]["s_start"] == 100.0
     assert (doc["w"], doc["b"], doc["trace"]) == (expected["w"], expected["b"], expected["trace"])
     assert len(doc["trace"]["stage_iterations"]) == 1
 
@@ -183,10 +202,10 @@ def test_train_warns_at_iteration_cap(tmp_path, toy_csv, capsys):
     assert json.loads(model_path.read_text())["trace"]["stop_reason"] == "iteration-cap"
 
 
-def test_train_default_eta_follows_C(tmp_path, toy_csv):
+def test_train_default_eta_is_one_value_at_every_C(tmp_path, toy_csv):
     path = tmp_path / "m.json"
     assert run("train", "--data", toy_csv, "--C", 50, "--max-iter", 50, "--out", path) == 0
-    assert json.loads(path.read_text())["config"]["eta"] == 1e-2 / 25
+    assert json.loads(path.read_text())["config"]["eta"] == TrainConfig().eta == 1e-2
 
 
 def test_train_rejects_p_zero(tmp_path, toy_csv, capsys):
@@ -204,7 +223,7 @@ def test_train_p1_is_standard_configuration(tmp_path, toy_csv):
 
 def test_train_divergence_exits_1(tmp_path, toy_csv, capsys):
     # a momentum fit: the smoothing path's Newton trials do not use eta
-    assert run("train", "--data", toy_csv, "--p", 0.5, "--eta", 1e300, "--s-start", "none",
+    assert run("train", "--data", toy_csv, "--p", 0.5, "--eta", 1e300, "--s-start", 100,
                "--out", tmp_path / "m.json") == 1
     assert "objective diverged at iteration 1" in capsys.readouterr().err
 
@@ -262,14 +281,21 @@ def test_save_model_without_config_raises(tmp_path, toy_csv):
     assert not path.exists()
 
 
-def test_load_model_null_eta_is_the_C_default(tmp_path, toy_csv):
+def test_load_model_null_eta_or_s_start_exits_2(tmp_path, toy_csv, capsys):
+    # every config value is a plain number: null is no value of either key
     path = tmp_path / "m.json"
     run("train", "--data", toy_csv, "--C", 50, "--out", path, *FAST_FLAGS)
-    doc = json.loads(path.read_text())
-    doc["config"]["eta"] = None
-    path.write_text(json.dumps(doc))
-    back, _ = load_model(path)
-    assert back.meta.eta == 1e-2 / 25
+    good = json.loads(path.read_text())
+    for key in ("eta", "s_start"):
+        doc = copy.deepcopy(good)
+        doc["config"][key] = None
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError,
+                           match=f"^{re.escape(str(path))}: {key} must be of type float, got None$"):
+            load_model(path)
+        capsys.readouterr()
+        assert run("eval", "--model", path, "--data", toy_csv) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: {key}")
 
 
 def test_load_model_accepts_integer_parameters(tmp_path, toy_csv):
@@ -405,14 +431,14 @@ def test_eval_with_one_model_value_replaced_exits_0_or_2(trained_model, data):
 
 def test_model_file_without_s_start_loads_for_eval_and_figure(tmp_path, toy_csv, capsys):
     # A model file written before `s_start` existed has no such config key
-    # and no `stage_iterations` in its trace; it loads with s_start = None.
+    # and no `stage_iterations` in its trace; it loads with the default s_start.
     path = tmp_path / "old.json"
     assert run("train", "--data", toy_csv, "--out", path) == 0
     doc = json.loads(path.read_text())
     del doc["config"]["s_start"], doc["trace"]["stage_iterations"]
     path.write_text(json.dumps(doc))
     model, _ = load_model(path)
-    assert model.meta.s_start is None and np.array_equal(model.w, doc["w"])
+    assert model.meta.s_start == TrainConfig().s_start and np.array_equal(model.w, doc["w"])
     capsys.readouterr()
     assert run("eval", "--model", path, "--data", toy_csv) == 0
     assert capsys.readouterr().out.splitlines()[0] == (
@@ -613,9 +639,9 @@ def test_compare_sv_trend_on_seeded_toy(tmp_path, capsys):
     assert n_sv[100.0] < n_sv[1.0]
 
 
-def test_compare_default_eta_is_set_per_C(tmp_path, capsys):
-    # Without --eta each C gets its own initial step, 1e-2 / max(1, C/2):
-    # the same means as run_comparison with those steps written out.
+def test_compare_default_eta_is_the_config_default_at_every_C(tmp_path, capsys):
+    # Without --eta every C gets TrainConfig's initial step, 1e-2: the same
+    # means as run_comparison with that step written out.
     data = tmp_path / "toy.csv"
     run("gen-toy", "--seed", 11, "--out", data)
     out_json = tmp_path / "cmp.json"
@@ -624,14 +650,14 @@ def test_compare_default_eta_is_set_per_C(tmp_path, capsys):
                "--tol-obj", "1e-10", "--tol-grad", "1e-6", "--out-json", out_json) == 0
     doc = json.loads(out_json.read_text())
     ds = load_csv(data)
-    base = dict(s=100.0, s_start=1.0, eps=0.9, max_iter=8000, tol_obj=1e-10, tol_grad=1e-6)
-    etas = {1.0: 1e-2, 50.0: 1e-2 / 25, 100.0: 1e-2 / 50}
-    assert [block["C"] for block in doc["configs"]] == list(etas)
+    base = dict(s=100.0, s_start=1.0, eta=1e-2, eps=0.9, max_iter=8000, tol_obj=1e-10,
+                tol_grad=1e-6)
+    assert [block["C"] for block in doc["configs"]] == [1.0, 50.0, 100.0]
     for block in doc["configs"]:
-        C, eta = block["C"], etas[block["C"]]
-        report = run_comparison(ds, TrainConfig(C=C, p=1.0, eta=eta, **base),
-                                TrainConfig(C=C, p=0.5, eta=eta, **base), k=5, seed=3)
-        assert block["config_min"]["eta"] == eta
+        C = block["C"]
+        report = run_comparison(ds, TrainConfig(C=C, p=1.0, **base),
+                                TrainConfig(C=C, p=0.5, **base), k=5, seed=3)
+        assert block["config_std"]["eta"] == block["config_min"]["eta"] == 1e-2
         assert block["means"] == report.means
 
 
@@ -781,9 +807,7 @@ def test_config_flags_follow_train_config_fields(command):
     fields = [f for f in dataclasses.fields(TrainConfig) if f.name not in SET_BY_COMMAND[command]]
     assert [a.option_strings for a in actions] == [
         ["--" + f.name.replace("_", "-")] for f in fields]
-    # a field's cli_default, where it has one, stands in for its default
-    assert [a.default for a in actions] == [f.metadata.get("cli_default", f.default)
-                                            for f in fields]
+    assert [a.default for a in actions] == [f.default for f in fields]
     assert [a.help for a in actions] == [f.metadata["help"] for f in fields]
     assert "--tol-obj" in parser.format_help()  # argparse %-formats every help text
 
@@ -820,9 +844,7 @@ def test_readme_knob_table_matches_config_flags():
     actions = _config_actions(_subparsers()["train"])
     assert [row[0] for row in rows] == [a.option_strings[0] for a in actions]
     for (_, default, *_), action in zip(rows, actions):
-        if action.default is None:  # a rule, written as in the flag's help
-            assert f"default: {default}" in action.help
-        elif isinstance(action.default, bool):
+        if isinstance(action.default, bool):
             assert default == ("on" if action.default else "off")
         else:
             assert float(default) == action.default

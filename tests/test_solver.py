@@ -600,8 +600,10 @@ def test_train_trace_shapes_and_improvement():
     assert trace.objective_history.shape == (trace.iterations + 1,)
     assert trace.grad_norm_history.shape == (trace.iterations,)
     assert trace.objective_history[-1] <= trace.objective_history[0]
+    # entry 0 and initial_grad_norm are J(0) and ||grad J(0)|| at the fit's own s
     assert trace.objective_history[0] == cfg.C * ds.n
-    assert trace.initial_grad_norm == trace.grad_norm_history[0] > 0.0
+    g0 = gradient(np.zeros(ds.k + 1), augment(ds).matrix, ds.y, cfg)
+    assert trace.initial_grad_norm == math.hypot(*g0) > 0.0
     assert trace.relative_grad_norm == trace.final_grad_norm / trace.initial_grad_norm
     assert model.meta == cfg
     if trace.converged:
@@ -712,7 +714,7 @@ def test_train_divergence_names_iteration():
     ds = gen_toy(ToySpec(seed=7, n_per_class=10))
     # the first trial lands near 1e300, where J overflows
     with pytest.raises(DivergenceError, match="objective diverged at iteration 1$"):
-        train(ds, TrainConfig(C=1.0, p=0.5, eta=1e300, max_iter=5000))
+        train(ds, TrainConfig(C=1.0, p=0.5, s_start=100.0, eta=1e300, max_iter=5000))
 
 
 def test_train_recovers_from_oversized_step():
@@ -728,7 +730,7 @@ def test_train_accepts_a_trial_that_ties():
     # the start point itself; a tie counts as accepted, and an accepted step
     # that lowers J by nothing stops on the objective tolerance
     ds = LabeledDataset([[1.0], [0.5]], [1.0, -1.0])
-    cfg = TrainConfig(C=0.5, eta=5e-324, tol_obj=1e-300)
+    cfg = TrainConfig(C=0.5, s_start=100.0, eta=5e-324, tol_obj=1e-300)
     model, trace = train(ds, cfg)
     assert trace.stop_reason == STOP_OBJECTIVE
     assert trace.iterations == 1 and trace.restarts == 0
@@ -994,7 +996,9 @@ def reference_train(dataset, cfg, w0=None, newton=None):
 
 
 def _grid_cfg(C, p, regularize_bias):
-    return TrainConfig(C=C, p=p, s=100.0, eps=0.9, max_iter=1500, tol_obj=1e-10, tol_grad=1e-6,
+    # the fit from w' = 0 at s alone, with an initial step that shrinks with C
+    return TrainConfig(C=C, p=p, s=100.0, s_start=100.0, eta=1e-2 / max(1.0, C / 2.0), eps=0.9,
+                       max_iter=1500, tol_obj=1e-10, tol_grad=1e-6,
                        regularize_bias=regularize_bias)
 
 
@@ -1039,7 +1043,8 @@ def test_train_matches_reference_loop_bitwise(cfg, negate, stop):
 @pytest.mark.parametrize("p", [1.0, 0.3])
 def test_train_matches_reference_loop_with_rejected_trials(p):
     ds = gen_toy(ToySpec(seed=0, n_per_class=20))
-    _, trace = _assert_matches_reference(ds, TrainConfig(C=1.0, p=p, eta=1e6, max_iter=2000))
+    _, trace = _assert_matches_reference(ds, TrainConfig(C=1.0, p=p, s_start=100.0, eta=1e6,
+                                                          max_iter=2000))
     assert trace.restarts > 0 and trace.converged
 
 
@@ -1051,7 +1056,8 @@ def test_train_matches_reference_loop_at_extreme_margins(p):
     # softplus(-t) underflows to 0.
     toy = gen_toy(ToySpec(seed=0, n_per_class=20))
     ds = LabeledDataset(toy.X * 1e4, toy.y)
-    cfg = TrainConfig(C=1.0, p=p, s=1000.0, max_iter=1500, tol_obj=1e-10, tol_grad=1e-6)
+    cfg = TrainConfig(C=1.0, p=p, s=1000.0, s_start=1000.0, max_iter=1500, tol_obj=1e-10,
+                      tol_grad=1e-6)
     model, trace = _assert_matches_reference(ds, cfg)
     t = cfg.s * (1.0 - ds.y * (ds.X @ model.w + model.b))
     assert (t < -33.0).any() and (t > 745.0).any()
@@ -1078,7 +1084,7 @@ def _path_cfg(**kw):
 
 def _stage_cfgs(cfg):
     """The stage configs of a path fit: one per s of geomspace(s_start, s, _STAGES)."""
-    return [dataclasses.replace(cfg, s=float(s), s_start=None)
+    return [dataclasses.replace(cfg, s=float(s), s_start=float(s))
             for s in np.geomspace(cfg.s_start, cfg.s, solver._STAGES)]
 
 
@@ -1088,7 +1094,7 @@ def test_path_stages_match_chained_reference_loops_bitwise(p, monkeypatch):
     # its s from the point the stage before returned, its momentum at rest
     # and its step at eta.  The fit's histories are the stages' joined: a
     # stage's first entry, its start point's J at its own s, replaces the
-    # last entry of the stage before.
+    # last entry of the stage before, and entry 0 is J(0) at the fit's own s.
     monkeypatch.setattr(solver, "_newton_direction", lambda H, g: None)
     ds = gen_toy(ToySpec(seed=0, n_per_class=20))
     cfg = _path_cfg(p=p, C=50.0, max_iter=8000, tol_obj=1e-10, tol_grad=1e-6)
@@ -1101,6 +1107,7 @@ def test_path_stages_match_chained_reference_loops_bitwise(p, monkeypatch):
         grads += list(grad_hist)
         rejected += stage_rejected
         counts.append(evaluations)
+    obj[0] = objective(np.zeros(ds.k + 1), augment(ds).matrix, ds.y, cfg)
     assert np.array_equal(model.w_aug, w)
     assert np.array_equal(trace.objective_history, obj)
     assert np.array_equal(trace.grad_norm_history, grads)
@@ -1134,6 +1141,7 @@ def test_path_newton_stages_match_chained_reference_loops_bitwise(p, monkeypatch
         grads += list(grad_hist)
         rejected += stage_rejected
         counts.append(evaluations)
+    obj[0] = objective(np.zeros(ds.k + 1), augment(ds).matrix, ds.y, cfg)
     assert any(shifted)
     assert np.array_equal(model.w_aug, w)
     assert np.array_equal(trace.objective_history, obj)
@@ -1196,7 +1204,8 @@ def test_capped_fit_reports_its_end_at_its_own_s():
         assert trace.final_grad_norm == math.hypot(*gradient(model.w_aug, X_aug, ds.y, cfg))
         assert trace.initial_grad_norm == math.hypot(*gradient(zero, X_aug, ds.y, cfg))
     # a fit from w' = 0 at s alone is one stage, capped or not
-    for cfg in (TrainConfig(C=1.0, p=0.5, max_iter=5), TrainConfig(C=1.0, p=1.0, max_iter=2)):
+    for cfg in (TrainConfig(C=1.0, p=0.5, s_start=100.0, max_iter=5),
+                TrainConfig(C=1.0, p=1.0, max_iter=2)):
         model, trace = train(ds, cfg)
         assert trace.stop_reason == STOP_ITERATION_CAP
         assert trace.stage_iterations == (cfg.max_iter,)
@@ -1205,10 +1214,24 @@ def test_capped_fit_reports_its_end_at_its_own_s():
 
 def test_path_ends_below_the_cold_fit_on_the_readme_data():
     ds = gen_toy(ToySpec(seed=42, n_per_class=50))
-    _, cold = train(ds, TrainConfig(C=1.0, p=0.5))
+    _, cold = train(ds, TrainConfig(C=1.0, p=0.5, s_start=100.0))
     _, path = train(ds, _path_cfg())
     assert path.iterations < cold.iterations
     assert path.objective_history[-1] < cold.objective_history[-1]
+
+
+def test_default_fits_end_stationary_on_rescaled_toy_data():
+    # On the toy data with features x 1e2, at criterion 4's settings, a fit
+    # from w' = 0 at s alone stops at the iteration cap on nearly every p < 1
+    # fit; the default, the smoothing path, ends each one stationary.
+    for seed in (0, 1):
+        toy = gen_toy(ToySpec(seed=seed))
+        ds = LabeledDataset(toy.X * 1e2, toy.y)
+        for C in (1.0, 50.0, 100.0):
+            for p in (0.5, 0.3):
+                cfg = TrainConfig(C=C, p=p, s=100.0, max_iter=8000, tol_obj=1e-10, tol_grad=1e-6)
+                _, trace = train(ds, cfg)
+                assert trace.converged and trace.relative_grad_norm <= 1e-6, (seed, C, p)
 
 
 def _wide_draw(n, k):
@@ -1235,7 +1258,8 @@ def test_path_fit_does_not_depend_on_eta(ds):
 @pytest.mark.parametrize("regularize_bias", [False, True])
 def test_s_start_is_ignored_at_p1(regularize_bias):
     ds = gen_toy(ToySpec(seed=3, n_per_class=20))
-    cold_model, cold = train(ds, TrainConfig(p=1.0, regularize_bias=regularize_bias))
+    cold_model, cold = train(ds, TrainConfig(p=1.0, s_start=100.0,
+                                             regularize_bias=regularize_bias))
     model, trace = train(ds, TrainConfig(p=1.0, s_start=1.0, regularize_bias=regularize_bias))
     assert np.array_equal(model.w_aug, cold_model.w_aug)
     assert np.array_equal(trace.objective_history, cold.objective_history)
@@ -1245,14 +1269,11 @@ def test_s_start_is_ignored_at_p1(regularize_bias):
 @pytest.mark.parametrize("p", [0.5, 0.3, 1.0])
 @pytest.mark.parametrize("s, s_start", [(100.0, 100.0), (100.0, 200.0), (1.0, 1.0)])
 def test_s_start_at_or_above_s_is_the_one_stage_fit(p, s, s_start):
+    # the fit from w' = 0 at s alone: `reference_train`'s loop, bit for bit
     ds = gen_toy(ToySpec(seed=3, n_per_class=20))
-    cold_model, cold = train(ds, TrainConfig(C=50.0, p=p, s=s))
-    model, trace = train(ds, TrainConfig(C=50.0, p=p, s=s, s_start=s_start))
-    assert np.array_equal(model.w_aug, cold_model.w_aug)
-    assert np.array_equal(trace.objective_history, cold.objective_history)
-    assert np.array_equal(trace.grad_norm_history, cold.grad_norm_history)
-    assert trace.summary() == cold.summary()
-    assert trace.initial_grad_norm == cold.initial_grad_norm
+    _, trace = _assert_matches_reference(ds, TrainConfig(C=50.0, p=p, s=s, s_start=s_start,
+                                                         eta=4e-4))
+    assert trace.initial_grad_norm == trace.grad_norm_history[0]
     assert trace.stage_iterations == (trace.iterations,)
 
 
@@ -1292,7 +1313,8 @@ def test_train_overflow_at_p1_names_the_iteration(scale, C, eta, message):
     toy = gen_toy(ToySpec(seed=7, n_per_class=10))
     ds = LabeledDataset(toy.X * scale, toy.y)
     with pytest.raises(DivergenceError, match=message):
-        train(ds, TrainConfig(C=C, p=1.0, eta=eta, max_iter=5000))
+        # eta None: the default step
+        train(ds, TrainConfig(C=C, p=1.0, max_iter=5000, **({} if eta is None else {"eta": eta})))
 
 
 # At the first trial the scaled margins t = s (1 - y w'.x') overflow to -inf.
@@ -1426,6 +1448,7 @@ def test_config_accepts_s_start_at_or_above_s(kwargs):
     {"max_iter": 2.5}, {"max_iter": 5.0}, {"max_iter": True}, {"max_iter": "5"},
     {"regularize_bias": "no"}, {"regularize_bias": 1}, {"regularize_bias": None},
     {"C": True}, {"eps": False}, {"C": "5"}, {"p": None}, {"s_start": "1"}, {"s_start": True},
+    {"s_start": None}, {"eta": None},
     pytest.param({"C": 10**400}, id="C-int-beyond-float"),
     pytest.param({"eta": 10**400}, id="eta-int-beyond-float"),
 ])
@@ -1438,10 +1461,21 @@ def test_config_rejects_mistyped_fields(kwargs):
     (0.1, 1e-2), (1.0, 1e-2), (2.0, 1e-2), (3.0, 1e-2 / 1.5), (50.0, 1e-2 / 25), (100.0, 1e-2 / 50),
 ])
 def test_config_default_eta_follows_C(C, eta):
-    # the initial step defaults to 1e-2 / max(1, C/2); an explicit one is kept
-    assert TrainConfig(C=C).eta == eta
-    assert TrainConfig(C=C, eta=None) == TrainConfig(C=C)
-    assert TrainConfig(C=C, eta=3e-5).eta == 3e-5
+    # eta is the step 1e-2 / max(1, C/2) when given it, as the bitwise locks
+    # spell a fit from w' = 0 at s; with no eta it is 1e-2 at every C
+    assert TrainConfig(C=C).eta == 1e-2
+    assert TrainConfig(C=C, eta=eta).eta == eta
+    assert TrainConfig(C=C, eta=eta) == dataclasses.replace(TrainConfig(C=C), eta=eta)
+    assert _grid_cfg(C, 0.5, False).eta == eta
+
+
+def test_config_defaults_are_plain_values():
+    # every field's default is its value, whatever the others hold: s_start
+    # is 1 at every s (eta's default at every C is checked above)
+    for s in (0.5, 1.0, 100.0):
+        assert TrainConfig(s=s).s_start == 1.0
+    assert [getattr(TrainConfig(), f.name) for f in dataclasses.fields(TrainConfig)] == [
+        f.default for f in dataclasses.fields(TrainConfig)]
 
 
 def test_config_accepts_numpy_integers_and_bools():
